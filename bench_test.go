@@ -298,7 +298,7 @@ func BenchmarkLevelSweep(b *testing.B) {
 func BenchmarkParallelProbeScan(b *testing.B) {
 	db, c := benchWorkload(b)
 	ps := benchPatterns(200)
-	valuer := miner.ParallelMatchDBValuer(db, c, 0)
+	valuer := miner.ParallelMatchDBValuer(db, c, -1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := valuer(ps); err != nil {

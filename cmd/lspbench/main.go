@@ -182,19 +182,10 @@ type result struct {
 	GrowthNodesExpanded   int64   `json:"growth_nodes_expanded"`
 	GrowthBoundPrunes     int64   `json:"growth_bound_prunes"`
 	GrowthLabelsIdentical bool    `json:"growth_labels_identical"`
-	// Phase3ShardMs re-mines the last run with Phase 3 probe scans scattered
-	// over Phase3Shards database shards (the SoA scatter-gather path);
-	// Phase3SpeedupX is the single-pass Phase 3 wall time over the sharded
-	// one, and Phase3Identical confirms both runs mined the same frequent
-	// set and spent the same number of logical scans.
-	Phase3Shards    int     `json:"phase3_shards,omitempty"`
-	Phase3ShardMs   float64 `json:"phase3_shard_ms"`
-	Phase3SpeedupX  float64 `json:"phase3_speedup_x"`
-	Phase3Identical bool    `json:"phase3_identical"`
-	SequencesPerSec float64 `json:"sequences_per_sec"`
-	PeakCandidates  int64   `json:"peak_candidates"`
-	Frequent        int     `json:"frequent"`
-	Border          int     `json:"border"`
+	SequencesPerSec       float64 `json:"sequences_per_sec"`
+	PeakCandidates        int64   `json:"peak_candidates"`
+	Frequent              int     `json:"frequent"`
+	Border                int     `json:"border"`
 
 	// Telemetry is the last instrumented run's full snapshot.
 	Telemetry telemetry.Snapshot `json:"telemetry"`
@@ -384,7 +375,7 @@ func bench(w workload, runs int, seed int64) (result, error) {
 		return result{}, err
 	}
 
-	mine := func(metrics *telemetry.Metrics, runSeed int64, kernel core.Phase2Kernel, shards int, engine core.Phase2Engine) (*core.Result, time.Duration, error) {
+	mine := func(metrics *telemetry.Metrics, runSeed int64, kernel core.Phase2Kernel, engine core.Phase2Engine) (*core.Result, time.Duration, error) {
 		start := time.Now()
 		res, err := core.Mine(db, c, core.Config{
 			MinMatch:              w.MinMatch,
@@ -396,7 +387,6 @@ func bench(w workload, runs int, seed int64) (result, error) {
 			MemBudget:             w.MemBudget,
 			Finalizer:             w.Finalizer,
 			Workers:               runtime.NumCPU(),
-			Phase3Shards:          shards,
 			Phase2Kernel:          kernel,
 			Phase2Engine:          engine,
 			Rng:                   rand.New(rand.NewSource(runSeed)),
@@ -418,7 +408,7 @@ func bench(w workload, runs int, seed int64) (result, error) {
 		// both sequences of runs mine identical samples.
 		runSeed := seed + int64(i)
 		metrics := &telemetry.Metrics{}
-		res, d, err := mine(metrics, runSeed, core.KernelIncremental, 0, core.Phase2Levelwise)
+		res, d, err := mine(metrics, runSeed, core.KernelIncremental, core.Phase2Levelwise)
 		if err != nil {
 			return result{}, err
 		}
@@ -443,7 +433,7 @@ func bench(w workload, runs int, seed int64) (result, error) {
 			}
 			lastRes, lastSeed = res, runSeed
 		}
-		if _, d, err := mine(nil, runSeed, core.KernelIncremental, 0, core.Phase2Levelwise); err != nil {
+		if _, d, err := mine(nil, runSeed, core.KernelIncremental, core.Phase2Levelwise); err != nil {
 			return result{}, err
 		} else {
 			plain += d
@@ -453,7 +443,7 @@ func bench(w workload, runs int, seed int64) (result, error) {
 	// Mine the last run's sample once more with the naive per-pattern kernel:
 	// its Phase 2 wall time is the speedup baseline, and its classifications
 	// must agree with the incremental kernel's pattern for pattern.
-	naiveRes, _, err := mine(nil, lastSeed, core.KernelNaive, 0, core.Phase2Levelwise)
+	naiveRes, _, err := mine(nil, lastSeed, core.KernelNaive, core.Phase2Levelwise)
 	if err != nil {
 		return result{}, err
 	}
@@ -472,14 +462,14 @@ func bench(w workload, runs int, seed int64) (result, error) {
 	var growthRes *core.Result
 	var lwP2Best, growthP2Best time.Duration
 	for rep := 0; rep < 3; rep++ {
-		lwRes, _, err := mine(nil, lastSeed, core.KernelIncremental, 0, core.Phase2Levelwise)
+		lwRes, _, err := mine(nil, lastSeed, core.KernelIncremental, core.Phase2Levelwise)
 		if err != nil {
 			return result{}, err
 		}
 		if rep == 0 || lwRes.Phase2Time < lwP2Best {
 			lwP2Best = lwRes.Phase2Time
 		}
-		res, _, err := mine(nil, lastSeed, core.KernelIncremental, 0, core.Phase2Growth)
+		res, _, err := mine(nil, lastSeed, core.KernelIncremental, core.Phase2Growth)
 		if err != nil {
 			return result{}, err
 		}
@@ -489,7 +479,7 @@ func bench(w workload, runs int, seed int64) (result, error) {
 		growthRes = res
 	}
 	growthMetrics := &telemetry.Metrics{}
-	if _, _, err := mine(growthMetrics, lastSeed, core.KernelIncremental, 0, core.Phase2Growth); err != nil {
+	if _, _, err := mine(growthMetrics, lastSeed, core.KernelIncremental, core.Phase2Growth); err != nil {
 		return result{}, err
 	}
 	growthSnap := growthMetrics.Snapshot()
@@ -502,39 +492,6 @@ func bench(w workload, runs int, seed int64) (result, error) {
 	r.GrowthBoundPrunes = growthSnap.GrowthPrunes
 	r.GrowthLabelsIdentical = sameLabels(lastRes, growthRes) && sameFrequent(lastRes, growthRes)
 
-	// Re-mine the last run's sample with Phase 3 probes scattered over one
-	// shard per CPU (at least two, so the scatter-gather path and its SoA
-	// probe kernel are always the thing measured): the sharded run must mine
-	// the same frequent set with the same logical scan budget, only faster
-	// on the wall clock. Phase 3 is a few ms on the quick grid, so both
-	// sides are measured best-of-3 against the same seed to beat timer
-	// noise; the single-pass baseline is re-timed the same way rather than
-	// reusing the instrumented run's one-shot Phase3Ms.
-	r.Phase3Shards = max(2, runtime.NumCPU())
-	var shardRes *core.Result
-	var seqBest, shardBest time.Duration
-	for rep := 0; rep < 3; rep++ {
-		seqRes, _, err := mine(nil, lastSeed, core.KernelIncremental, 0, core.Phase2Levelwise)
-		if err != nil {
-			return result{}, err
-		}
-		if rep == 0 || seqRes.Phase3Time < seqBest {
-			seqBest = seqRes.Phase3Time
-		}
-		res, _, err := mine(nil, lastSeed, core.KernelIncremental, r.Phase3Shards, core.Phase2Levelwise)
-		if err != nil {
-			return result{}, err
-		}
-		if rep == 0 || res.Phase3Time < shardBest {
-			shardBest = res.Phase3Time
-		}
-		shardRes = res
-	}
-	r.Phase3ShardMs = float64(shardBest.Microseconds()) / 1000
-	if r.Phase3ShardMs > 0 {
-		r.Phase3SpeedupX = float64(seqBest.Microseconds()) / float64(shardBest.Microseconds())
-	}
-	r.Phase3Identical = sameFrequent(lastRes, shardRes) && lastRes.Scans == shardRes.Scans
 	r.NsPerOp = float64(instrumented.Nanoseconds()) / float64(runs)
 	r.PlainNsPerOp = float64(plain.Nanoseconds()) / float64(runs)
 	if r.PlainNsPerOp > 0 {

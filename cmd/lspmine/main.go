@@ -97,7 +97,6 @@ import (
 
 	"repro/internal/compat"
 	"repro/internal/core"
-	"repro/internal/miner"
 	"repro/internal/pattern"
 	"repro/internal/seqdb"
 	"repro/internal/shardrpc"
@@ -119,7 +118,6 @@ func main() {
 	phase2Engine := flag.String("phase2-engine", "levelwise", "Phase 2 mining strategy: levelwise (breadth-first generate-and-test) or growth (depth-first pattern growth over projected samples; same labels, bit-identical across worker counts)")
 	kernel := flag.String("phase2-kernel", "incremental", "Phase 2 sample kernel: incremental (prefix-extension cache) or naive (recompile per level)")
 	workers := flag.Int("workers", -1, "worker goroutines sharding Phase 2's sample and Phase 3's probe counting (-1 = all cores, 0/1 = sequential; results are identical for every count)")
-	phase3Shards := flag.Int("phase3-shards", 0, "scatter each Phase 3 probe scan over this many database shards, gathered deterministically (0/1 = single-pass probes; ignored when -db names a shard set)")
 	retries := flag.Int("retries", 0, "retry transient scan failures up to this many times per pass (0 = no retrying); also caps shard RPC attempts with -phase3-nodes")
 	retryBase := flag.Duration("retry-base", 0, "base delay of retry backoff — both the retrying scanner's and the shard RPC's (0 = 10ms)")
 	retryCap := flag.Duration("retry-cap", 0, "delay cap of retry backoff (0 = 1s)")
@@ -312,7 +310,6 @@ func main() {
 		MemBudget:             *budget,
 		Finalizer:             fin,
 		Workers:               *workers,
-		Phase3Shards:          *phase3Shards,
 		Phase2Kernel:          p2k,
 		Phase2Engine:          p2e,
 		Rng:                   rand.New(rand.NewSource(*seed)),
@@ -335,22 +332,15 @@ func main() {
 		if len(clients) == 0 {
 			fatal(errors.New("-phase3-nodes lists no nodes"))
 		}
-		pool := &shardrpc.Pool{
+		// One shard per node, or the shards of a native shard set; the
+		// block-aligned gather makes the result identical either way.
+		cfg.Remote = &shardrpc.Pool{
 			Clients:    clients,
 			Retry:      shardrpc.RetryPolicy{MaxAttempts: *retries, Base: *retryBase, Cap: *retryCap},
 			Timeout:    *rpcTimeout,
 			HedgeAfter: *phase3Hedge,
 			Jitter:     rand.New(rand.NewSource(*seed)),
 			Metrics:    metrics,
-		}
-		// Shard layout: -phase3-shards when set, else one shard per node.
-		// Block-aligned gather makes the result identical for every count.
-		nshards := *phase3Shards
-		if nshards < 1 {
-			nshards = len(clients)
-		}
-		cfg.ProbeValuer = func(ctx context.Context, db seqdb.Scanner, c compat.Source) miner.Valuer {
-			return miner.RemoteShardValuerContext(ctx, seqdb.ShardedView(db, nshards), pool, c, *workers, metrics)
 		}
 	}
 	var res *core.Result

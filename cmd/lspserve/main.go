@@ -7,7 +7,7 @@
 //	lspserve -data /var/lib/lspserve [-addr 127.0.0.1:8427] \
 //	         [-worker-slots N] [-max-workers-per-job N] [-queue-cap 64] \
 //	         [-tenant-rate 0] [-tenant-burst 1] [-tenant-max-active 0] \
-//	         [-phase3-timeout 0] [-phase3-shards 0] \
+//	         [-phase3-timeout 0] \
 //	         [-auth-token T] [-retain-jobs 0] [-retry-base 10ms] \
 //	         [-retry-cap 1s] [-serve-shards db.lsq] [-v]
 //
@@ -87,7 +87,6 @@ func main() {
 	tenantBurst := flag.Int("tenant-burst", 1, "per-tenant submission burst (token bucket capacity)")
 	tenantMaxActive := flag.Int("tenant-max-active", 0, "per-tenant cap on queued+running jobs (0 = unlimited)")
 	phase3Timeout := flag.Duration("phase3-timeout", 0, "default Phase 3 budget for jobs that set none; expiry degrades the job gracefully (0 = unlimited)")
-	phase3Shards := flag.Int("phase3-shards", 0, "default Phase 3 probe-scan shard count for jobs that set none (0/1 = single-pass probes; results identical for every count)")
 	authToken := flag.String("auth-token", "", "require this bearer token on every /v1 route (empty = open; healthz and metrics are always open)")
 	retainJobs := flag.Int("retain-jobs", 0, "compact the journal at startup, keeping only the newest N terminal jobs (0 = keep everything)")
 	retryBase := flag.Duration("retry-base", 0, "base delay of the retrying scanner's full-jitter backoff for jobs that set none (0 = 10ms)")
@@ -117,7 +116,6 @@ func main() {
 		TenantBurst:          *tenantBurst,
 		TenantMaxActive:      *tenantMaxActive,
 		DefaultPhase3Timeout: *phase3Timeout,
-		DefaultPhase3Shards:  *phase3Shards,
 		DefaultRetryBase:     *retryBase,
 		DefaultRetryCap:      *retryCap,
 		CompactRetain:        *retainJobs,

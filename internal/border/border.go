@@ -37,8 +37,8 @@ type Config struct {
 	Probe miner.Valuer
 	// Ctx, when non-nil, is checked between probe scans; a cancelled run
 	// returns an error wrapping Ctx.Err(). Pair it with a context-aware
-	// Probe (miner.MatchDBValuerContext) so cancellation also lands
-	// mid-scan, within one sequence.
+	// Probe (miner.ProbeValuer) so cancellation also lands mid-scan, within
+	// one sequence.
 	Ctx context.Context
 	// Metrics, when non-nil, receives probe telemetry (probe scans, batch
 	// sizes, probed layer choices). Nil disables collection.

@@ -63,8 +63,8 @@ type CheckpointPolicy struct {
 var ErrIncompatible = errors.New("core: checkpoint incompatible with this run")
 
 // configHash fingerprints every configuration field that shapes the mined
-// result (tuning knobs like Workers, Phase3Shards, Phase2Kernel and Metrics
-// are excluded — they change how scans are executed, never what is mined).
+// result (tuning knobs like Workers, Remote, Phase2Kernel and Metrics are
+// excluded — they change how scans are executed, never what is mined).
 // Call after setDefaults so zero values hash like their explicit defaults.
 func configHash(cfg *Config, engine string) uint64 {
 	h := fnv.New64a()

@@ -26,6 +26,7 @@ import (
 	"repro/internal/miner"
 	"repro/internal/pattern"
 	"repro/internal/seqdb"
+	"repro/internal/shardrpc"
 	"repro/internal/support"
 	"repro/internal/telemetry"
 )
@@ -124,8 +125,8 @@ const (
 	// float64 sum reassociation.
 	KernelIncremental Phase2Kernel = iota
 	// KernelNaive recompiles every candidate and rescans the whole sample at
-	// each level (match.CompileSet) — the pre-kernel behavior, kept for
-	// verification and comparison benchmarks.
+	// each level (miner.MatchSampleValuer) — the pre-kernel behavior, kept
+	// for verification and comparison benchmarks.
 	KernelNaive
 )
 
@@ -183,31 +184,20 @@ type Config struct {
 	MemBudget int
 	// Finalizer selects the Phase 3 strategy. Default BorderCollapsing.
 	Finalizer Finalizer
-	// Workers > 1 spreads each Phase 3 probe scan's counting work across
-	// that many goroutines (-1 = GOMAXPROCS); the scan itself remains one
-	// sequential pass. The same count shards Phase 2's incremental kernel
-	// across the sample. Results are identical for every worker count.
-	// Default 0 (sequential).
+	// Workers > 1 matches each Phase 3 probe scan's blocks on that many
+	// goroutines (-1 = GOMAXPROCS); the scan itself remains one sequential
+	// pass. The same count shards Phase 2's incremental kernel across the
+	// sample. Results are identical for every worker count. Default 0
+	// (inline).
 	Workers int
-	// Phase3Shards > 1 scatters each Phase 3 probe scan over that many
-	// deterministic database shards, matched concurrently with the
-	// structure-of-arrays kernel and gathered in ascending shard order (one
-	// logical pass; see miner.ShardedMatchDBValuer). When the database is
-	// already a seqdb.Sharded (a native multi-file shard set) its own shard
-	// count is used and this value is ignored. Workers, when > 0, caps the
-	// concurrently-scanning shards. Values are bit-identical for every
-	// shard/worker count. 0 or 1 keeps the single-pass probe path. Like
-	// Workers, a tuning knob excluded from the checkpoint config hash.
-	Phase3Shards int
-	// ProbeValuer, when non-nil, overrides the Phase 3 probe kernel entirely:
-	// it receives the Phase 3 context, the database (wrapped for telemetry
-	// when Metrics is set), and the compatibility source, and must return a
-	// Valuer whose values are bit-identical to the built-in kernels' for the
-	// same database — it is an execution-layout knob (e.g. a distributed
-	// scatter via miner.RemoteShardValuer), not a semantic one, and like
-	// Workers it is excluded from the checkpoint config hash, so a local run
-	// can resume a remote one and vice versa.
-	ProbeValuer func(ctx context.Context, db seqdb.Scanner, c compat.Source) miner.Valuer
+	// Remote, when non-nil, serves Phase 3's probe scans from remote shard
+	// nodes (lspserve -serve-shards): each probe batch is sent one shard per
+	// node, or per shard of a native shard set, and the partials come back
+	// bit-identical to a local run's (see miner.ProbeValuer). Like Workers it
+	// changes how scans execute, never what is mined, so it is excluded from
+	// the checkpoint config hash and a local run can resume a remote one and
+	// vice versa.
+	Remote *shardrpc.Pool
 	// Phase2Kernel selects the sample-scoring kernel for the
 	// candidate-driven Phase 2. Default KernelIncremental. A tuning knob:
 	// classifications agree between kernels, so it is excluded from the
@@ -248,45 +238,13 @@ type Config struct {
 	PhaseTimeouts PhaseTimeouts
 }
 
-// probeValuer picks the Phase 3 counting kernel — sequential, parallel
-// (worker-partitioned patterns over one pass), or scatter-gather over
-// database shards — all cancellable through ctx and retry-safe when db
-// re-runs failed passes. The sharded path records its own telemetry (it
-// scans shards directly, not through the telemetry wrapper), so it receives
-// the unwrapped scanner plus the Metrics.
+// probeValuer is the Phase 3 valuer: the one gather of miner.ProbeValuer,
+// cancellable through ctx and retry-safe when db re-runs failed passes. The
+// layout comes from the store (or from Remote); a sharded layout records its
+// own telemetry, since it scans the shards directly rather than through the
+// telemetry wrapper.
 func (c *Config) probeValuer(ctx context.Context, db seqdb.Scanner, src compat.Source) miner.Valuer {
-	if c.ProbeValuer != nil {
-		return c.ProbeValuer(ctx, db, src)
-	}
-	if sh := c.shardedDB(db); sh != nil {
-		return miner.ShardedMatchDBValuerContext(ctx, sh, src, c.Workers, c.Metrics)
-	}
-	if c.Workers == 0 || c.Workers == 1 {
-		return miner.MatchDBValuerContext(ctx, db, src)
-	}
-	return miner.ParallelMatchDBValuerContext(ctx, db, src, c.Workers)
-}
-
-// shardedDB resolves the database the scatter-gather probe path scans: the
-// scanner's own shard set when the unwrapped database is a *seqdb.Sharded
-// with more than one shard, a Phase3Shards-way sharded view of it otherwise,
-// or nil when the single-pass path should be kept.
-func (c *Config) shardedDB(db seqdb.Scanner) *seqdb.Sharded {
-	raw := db
-	for {
-		u, ok := raw.(interface{ Unwrap() seqdb.Scanner })
-		if !ok {
-			break
-		}
-		raw = u.Unwrap()
-	}
-	if sh, ok := raw.(*seqdb.Sharded); ok && sh.NumShards() > 1 {
-		return sh
-	}
-	if c.Phase3Shards > 1 {
-		return seqdb.ShardScanner(raw, c.Phase3Shards)
-	}
-	return nil
+	return miner.ProbeValuer(ctx, db, src, c.Workers, c.Remote, c.Metrics)
 }
 
 func (c *Config) setDefaults() {
@@ -331,9 +289,6 @@ func (c *Config) validate() error {
 	}
 	if c.Phase2Engine < Phase2Levelwise || c.Phase2Engine > Phase2Growth {
 		return fmt.Errorf("core: unknown Phase 2 engine %d", c.Phase2Engine)
-	}
-	if c.Phase3Shards < 0 {
-		return fmt.Errorf("core: negative Phase3Shards")
 	}
 	if err := c.PhaseTimeouts.validate(); err != nil {
 		return err

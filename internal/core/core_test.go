@@ -129,26 +129,32 @@ func TestMinePartialSampleCloseToExhaustive(t *testing.T) {
 
 func TestMineScanAccounting(t *testing.T) {
 	db, c := noisyProteinDB(t, 5, 50, 0.1)
-	db.ResetScans()
-	res, err := Mine(db, c, Config{
-		MinMatch:   0.15,
-		SampleSize: 20,
-		MaxLen:     3,
-		MaxGap:     0,
-		MemBudget:  10,
-		Rng:        rand.New(rand.NewSource(6)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.Scans() != res.Scans {
-		t.Errorf("db counted %d scans, result reports %d", db.Scans(), res.Scans)
-	}
-	if res.Scans < 1 {
-		t.Error("at least Phase 1's scan must be counted")
-	}
-	if res.Phase3 != nil && res.Scans != 1+res.Phase3.Scans {
-		t.Errorf("Scans=%d, phase3=%d", res.Scans, res.Phase3.Scans)
+	for _, workers := range []int{0, 1, 3} {
+		db.ResetScans()
+		res, err := Mine(db, c, Config{
+			MinMatch:   0.15,
+			SampleSize: 20,
+			MaxLen:     3,
+			MaxGap:     0,
+			MemBudget:  10,
+			Workers:    workers,
+			Rng:        rand.New(rand.NewSource(6)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if db.Scans() != res.Scans {
+			t.Errorf("workers=%d: db counted %d scans, result reports %d", workers, db.Scans(), res.Scans)
+		}
+		if res.Scans < 1 {
+			t.Errorf("workers=%d: at least Phase 1's scan must be counted", workers)
+		}
+		if res.Phase3 == nil || res.Phase3.Scans == 0 {
+			t.Fatalf("workers=%d: no Phase 3 probe scans; the workload must exercise them", workers)
+		}
+		if res.Scans != 1+res.Phase3.Scans {
+			t.Errorf("workers=%d: Scans=%d, phase3=%d", workers, res.Scans, res.Phase3.Scans)
+		}
 	}
 }
 

@@ -13,20 +13,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/compat"
-	"repro/internal/miner"
 	"repro/internal/pattern"
 	"repro/internal/seqdb"
 	"repro/internal/shardrpc"
 )
-
-// remoteCfg wires cfg.ProbeValuer to scatter Phase 3 probes over the pool.
-func remoteCfg(cfg Config, pool *shardrpc.Pool, shards int) Config {
-	cfg.ProbeValuer = func(ctx context.Context, db seqdb.Scanner, c compat.Source) miner.Valuer {
-		return miner.RemoteShardValuerContext(ctx, seqdb.ShardedView(db, shards), pool, c, 0, cfg.Metrics)
-	}
-	return cfg
-}
 
 func instantSleep(ctx context.Context, d time.Duration) error { return ctx.Err() }
 
@@ -53,17 +43,15 @@ func (k *killable) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // TestRemotePhase3NodeKillChaos: a three-node cluster of real HTTP servers
 // loses one node after its first served probe; the distributed run's report
-// must be byte-identical to the local sharded run's.
+// must be byte-identical to a plain local run's.
 func TestRemotePhase3NodeKillChaos(t *testing.T) {
 	db, c := noisyProteinDB(t, 15, 80, 0.15)
-	const shards = 3
 	baseCfg := Config{
 		MinMatch: 0.1, SampleSize: 20, MaxLen: 4, MaxGap: 0,
 		MemBudget: 10,
 	}
 
 	local := baseCfg
-	local.Phase3Shards = shards
 	local.Rng = rand.New(rand.NewSource(16))
 	want, err := Mine(db, c, local)
 	if err != nil {
@@ -86,13 +74,12 @@ func TestRemotePhase3NodeKillChaos(t *testing.T) {
 		nodes = append(nodes, k)
 		clients = append(clients, &shardrpc.Client{BaseURL: srv.URL, AuthToken: token})
 	}
-	pool := &shardrpc.Pool{
+	remote := baseCfg
+	remote.Remote = &shardrpc.Pool{
 		Clients: clients,
 		Retry:   shardrpc.RetryPolicy{Base: time.Microsecond},
 		Sleep:   instantSleep,
 	}
-
-	remote := remoteCfg(baseCfg, pool, shards)
 	remote.Rng = rand.New(rand.NewSource(16))
 	got, err := Mine(db, c, remote)
 	if err != nil {
@@ -105,7 +92,7 @@ func TestRemotePhase3NodeKillChaos(t *testing.T) {
 	wantDoc := timelessReport(t, want, local.MinMatch, db.Len(), c.Size())
 	gotDoc := timelessReport(t, got, local.MinMatch, db.Len(), c.Size())
 	if !bytes.Equal(wantDoc, gotDoc) {
-		t.Errorf("distributed run's report differs from the local sharded run's:\nlocal:  %s\nremote: %s",
+		t.Errorf("distributed run's report differs from the local run's:\nlocal:  %s\nremote: %s",
 			wantDoc, gotDoc)
 	}
 }
@@ -147,14 +134,12 @@ func timelessReport(t *testing.T, res *Result, minMatch float64, n, m int) []byt
 // once the cluster is back Resume finishes to the uninterrupted result.
 func TestRemotePhase3ShardLostDegradesAndResumes(t *testing.T) {
 	db, c := noisyProteinDB(t, 15, 80, 0.15)
-	const shards = 3
 	baseCfg := Config{
 		MinMatch: 0.1, SampleSize: 20, MaxLen: 4, MaxGap: 0,
 		MemBudget: 5, // several probe scans, so the cluster dies mid-phase
 	}
 
 	ref := baseCfg
-	ref.Phase3Shards = shards
 	ref.Rng = rand.New(rand.NewSource(16))
 	want, err := Mine(db, c, ref)
 	if err != nil {
@@ -166,7 +151,8 @@ func TestRemotePhase3ShardLostDegradesAndResumes(t *testing.T) {
 	pool.Sleep = instantSleep
 
 	ckpt := filepath.Join(t.TempDir(), "run.lckp")
-	cfg := remoteCfg(baseCfg, pool, shards)
+	cfg := baseCfg
+	cfg.Remote = pool
 	cfg.Rng = rand.New(rand.NewSource(16))
 	cfg.Checkpoint = &CheckpointPolicy{Path: ckpt, Seed: 16, AfterWrite: func(phase int) {
 		if phase >= 3 {
@@ -197,7 +183,8 @@ func TestRemotePhase3ShardLostDegradesAndResumes(t *testing.T) {
 	h.ReviveAll()
 	pool2 := h.Pool(shardrpc.RetryPolicy{MaxAttempts: 2, Base: time.Microsecond})
 	pool2.Sleep = instantSleep
-	cfg2 := remoteCfg(baseCfg, pool2, shards)
+	cfg2 := baseCfg
+	cfg2.Remote = pool2
 	cfg2.Checkpoint = &CheckpointPolicy{Path: ckpt, Seed: 16}
 	res2, err := Resume(context.Background(), ckpt, db, c, cfg2)
 	if err != nil {

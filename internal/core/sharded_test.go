@@ -9,15 +9,15 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestMinePhase3ShardsMatchSequential: scattering Phase 3 over any shard and
-// worker count must reproduce the single-pass pipeline's frequent set and
-// logical scan count.
+// TestMinePhase3ShardsMatchSequential: mining a view-sharded store at any
+// shard and worker count must reproduce the unsharded pipeline's frequent
+// set and logical scan count.
 func TestMinePhase3ShardsMatchSequential(t *testing.T) {
 	db, c := noisyProteinDB(t, 15, 80, 0.15)
-	run := func(shards, workers int) *Result {
-		res, err := Mine(db, c, Config{
+	run := func(store seqdb.Scanner, workers int) *Result {
+		res, err := Mine(store, c, Config{
 			MinMatch: 0.1, SampleSize: 20, MaxLen: 4, MaxGap: 0,
-			MemBudget: 30, Phase3Shards: shards, Workers: workers,
+			MemBudget: 30, Workers: workers,
 			Rng: rand.New(rand.NewSource(16)),
 		})
 		if err != nil {
@@ -25,10 +25,10 @@ func TestMinePhase3ShardsMatchSequential(t *testing.T) {
 		}
 		return res
 	}
-	seq := run(0, 0)
+	seq := run(db, 0)
 	for _, shards := range []int{2, 3, 8} {
 		for _, workers := range []int{0, 2} {
-			sharded := run(shards, workers)
+			sharded := run(seqdb.ShardScanner(db, shards), workers)
 			setsEqual(t, sharded.Frequent, seq.Frequent, "sharded vs sequential")
 			if sharded.Scans != seq.Scans {
 				t.Errorf("shards=%d workers=%d: %d scans vs %d", shards, workers, sharded.Scans, seq.Scans)
@@ -38,8 +38,8 @@ func TestMinePhase3ShardsMatchSequential(t *testing.T) {
 }
 
 // TestMineShardSetUsesScatterGather: mining a native multi-file shard set
-// takes the scatter-gather probe path automatically (shard telemetry
-// populated, real byte counts) and agrees with the in-memory run.
+// probes it shard by shard (shard telemetry populated, real byte counts) and
+// agrees with the in-memory run.
 func TestMineShardSetUsesScatterGather(t *testing.T) {
 	mem, c := noisyProteinDB(t, 15, 80, 0.15)
 	base := filepath.Join(t.TempDir(), "db")
@@ -71,7 +71,7 @@ func TestMineShardSetUsesScatterGather(t *testing.T) {
 	snap := cfg.Metrics.Snapshot()
 	if res.Phase3 != nil && res.Phase3.Scans > 0 {
 		if snap.ShardScans == 0 {
-			t.Errorf("no shard scans recorded; scatter-gather path not taken")
+			t.Errorf("no shard scans recorded; the shard set was not probed shard by shard")
 		}
 		if snap.ShardBytes == 0 {
 			t.Errorf("shard scans over disk shards reported no real bytes")

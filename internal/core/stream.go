@@ -24,7 +24,7 @@ const engineStream = "stream"
 
 // StreamConfig parameterizes a streaming session. The embedded Config fields
 // carry their batch semantics where they apply; Finalizer, Phase2Engine,
-// Phase3Shards, ProbeValuer, Rng, Checkpoint and PhaseTimeouts are ignored —
+// Remote, Rng, Checkpoint and PhaseTimeouts are ignored —
 // streaming always border-collapses with the level-wise candidate miner, its
 // reservoir is driven by Seed (stateless draws, no RNG state), and
 // durability is configured by CheckpointPath.

@@ -150,10 +150,10 @@ type Fig11SpreadRow struct {
 
 // Fig11RatioRow is the ambiguous-count ratio restricted/unit (Figure 11(b)).
 type Fig11RatioRow struct {
-	Alpha                float64
-	AmbiguousRestricted  int
-	AmbiguousUnitSpread  int
-	Ratio                float64
+	Alpha               float64
+	AmbiguousRestricted int
+	AmbiguousUnitSpread int
+	Ratio               float64
 }
 
 // Fig11Result bundles both series.

@@ -104,10 +104,6 @@ type Spec struct {
 	// default). On expiry the job completes degraded — confirmed set plus
 	// Chernoff intervals for the unresolved patterns — rather than failing.
 	Phase3TimeoutMillis int64 `json:"phase3_timeout_ms,omitempty"`
-	// Phase3Shards scatters each Phase 3 probe scan over that many database
-	// shards (0 = the manager's default, 1 = single-pass probes). A tuning
-	// knob: the mined result is identical for every shard count.
-	Phase3Shards int `json:"phase3_shards,omitempty"`
 }
 
 // Normalize fills defaulted fields in place (mirroring lspmine's defaults)
@@ -200,9 +196,6 @@ func (s *Spec) Normalize() error {
 	}
 	if s.Phase3TimeoutMillis < 0 {
 		return fmt.Errorf("jobs: negative spec.phase3_timeout_ms")
-	}
-	if s.Phase3Shards < 0 {
-		return fmt.Errorf("jobs: negative spec.phase3_shards")
 	}
 	return nil
 }

@@ -58,10 +58,6 @@ type Options struct {
 	// own (0 = unlimited). Expiry degrades the job gracefully, never fails
 	// it.
 	DefaultPhase3Timeout time.Duration
-	// DefaultPhase3Shards scatters Phase 3 probe scans over this many
-	// database shards for specs that do not set their own (0 or 1 =
-	// single-pass probes). Purely a tuning knob — results are identical.
-	DefaultPhase3Shards int
 	// DefaultRetryBase and DefaultRetryCap shape the retrying scanner's
 	// full-jitter backoff for specs that do not set their own retry_base_ms
 	// / retry_cap_ms (defaults: seqdb.RetryScanner's 10ms base, 1s cap).
@@ -547,10 +543,6 @@ func (m *Manager) mine(ctx context.Context, j *job, workers int) (*core.Result, 
 	if spec.Phase3TimeoutMillis > 0 {
 		phase3 = time.Duration(spec.Phase3TimeoutMillis) * time.Millisecond
 	}
-	shards := m.opts.DefaultPhase3Shards
-	if spec.Phase3Shards > 0 {
-		shards = spec.Phase3Shards
-	}
 	var p2e core.Phase2Engine
 	if spec.Phase2Engine == "growth" {
 		p2e = core.Phase2Growth
@@ -565,7 +557,6 @@ func (m *Manager) mine(ctx context.Context, j *job, workers int) (*core.Result, 
 		MemBudget:             spec.MemBudget,
 		Finalizer:             fin,
 		Workers:               workers,
-		Phase3Shards:          shards,
 		Phase2Engine:          p2e,
 		Metrics:               j.metrics,
 		Checkpoint:            policy,

@@ -630,3 +630,39 @@ func TestFailedJobReportsError(t *testing.T) {
 		t.Errorf("counters = %+v, want 1 failed", c)
 	}
 }
+
+// TestJournalRecordWithRetiredFieldReplays: a queued job journaled by an
+// older server, whose spec still carries the retired phase3_shards field,
+// replays and runs to completion.
+func TestJournalRecordWithRetiredFieldReplays(t *testing.T) {
+	dbPath, matrixPath := testWorld(t, testutil.Seed(t), 40, 0.2)
+	dir := t.TempDir()
+	spec := testSpec(dbPath, matrixPath)
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["phase3_shards"] = 4
+	const id = "retired-field"
+	rec, err := json.Marshal(map[string]any{"id": id, "spec": fields, "state": StateQueued, "submitted_ms": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "jobs", id+".json"), rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m := newTestManager(t, Options{Dir: dir})
+	if st := waitDone(t, m, id); st.State != StateDone {
+		t.Fatalf("state = %s (%s), want done", st.State, st.Error)
+	}
+}

@@ -40,19 +40,20 @@ func BenchmarkCompiledMatch(b *testing.B) {
 	}
 }
 
-func BenchmarkCompileSetObserve(b *testing.B) {
+func BenchmarkSoAObserve(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	c := randomDense(b, 16, 0.3, rng)
 	_, children := benchLevels(16)
 	sample := randomSample(64, 40, 60, 16, rng)
-	set, err := CompileSet(c, children)
+	set, err := CompileSoA(c, children)
 	if err != nil {
 		b.Fatal(err)
 	}
+	sums := make([]float64, set.Len())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		set.Observe(sample[i%len(sample)])
+		set.Observe(sums, sample[i%len(sample)])
 	}
 }
 

@@ -369,8 +369,8 @@ type group struct {
 // from scratch when it has no block), the candidates are valued against
 // them without storing anything, and the previous spine is evicted when the
 // call returns. The returned values equal the naive sample kernel's
-// (CompileSet/Observe/Matches) for every candidate; see the package comment
-// for the exact determinism guarantees.
+// (miner.MatchSampleValuer) for every candidate; see the package comment for
+// the exact determinism guarantees.
 func (inc *Incremental) ValueLevel(ps []pattern.Pattern) ([]float64, LevelStats, error) {
 	out := make([]float64, len(ps))
 	var ls LevelStats
@@ -562,8 +562,8 @@ func (inc *Incremental) processShard(s int, ps []pattern.Pattern, groups []*grou
 			continue
 		}
 		// Parentless candidates and kids of budget-denied parents: plain
-		// compiled matching, exactly the naive CompileSet path (best-so-far
-		// cutoff and all).
+		// compiled matching, exactly the naive kernel's per-sequence values
+		// (best-so-far cutoff and all).
 		for si := lo; si < hi; si++ {
 			part[i] += cp.Match(inc.sample[si])
 		}

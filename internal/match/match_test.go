@@ -246,44 +246,6 @@ func TestCompileRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestCompiledSet(t *testing.T) {
-	c := compat.Fig2()
-	ps := []pattern.Pattern{pattern.MustNew(d1, d2), pattern.MustNew(d2, d1)}
-	set, err := CompileSet(c, ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := fig4DB()
-	err = db.Scan(func(id int, seq []pattern.Symbol) error {
-		set.Observe(seq)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := set.Matches(0) // use internal count
-	if !almost(got[0], 0.2025) || !almost(got[1], 0.39125) {
-		t.Errorf("CompiledSet matches: %v", got)
-	}
-	got = set.Matches(db.Len())
-	if !almost(got[0], 0.2025) {
-		t.Errorf("explicit n: %v", got)
-	}
-	if _, err := CompileSet(c, []pattern.Pattern{{et}}); err == nil {
-		t.Error("CompileSet accepted invalid pattern")
-	}
-}
-
-func TestCompiledSetEmpty(t *testing.T) {
-	set, err := CompileSet(compat.Fig2(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := set.Matches(0); len(got) != 0 {
-		t.Errorf("empty set matches: %v", got)
-	}
-}
-
 // randomPattern and randomSeq support the property tests below.
 func randomPattern(r *rand.Rand, m, maxLen int) pattern.Pattern {
 	l := 1 + r.Intn(maxLen)

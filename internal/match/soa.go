@@ -5,31 +5,25 @@ import (
 	"repro/internal/pattern"
 )
 
-// SoASet is a probe batch compiled into a structure-of-arrays layout: every
-// pattern's window length, non-eternal offsets, and matrix rows live in flat
-// parallel arrays indexed by one cursor, so the whole batch is matched
-// against a sequence in a single pass over contiguous memory — no per-pattern
-// pointer chasing, which is what the per-shard probe workers spend all their
-// time in. The layout is immutable after CompileSoA, so one SoASet is safely
-// shared by any number of concurrent shard workers, each accumulating into
-// its own sums slice.
-//
-// Per-sequence match values are computed with exactly Compiled.Match's
-// operations in exactly its order (first-window filter, left-to-right row
-// products, best-so-far cutoff), so they are bit-identical to the sequential
-// kernel's.
+// SoASet is a pattern batch compiled into a structure-of-arrays layout:
+// window lengths, non-eternal offsets and matrix rows live in flat parallel
+// arrays, so the batch is matched against a sequence in one pass over
+// contiguous memory. It is immutable after CompileSoA and safe to share
+// between goroutines that accumulate into distinct sums. Per-sequence values
+// come from the same window loop as Compiled.Match, so they are
+// bit-identical to it.
 type SoASet struct {
 	n        int
 	m        int         // alphabet size (firstOK row stride)
 	winLen   []int32     // pattern i's window length
 	offStart []int32     // pattern i's offs/rows span [offStart[i], offStart[i+1])
-	offs     []int32     // flat non-eternal position offsets within the window
+	offs     []int       // flat non-eternal position offsets within the window
 	rows     [][]float64 // matrix row per flat offset (shared via the row cache)
 	firstOK  []bool      // firstOK[i*m+obs]: pattern i's window starting at obs can be non-zero
 }
 
 // CompileSoA compiles a probe batch into the flat layout. All patterns share
-// one row cache, as CompileSet does.
+// one row cache.
 func CompileSoA(c compat.Source, ps []pattern.Pattern) (*SoASet, error) {
 	rc := newRowCache(c)
 	m := c.Size()
@@ -49,7 +43,7 @@ func CompileSoA(c compat.Source, ps []pattern.Pattern) (*SoASet, error) {
 			if d.IsEternal() {
 				continue
 			}
-			s.offs = append(s.offs, int32(off))
+			s.offs = append(s.offs, off)
 			s.rows = append(s.rows, rc.row(d))
 		}
 		s.offStart[i+1] = int32(len(s.offs))
@@ -67,38 +61,48 @@ func (s *SoASet) Len() int { return s.n }
 // Observe accumulates one sequence's match into sums[i] for every pattern i.
 // len(sums) must be Len(). Safe for concurrent use with distinct sums.
 func (s *SoASet) Observe(sums []float64, seq []pattern.Symbol) {
-	if s.n == 0 {
-		return
-	}
-	_ = sums[s.n-1]
 	for p := 0; p < s.n; p++ {
-		l := int(s.winLen[p])
-		if len(seq) < l {
-			continue
-		}
-		a, b := int(s.offStart[p]), int(s.offStart[p+1])
-		offs, rows := s.offs[a:b], s.rows[a:b]
-		firstOK := s.firstOK[p*s.m : (p+1)*s.m]
-		best := 0.0
-		for w := 0; w+l <= len(seq); w++ {
-			if !firstOK[seq[w]] {
-				continue
-			}
-			v := 1.0
-			for j, off := range offs {
-				v *= rows[j][seq[w+int(off)]]
-				if v <= best {
-					v = 0
-					break
-				}
-			}
-			if v > best {
-				best = v
-				if best == 1 {
-					break
-				}
-			}
-		}
-		sums[p] += best
+		a, b := s.offStart[p], s.offStart[p+1]
+		sums[p] += windowMax(seq, int(s.winLen[p]), s.offs[a:b], s.rows[a:b], s.firstOK[p*s.m:(p+1)*s.m])
 	}
 }
+
+// Partial is one probe block's share of a batch's database match: the
+// per-pattern sums of sequence matches over the block's sequences, and their
+// count. Block length depends on the database length alone, so folding
+// partials in ascending block order gives the same bits however the database
+// is cut into shards.
+type Partial struct {
+	Sums []float64 `json:"sums"`
+	N    int       `json:"n"`
+}
+
+// Blocks sums a batch per probe block over one pass that delivers sequences
+// in position order: block b covers positions [b*size, (b+1)*size).
+type Blocks struct {
+	set   *SoASet
+	size  int
+	pos   int
+	parts []Partial
+}
+
+// NewBlocks starts a per-block accumulation whose first sequence sits at
+// position start.
+func (s *SoASet) NewBlocks(size, start int) *Blocks {
+	return &Blocks{set: s, size: size, pos: start}
+}
+
+// Observe adds the sequence at the next position to its block's partial.
+func (b *Blocks) Observe(seq []pattern.Symbol) {
+	if len(b.parts) == 0 || b.pos%b.size == 0 {
+		b.parts = append(b.parts, Partial{Sums: make([]float64, b.set.n)})
+	}
+	p := &b.parts[len(b.parts)-1]
+	b.set.Observe(p.Sums, seq)
+	p.N++
+	b.pos++
+}
+
+// Partials returns the partials of the blocks observed so far, in ascending
+// block order.
+func (b *Blocks) Partials() []Partial { return b.parts }

@@ -85,3 +85,54 @@ func TestSoAEmptyBatch(t *testing.T) {
 		t.Fatalf("Len %d", soa.Len())
 	}
 }
+
+// TestBlocksSumPerBlock: Blocks cuts a pass into probe blocks by position —
+// a start in mid-block fills that block first — and each partial is the
+// in-order sum of its block's sequences.
+func TestBlocksSumPerBlock(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	const m, size, start = 6, 4, 6
+	c := randomMatrix(r, m)
+	ps := []pattern.Pattern{{1, 2}, {3}, {0, pattern.Eternal, 4}}
+	soa, err := CompileSoA(c, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := make([][]pattern.Symbol, 11)
+	for i := range seqs {
+		seqs[i] = randomSeq(r, m, 9)
+	}
+	acc := soa.NewBlocks(size, start)
+	for _, seq := range seqs {
+		acc.Observe(seq)
+	}
+	// Positions 6..16 span blocks 1 (6,7), 2 (8..11), 3 (12..15), 4 (16).
+	wantN := []int{2, 4, 4, 1}
+	parts := acc.Partials()
+	if len(parts) != len(wantN) {
+		t.Fatalf("%d partials, want %d", len(parts), len(wantN))
+	}
+	next := 0
+	for b, p := range parts {
+		if p.N != wantN[b] {
+			t.Fatalf("block %d holds %d sequences, want %d", b, p.N, wantN[b])
+		}
+		want := make([]float64, len(ps))
+		for _, seq := range seqs[next : next+p.N] {
+			soa.Observe(want, seq)
+		}
+		next += p.N
+		for i := range want {
+			if p.Sums[i] != want[i] {
+				t.Fatalf("block %d pattern %d: %v, want %v", b, i, p.Sums[i], want[i])
+			}
+		}
+	}
+}
+
+func TestSoARejectsInvalidPattern(t *testing.T) {
+	c := randomMatrix(rand.New(rand.NewSource(3)), 4)
+	if _, err := CompileSoA(c, []pattern.Pattern{{1}, {pattern.Eternal}}); err == nil {
+		t.Error("CompileSoA accepted a pattern starting with an eternal symbol")
+	}
+}

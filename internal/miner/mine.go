@@ -10,44 +10,41 @@ import (
 	"repro/internal/seqdb"
 )
 
-// SampleValuer evaluates candidates against an in-memory sample under an
-// arbitrary measure.
-func SampleValuer(meas match.Measure, sample [][]pattern.Symbol) Valuer {
-	return func(ps []pattern.Pattern) ([]float64, error) {
-		out := make([]float64, len(ps))
-		for i, p := range ps {
-			out[i] = match.Sample(meas, p, sample)
-		}
-		return out, nil
-	}
-}
-
 // MatchSampleValuer evaluates candidates against an in-memory sample under
-// the match measure using compiled matchers (the fast path for Phase 2).
+// the match measure with the structure-of-arrays kernel, summing the sample
+// in order (the naive Phase 2 kernel).
 func MatchSampleValuer(c compat.Source, sample [][]pattern.Symbol) Valuer {
 	return func(ps []pattern.Pattern) ([]float64, error) {
-		set, err := match.CompileSet(c, ps)
+		set, err := match.CompileSoA(c, ps)
 		if err != nil {
 			return nil, err
 		}
+		sums := make([]float64, len(ps))
 		for _, seq := range sample {
-			set.Observe(seq)
+			set.Observe(sums, seq)
 		}
-		return set.Matches(len(sample)), nil
+		return mean(sums, len(sample)), nil
 	}
 }
 
-// DBValuer evaluates candidates with one full database scan per call.
-func DBValuer(db seqdb.Scanner, meas match.Measure) Valuer {
-	return DBValuerContext(nil, db, meas)
+// mean divides sums by the sequence count n in place (n == 0 leaves them
+// zero) and returns them.
+func mean(sums []float64, n int) []float64 {
+	if n > 0 {
+		for i := range sums {
+			sums[i] /= float64(n)
+		}
+	}
+	return sums
 }
 
-// DBValuerContext is DBValuer with cancellation checked between sequences.
-// The per-pass sums are rebuilt per attempt, so a retrying scanner can
-// re-run a failed pass without double-counting. Averages divide by the
-// number of sequences the pass delivered, not db.Len(), so a scanner with a
-// stale or estimated Len() cannot skew the values.
-func DBValuerContext(ctx context.Context, db seqdb.Scanner, meas match.Measure) Valuer {
+// DBValuer evaluates candidates under an arbitrary measure with one full
+// database scan per call, summing in sequence order. The per-pass sums are
+// rebuilt per attempt, so a retrying scanner can re-run a failed pass
+// without double-counting. Averages divide by the number of sequences the
+// pass delivered, not db.Len(), so a scanner with a stale or estimated
+// Len() cannot skew the values.
+func DBValuer(db seqdb.Scanner, meas match.Measure) Valuer {
 	return func(ps []pattern.Pattern) ([]float64, error) {
 		if len(ps) == 0 {
 			// An empty batch needs no counters, so it must not cost a scan.
@@ -55,7 +52,7 @@ func DBValuerContext(ctx context.Context, db seqdb.Scanner, meas match.Measure) 
 		}
 		var sums []float64
 		var delivered int
-		err := seqdb.ScanPassContext(ctx, db, func() (func(id int, seq []pattern.Symbol) error, error) {
+		err := seqdb.ScanPass(db, func() (func(id int, seq []pattern.Symbol) error, error) {
 			sums = make([]float64, len(ps))
 			delivered = 0
 			return func(id int, seq []pattern.Symbol) error {
@@ -69,48 +66,7 @@ func DBValuerContext(ctx context.Context, db seqdb.Scanner, meas match.Measure) 
 		if err != nil {
 			return nil, err
 		}
-		if delivered > 0 {
-			for i := range sums {
-				sums[i] /= float64(delivered)
-			}
-		}
-		return sums, nil
-	}
-}
-
-// MatchDBValuer evaluates candidates with one full database scan per call
-// under the match measure using compiled matchers.
-func MatchDBValuer(db seqdb.Scanner, c compat.Source) Valuer {
-	return MatchDBValuerContext(nil, db, c)
-}
-
-// MatchDBValuerContext is MatchDBValuer with cancellation checked between
-// sequences. The compiled set is rebuilt per scan attempt, so a retrying
-// scanner can re-run a failed pass without double-counting observations.
-// Averages divide by the set's observed-sequence count — the sequences the
-// pass delivered — not db.Len(), so a stale Len() cannot skew the values.
-func MatchDBValuerContext(ctx context.Context, db seqdb.Scanner, c compat.Source) Valuer {
-	return func(ps []pattern.Pattern) ([]float64, error) {
-		if len(ps) == 0 {
-			// An empty batch needs no counters, so it must not cost a scan.
-			return nil, nil
-		}
-		var set *match.CompiledSet
-		err := seqdb.ScanPassContext(ctx, db, func() (func(id int, seq []pattern.Symbol) error, error) {
-			s, err := match.CompileSet(c, ps)
-			if err != nil {
-				return nil, err
-			}
-			set = s
-			return func(id int, seq []pattern.Symbol) error {
-				s.Observe(seq)
-				return nil
-			}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return set.Matches(0), nil // n <= 0: divide by observed count
+		return mean(sums, delivered), nil
 	}
 }
 
@@ -119,15 +75,8 @@ func MatchDBValuerContext(ctx context.Context, db seqdb.Scanner, c compat.Source
 // With a DBValuer it consumes one scan per lattice level; with a sample or
 // in-memory valuer it is the ground-truth miner of the experiments.
 func Exhaustive(m int, valuer Valuer, minMatch float64, opts Options) (*Result, error) {
-	return ExhaustiveContext(nil, m, valuer, minMatch, opts)
-}
-
-// ExhaustiveContext is Exhaustive with cancellation checked between lattice
-// levels.
-func ExhaustiveContext(ctx context.Context, m int, valuer Valuer, minMatch float64, opts Options) (*Result, error) {
 	e := &Engine{
 		M:     m,
-		Ctx:   ctx,
 		Opts:  opts,
 		Value: valuer,
 		Classify: func(_ pattern.Pattern, v, _ float64) chernoff.Label {

@@ -210,7 +210,7 @@ func TestTruncation(t *testing.T) {
 }
 
 func TestEngineValidation(t *testing.T) {
-	v := SampleValuer(support.Support{}, nil)
+	v := Valuer(func(ps []pattern.Pattern) ([]float64, error) { return make([]float64, len(ps)), nil })
 	cases := []Engine{
 		{M: 0, Opts: Options{MaxLen: 3}, Value: v, Classify: alwaysFrequent},
 		{M: 5, Opts: Options{MaxLen: 0}, Value: v, Classify: alwaysFrequent},

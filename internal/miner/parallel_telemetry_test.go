@@ -7,12 +7,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestParallelValuerBitwiseDeterministic pins the parallel kernel to the
-// sequential one with exact float equality (not a tolerance): every worker
-// set observes every sequence in delivery order, so per-pattern accumulation
-// order — and therefore float rounding — is identical regardless of the
-// worker count. A tolerance here would mask partitioning bugs that shuffle
-// accumulation order.
+// TestParallelValuerBitwiseDeterministic pins the parallel gather to the
+// inline one with exact float equality (not a tolerance): each probe block
+// is summed in position order by one worker and blocks fold in ascending
+// order, so float rounding is identical regardless of the worker count. A
+// tolerance here would mask scheduling bugs that shuffle accumulation
+// order.
 func TestParallelValuerBitwiseDeterministic(t *testing.T) {
 	db, c, ps := randomWorkload(t, 9, 250, 35)
 	ref, err := MatchDBValuer(db, c)(ps)
@@ -35,12 +35,12 @@ func TestParallelValuerBitwiseDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelValuerWithTelemetryRace drives the parallel counting kernel
-// through a telemetry-wrapped scanner while other goroutines snapshot the
-// metrics — the exact concurrency shape of a Phase 3 probe scan with a
-// progress reporter attached. Run under -race (CI does) this proves the
-// per-sequence counters are safe against both the worker fan-out and
-// concurrent readers; the final snapshot is then checked for lost updates.
+// TestParallelValuerWithTelemetryRace drives the parallel gather through a
+// telemetry-wrapped scanner while other goroutines snapshot the metrics —
+// the exact concurrency shape of a Phase 3 probe scan with a progress
+// reporter attached. Run under -race (CI does) this proves the per-sequence
+// counters are safe against both the worker fan-out and concurrent readers;
+// the final snapshot is then checked for lost updates.
 func TestParallelValuerWithTelemetryRace(t *testing.T) {
 	db, c, ps := randomWorkload(t, 10, 120, 20)
 	m := &telemetry.Metrics{}

@@ -119,11 +119,22 @@ func TestTopKSeededWorkloadExact(t *testing.T) {
 	}
 
 	// Reference: evaluate the whole space, order by (value desc, key asc) —
-	// TopK's documented tie-break.
+	// TopK's documented tie-break. Near-ties are ranked by the valuer's own
+	// bits (its block-ordered sum), which must stay within reassociation of
+	// the plain in-order sum.
 	space := enumerateSpace(m, maxLen, maxGap)
-	vals, err := match.DB(seqdb.NewMemDB(seqs), match.NewMatch(c), space)
+	vals, err := MatchDBValuer(seqdb.NewMemDB(seqs), c)(space)
 	if err != nil {
 		t.Fatal(err)
+	}
+	inOrder, err := match.DB(seqdb.NewMemDB(seqs), match.NewMatch(c), space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range space {
+		if math.Abs(vals[i]-inOrder[i]) > 1e-12 {
+			t.Fatalf("%v: valuer %v, in-order sum %v", space[i], vals[i], inOrder[i])
+		}
 	}
 	type ref struct {
 		key string

@@ -204,58 +204,19 @@ func caseRng(cs *Case) *rand.Rand {
 func MineEngine(fin core.Finalizer, kernel core.Phase2Kernel, workers int) Engine {
 	name := fmt.Sprintf("core.Mine/%s/%s/workers=%d", fin, kernel, workers)
 	return Engine{Name: name, Ref: RefMatch, Mine: func(cs *Case) (*pattern.Set, error) {
-		cfg := core.Config{
-			MinMatch:     cs.MinMatch,
-			Delta:        cs.Delta,
-			SampleSize:   len(cs.DB),
-			MaxLen:       cs.MaxLen,
-			MaxGap:       cs.MaxGap,
-			MemBudget:    cs.MemBudget,
-			Finalizer:    fin,
-			Workers:      workers,
-			Phase2Kernel: kernel,
-			Rng:          caseRng(cs),
-		}
-		res, err := core.Mine(seqdb.NewMemDB(cs.DB), cs.C, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if fin == core.BorderCollapsingImplicit {
-			return implicitInSpace(cs, res.Frequent)
-		}
-		return res.Frequent, nil
+		return mineCase(cs, seqdb.NewMemDB(cs.DB), core.Config{Finalizer: fin, Workers: workers, Phase2Kernel: kernel})
 	}}
 }
 
-// MineEngineSharded is MineEngine with Phase 3 probe scans scattered over
-// shards database shards (the structure-of-arrays scatter-gather path). The
-// mined frequent set must be identical to every other engine's: sharding is
-// purely an execution layout.
+// MineEngineSharded is MineEngine over the case's database cut into shards
+// view shards (seqdb.ShardScanner), so Phase 3 probes scan shard by shard.
+// The mined frequent set must be identical to every other engine's: the
+// shard layout only changes how probe scans execute.
 func MineEngineSharded(fin core.Finalizer, kernel core.Phase2Kernel, workers, shards int) Engine {
-	base := MineEngine(fin, kernel, workers)
-	name := fmt.Sprintf("%s/shards=%d", base.Name, shards)
+	name := fmt.Sprintf("%s/shards=%d", MineEngine(fin, kernel, workers).Name, shards)
 	return Engine{Name: name, Ref: RefMatch, Mine: func(cs *Case) (*pattern.Set, error) {
-		cfg := core.Config{
-			MinMatch:     cs.MinMatch,
-			Delta:        cs.Delta,
-			SampleSize:   len(cs.DB),
-			MaxLen:       cs.MaxLen,
-			MaxGap:       cs.MaxGap,
-			MemBudget:    cs.MemBudget,
-			Finalizer:    fin,
-			Workers:      workers,
-			Phase3Shards: shards,
-			Phase2Kernel: kernel,
-			Rng:          caseRng(cs),
-		}
-		res, err := core.Mine(seqdb.NewMemDB(cs.DB), cs.C, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if fin == core.BorderCollapsingImplicit {
-			return implicitInSpace(cs, res.Frequent)
-		}
-		return res.Frequent, nil
+		db := seqdb.ShardScanner(seqdb.NewMemDB(cs.DB), shards)
+		return mineCase(cs, db, core.Config{Finalizer: fin, Workers: workers, Phase2Kernel: kernel})
 	}}
 }
 
@@ -266,67 +227,44 @@ func MineEngineSharded(fin core.Finalizer, kernel core.Phase2Kernel, workers, sh
 func MineGrowthEngine(fin core.Finalizer, kernel core.Phase2Kernel, workers int) Engine {
 	name := fmt.Sprintf("core.Mine/growth/%s/%s/workers=%d", fin, kernel, workers)
 	return Engine{Name: name, Ref: RefMatch, Mine: func(cs *Case) (*pattern.Set, error) {
-		cfg := core.Config{
-			MinMatch:     cs.MinMatch,
-			Delta:        cs.Delta,
-			SampleSize:   len(cs.DB),
-			MaxLen:       cs.MaxLen,
-			MaxGap:       cs.MaxGap,
-			MemBudget:    cs.MemBudget,
-			Finalizer:    fin,
-			Workers:      workers,
-			Phase2Kernel: kernel,
-			Phase2Engine: core.Phase2Growth,
-			Rng:          caseRng(cs),
-		}
-		res, err := core.Mine(seqdb.NewMemDB(cs.DB), cs.C, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if fin == core.BorderCollapsingImplicit {
-			return implicitInSpace(cs, res.Frequent)
-		}
-		return res.Frequent, nil
+		return mineCase(cs, seqdb.NewMemDB(cs.DB), core.Config{
+			Finalizer: fin, Workers: workers, Phase2Kernel: kernel, Phase2Engine: core.Phase2Growth,
+		})
 	}}
 }
 
-// RemoteShardEngine is MineEngineSharded with the probe scans served by
-// remote shard workers over the in-process RPC harness: nodes servers each
-// opening the case's full database, the coordinator pool scattering the
-// shards across them over the wire (matrix and patterns marshaled to JSON,
-// per-block partial sums marshaled back). Distribution is purely an
-// execution layout — the frequent set must equal every other engine's,
-// which also pins the protocol's float64 round-trip to bit-exactness.
-func RemoteShardEngine(fin core.Finalizer, kernel core.Phase2Kernel, nodes, shards int) Engine {
-	name := fmt.Sprintf("core.Mine/%s/%s/remote nodes=%d shards=%d", fin, kernel, nodes, shards)
+// RemoteShardEngine is MineEngine with the probe scans served by remote
+// shard workers over the in-process RPC harness: nodes servers each opening
+// the case's full database, the coordinator pool sending one shard per node
+// over the wire (matrix and patterns marshaled to JSON, per-block partial
+// sums marshaled back). Distribution is purely an execution layout — the
+// frequent set must equal every other engine's, which also pins the
+// protocol's float64 round-trip to bit-exactness.
+func RemoteShardEngine(fin core.Finalizer, kernel core.Phase2Kernel, nodes int) Engine {
+	name := fmt.Sprintf("core.Mine/%s/%s/remote nodes=%d", fin, kernel, nodes)
 	return Engine{Name: name, Ref: RefMatch, Mine: func(cs *Case) (*pattern.Set, error) {
 		h := shardrpc.NewHarness(nodes, "battery-token", func() (seqdb.Scanner, error) {
 			return seqdb.NewMemDB(cs.DB), nil
 		})
-		pool := h.Pool(shardrpc.RetryPolicy{})
-		cfg := core.Config{
-			MinMatch:     cs.MinMatch,
-			Delta:        cs.Delta,
-			SampleSize:   len(cs.DB),
-			MaxLen:       cs.MaxLen,
-			MaxGap:       cs.MaxGap,
-			MemBudget:    cs.MemBudget,
-			Finalizer:    fin,
-			Phase2Kernel: kernel,
-			Rng:          caseRng(cs),
-			ProbeValuer: func(ctx context.Context, db seqdb.Scanner, c compat.Source) miner.Valuer {
-				return miner.RemoteShardValuerContext(ctx, seqdb.ShardedView(db, shards), pool, c, 0, nil)
-			},
-		}
-		res, err := core.Mine(seqdb.NewMemDB(cs.DB), cs.C, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if fin == core.BorderCollapsingImplicit {
-			return implicitInSpace(cs, res.Frequent)
-		}
-		return res.Frequent, nil
+		cfg := core.Config{Finalizer: fin, Phase2Kernel: kernel, Remote: h.Pool(shardrpc.RetryPolicy{})}
+		return mineCase(cs, seqdb.NewMemDB(cs.DB), cfg)
 	}}
+}
+
+// mineCase runs core.Mine over db with the case's parameters filled into
+// cfg, restricting an implicit finalizer's closure to the case's space.
+func mineCase(cs *Case, db seqdb.Scanner, cfg core.Config) (*pattern.Set, error) {
+	cfg.MinMatch, cfg.Delta, cfg.SampleSize = cs.MinMatch, cs.Delta, len(cs.DB)
+	cfg.MaxLen, cfg.MaxGap, cfg.MemBudget = cs.MaxLen, cs.MaxGap, cs.MemBudget
+	cfg.Rng = caseRng(cs)
+	res, err := core.Mine(db, cs.C, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Finalizer == core.BorderCollapsingImplicit {
+		return implicitInSpace(cs, res.Frequent)
+	}
+	return res.Frequent, nil
 }
 
 // StreamEngine feeds the case's database through the incremental streaming
@@ -466,7 +404,7 @@ func Battery() []Engine {
 		MineGrowthEngine(core.BorderCollapsing, core.KernelIncremental, 3),
 		MineGrowthEngine(core.BorderCollapsing, core.KernelNaive, 2),
 		MineGrowthEngine(core.LevelWise, core.KernelIncremental, 2),
-		RemoteShardEngine(core.BorderCollapsing, core.KernelIncremental, 2, 3),
+		RemoteShardEngine(core.BorderCollapsing, core.KernelIncremental, 3),
 		StreamEngine(stream.KernelIncremental, 0, 1),
 		StreamEngine(stream.KernelIncremental, 3, 4),
 		StreamEngine(stream.KernelNaive, 2, 3),

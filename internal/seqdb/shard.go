@@ -16,17 +16,17 @@ import (
 // Phase 3 probe scans can scatter across shards and gather per-shard sums.
 // Boundaries are aligned to probe blocks — fixed-size runs of sequences whose
 // size depends only on the database length — so every shard count yields the
-// same set of block boundaries. A scatter-gather consumer that accumulates
-// per block and merges blocks in ascending id order therefore produces
-// bit-identical float sums for every shard and worker count (the same
+// same set of block boundaries. A gather that accumulates per block and
+// merges blocks in ascending id order therefore produces bit-identical float
+// sums for every shard and worker count, unsharded stores included (the same
 // discipline the Phase 2 kernel uses for its deterministic merge).
 
-// probeBlockSize returns the probe-block length for an n-sequence database:
+// ProbeBlockSize returns the probe-block length for an n-sequence database:
 // at least 16 sequences, and at most ~256 blocks overall so a gather holding
 // per-block partial sums stays small. It is a function of n alone — never of
 // the shard or worker count — which is what makes block-merged sums
 // layout-independent.
-func probeBlockSize(n int) int {
+func ProbeBlockSize(n int) int {
 	if n <= 0 {
 		return 1
 	}
@@ -240,8 +240,8 @@ type byteReader interface {
 // shards — either views over one backing Scanner (ShardScanner) or a native
 // multi-file shard set (OpenShardSet). It implements Scanner by scanning the
 // shards in ascending order with global sequence ids, and additionally
-// exposes the per-shard scanners for scatter-gather consumers
-// (miner.ShardedMatchDBValuer).
+// exposes the per-shard scanners for the Phase 3 gather
+// (miner.ProbeValuer).
 type Sharded struct {
 	shards   []Scanner
 	starts   []int // starts[i] = shard i's first global id; starts[len(shards)] = Len
@@ -253,13 +253,13 @@ type Sharded struct {
 }
 
 // ShardScanner cuts db into up to n block-aligned shard views (see
-// probeBlockSize; small databases yield fewer shards than requested, never
+// ProbeBlockSize; small databases yield fewer shards than requested, never
 // fewer than one). The views deliver global ids and share db as their backing
 // store, so they must not be scanned concurrently with an unrelated full pass
 // of db.
 func ShardScanner(db Scanner, n int) *Sharded {
 	total := db.Len()
-	block := probeBlockSize(total)
+	block := ProbeBlockSize(total)
 	bounds := shardBounds(total, n, block)
 	s := &Sharded{
 		shards: make([]Scanner, len(bounds)-1),
@@ -290,7 +290,7 @@ func ShardPath(base string, i, n int) string {
 // shard order; on error, partially-written files are removed.
 func WriteShardFiles(db Scanner, base string, n int) ([]string, error) {
 	total := db.Len()
-	bounds := shardBounds(total, n, probeBlockSize(total))
+	bounds := shardBounds(total, n, ProbeBlockSize(total))
 	shards := len(bounds) - 1
 	paths := make([]string, shards)
 	for i := range paths {
@@ -374,7 +374,7 @@ func OpenShardSet(paths []string) (*Sharded, error) {
 		}
 	}
 	s.starts[len(paths)] = off
-	s.block = probeBlockSize(off)
+	s.block = ProbeBlockSize(off)
 	return s, nil
 }
 
@@ -473,8 +473,8 @@ func (s *Sharded) ScanRangeContext(ctx context.Context, lo, hi int, fn func(id i
 	return nil
 }
 
-// ShardedView resolves db to the *Sharded the scatter-gather probe layers
-// scan: db's own shard set when the scanner (unwrapped through any Unwrap
+// ShardedView resolves db to the *Sharded a remote probe layout scatters
+// over: db's own shard set when the scanner (unwrapped through any Unwrap
 // chain, e.g. telemetry) already is a *Sharded, otherwise an n-way
 // block-aligned view over it (ShardScanner). Mining either yields
 // bit-identical probe sums — the view exists so single-file databases can
@@ -483,10 +483,10 @@ func ShardedView(db Scanner, n int) *Sharded {
 	raw := db
 	for {
 		if rs, ok := raw.(*RetryScanner); ok {
-			// The retry layer is a scanning concern; layout resolution (and
-			// the remote probe path, which never scans locally) sees through
-			// it. Local probe scanning keeps its own retry wrapping — see
-			// core.Config.shardedDB, which deliberately stops here.
+			// The retry layer is a scanning concern; the remote probe path,
+			// which never scans locally, sees through it. Local probe
+			// scanning keeps its own retry wrapping — miner.ProbeValuer's
+			// layout resolution deliberately stops here.
 			raw = rs.Inner
 			continue
 		}

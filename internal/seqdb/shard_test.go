@@ -41,7 +41,7 @@ func collect(t *testing.T, db Scanner) map[int][]pattern.Symbol {
 
 func TestShardBoundsProperties(t *testing.T) {
 	for _, n := range []int{0, 1, 15, 16, 17, 100, 4096, 12345} {
-		block := probeBlockSize(n)
+		block := ProbeBlockSize(n)
 		if block < 1 {
 			t.Fatalf("n=%d: block %d", n, block)
 		}

@@ -105,9 +105,9 @@ func (s *Server) handleProbe(w http.ResponseWriter, r *http.Request) {
 
 // probe validates one request against the node's own shard layout and runs
 // the probe kernel over the requested shard. The kernel is exactly the local
-// scatter-gather worker's (miner.ShardedMatchDBValuer): per-block sums
-// accumulated with match.SoASet in ascending id order — which is what makes
-// remote partials interchangeable with local ones.
+// gather's (miner.ProbeValuer): per-block sums accumulated with match.Blocks
+// in ascending position order — which is what makes remote partials
+// interchangeable with local ones.
 func (s *Server) probe(r *http.Request) (*ProbeResponse, *serverError) {
 	maxBody := s.MaxBodyBytes
 	if maxBody <= 0 {
@@ -162,30 +162,15 @@ func (s *Server) probe(r *http.Request) (*ProbeResponse, *serverError) {
 		return nil, &serverError{http.StatusBadRequest, ReasonBadRequest, err}
 	}
 	start := time.Now()
-	batch := len(req.Patterns)
-	block := req.Block
 	resp := &ProbeResponse{Schema: ProbeSchema}
-	var seqs, symbols int64
-	shard := view.Shard(req.Shard)
-	err = seqdb.ScanPassContext(r.Context(), shard, func() (func(id int, seq []pattern.Symbol) error, error) {
-		resp.Blocks = nil
-		seqs, symbols = 0, 0
-		cur := -1
-		var flat []float64
-		return func(id int, seq []pattern.Symbol) error {
-			if b := id / block; b != cur {
-				if len(flat) < batch {
-					flat = make([]float64, batch*64)
-				}
-				resp.Blocks = append(resp.Blocks, BlockPartial{Sums: flat[:batch:batch]})
-				flat = flat[batch:]
-				cur = b
-			}
-			last := len(resp.Blocks) - 1
-			soa.Observe(resp.Blocks[last].Sums, seq)
-			resp.Blocks[last].N++
-			seqs++
-			symbols += int64(len(seq))
+	var acc *match.Blocks
+	err = seqdb.ScanPassContext(r.Context(), view.Shard(req.Shard), func() (func(id int, seq []pattern.Symbol) error, error) {
+		acc = soa.NewBlocks(req.Block, view.ShardStart(req.Shard))
+		resp.Sequences, resp.Symbols = 0, 0
+		return func(_ int, seq []pattern.Symbol) error {
+			acc.Observe(seq)
+			resp.Sequences++
+			resp.Symbols += int64(len(seq))
 			return nil
 		}, nil
 	})
@@ -196,9 +181,8 @@ func (s *Server) probe(r *http.Request) (*ProbeResponse, *serverError) {
 		}
 		return nil, &serverError{code, ReasonScanFailed, err}
 	}
-	resp.Sequences = seqs
-	resp.Symbols = symbols
-	s.Metrics.ShardScan(time.Since(start), seqs, scanBytes(db))
+	resp.Blocks = acc.Partials()
+	s.Metrics.ShardScan(time.Since(start), resp.Sequences, scanBytes(db))
 	return resp, nil
 }
 

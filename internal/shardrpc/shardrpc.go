@@ -7,9 +7,9 @@
 // carries the compiled inputs (compatibility cells, patterns, and the shard
 // layout to validate against), the response the shard's per-probe-block
 // (sums, count) partials in ascending block order. Those are exactly the
-// partials the local scatter-gather valuer (miner.ShardedMatchDBValuer)
-// accumulates, computed by the same structure-of-arrays kernel over the same
-// fixed probe blocks — and Go's JSON encoding of float64 is
+// partials the local gather (miner.ProbeValuer) accumulates, computed by the
+// same structure-of-arrays kernel over the same fixed probe blocks
+// (match.Blocks) — and Go's JSON encoding of float64 is
 // shortest-round-trip, so every finite sum crosses the wire bit-exactly.
 // A coordinator that folds remote blocks in ascending global id order
 // therefore produces results bit-identical to the single-machine path, no
@@ -30,6 +30,7 @@ import (
 	"fmt"
 
 	"repro/internal/compat"
+	"repro/internal/match"
 	"repro/internal/pattern"
 )
 
@@ -70,20 +71,13 @@ type ProbeRequest struct {
 	Patterns []pattern.Pattern `json:"patterns"`
 }
 
-// BlockPartial is one probe block's gather payload: the per-pattern match
-// sums over the block's sequences, and the sequence count.
-type BlockPartial struct {
-	Sums []float64 `json:"sums"`
-	N    int       `json:"n"`
-}
-
 // ProbeResponse returns a shard's per-block partials in ascending global id
 // order, plus scan-size counters for the coordinator's telemetry.
 type ProbeResponse struct {
-	Schema    string         `json:"schema"`
-	Blocks    []BlockPartial `json:"blocks"`
-	Sequences int64          `json:"sequences"`
-	Symbols   int64          `json:"symbols"`
+	Schema    string          `json:"schema"`
+	Blocks    []match.Partial `json:"blocks"`
+	Sequences int64           `json:"sequences"`
+	Symbols   int64           `json:"symbols"`
 }
 
 // NewProbeRequest assembles the shared (shard-independent) part of a batch's
@@ -109,8 +103,14 @@ func NewProbeRequest(c compat.Source, ps []pattern.Pattern, total, shards, block
 	}
 }
 
-// Matrix rebuilds the request's compatibility source.
+// Matrix rebuilds the request's compatibility source. Every column of a
+// valid matrix sums to 1, so a valid request carries at least one cell per
+// symbol; an alphabet larger than the cell list is rejected before anything
+// of alphabet size is allocated.
 func (r *ProbeRequest) Matrix() (compat.Source, error) {
+	if r.M > len(r.Cells) {
+		return nil, fmt.Errorf("shardrpc: matrix: alphabet %d needs at least one cell per symbol, request has %d cells", r.M, len(r.Cells))
+	}
 	cells := make([]compat.Cell, len(r.Cells))
 	for i, c := range r.Cells {
 		cells[i] = compat.Cell{True: pattern.Symbol(c.T), Observed: pattern.Symbol(c.O), P: c.P}

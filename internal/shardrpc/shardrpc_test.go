@@ -90,12 +90,12 @@ func TestMatrixRoundTripBitExact(t *testing.T) {
 }
 
 // TestServerProbeGatherMatchesLocal: folding one node's per-shard partials
-// in ascending order must reproduce the local scatter-gather valuer bit for
-// bit — the protocol's core determinism contract.
+// in ascending order must reproduce a plain local probe bit for bit — the
+// protocol's core determinism contract.
 func TestServerProbeGatherMatchesLocal(t *testing.T) {
 	seqs, c, ps := workload(t, 4, 57, 12)
 	base, sh := layoutReq(seqs, c, ps, 3)
-	want, err := miner.ShardedMatchDBValuer(sh, c, 0)(ps)
+	want, err := miner.MatchDBValuer(seqdb.NewMemDB(seqs), c)(ps)
 	if err != nil {
 		t.Fatal(err)
 	}

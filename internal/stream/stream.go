@@ -427,6 +427,12 @@ func (s *Stream) Advance(ctx context.Context) (*Result, error) {
 // maintained sums along the way.
 func (s *Stream) ingest(ctx context.Context, res *Result) error {
 	s.grew = 0
+	// A read-only handle caches the window start: re-read the log's head and
+	// sidecar first, so an expiry by the writer is seen before anything is
+	// consumed (a no-op on the writer's own handle).
+	if err := s.db.Refresh(); err != nil {
+		return err
+	}
 	if start := s.db.Start(); start != s.windowStart {
 		// The window moved (sliding-window expiry, here or externally):
 		// rebuild from the live window. Stateless draws keyed by the new
@@ -516,7 +522,7 @@ func drawIndex(seed int64, rel int) int {
 // from-scratch in-order scan performs (adding a separately-summed chunk
 // would reassociate the floats and drift from the batch pipeline by ulps).
 func (s *Stream) extendSums(sums map[string]float64, ps []pattern.Pattern, seqs [][]pattern.Symbol) error {
-	set, err := match.CompileSet(s.cfg.C, ps)
+	set, err := match.CompileSoA(s.cfg.C, ps)
 	if err != nil {
 		return err
 	}
@@ -525,7 +531,7 @@ func (s *Stream) extendSums(sums map[string]float64, ps []pattern.Pattern, seqs 
 		buf[i] = sums[p.Key()]
 	}
 	for _, seq := range seqs {
-		set.ObserveInto(seq, buf)
+		set.Observe(buf, seq)
 	}
 	for i, p := range ps {
 		sums[p.Key()] = buf[i]
@@ -657,21 +663,22 @@ func (s *Stream) hybridProbe(ctx context.Context, res *Result, scans *int) miner
 		if len(miss) == 0 {
 			return out, nil
 		}
-		set, err := match.CompileSet(s.cfg.C, miss)
+		set, err := match.CompileSoA(s.cfg.C, miss)
 		if err != nil {
 			return nil, err
 		}
 		// Scan exactly the consumed prefix [windowStart, cursor): sequences
-		// appended after ingest belong to the next batch.
+		// appended after ingest belong to the next batch. The sums run in
+		// sequence order, so later batches extend them exactly.
+		sums := make([]float64, len(miss))
 		err = s.db.ScanRangeContext(ctx, 0, s.cursor-s.windowStart, func(id int, seq []pattern.Symbol) error {
-			set.Observe(seq)
+			set.Observe(sums, seq)
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
 		*scans++
-		sums := set.Sums()
 		for j, i := range missIdx {
 			key := miss[j].Key()
 			s.exactSums[key] = sums[j]

@@ -605,3 +605,46 @@ func TestConfigValidate(t *testing.T) {
 		t.Errorf("good config rejected: %v", err)
 	}
 }
+
+// TestReadOnlyFollowerSeesWriterExpiry: when the log's writer owns expiry
+// (ExpireBefore on its handle) and the stream follows on a read-only handle,
+// every Advance must consume exactly the log's live window [Start, Total)
+// and mine the same frequent set as a batch mine of it.
+func TestReadOnlyFollowerSeesWriterExpiry(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		tc := genCase(t, seed)
+		const window = 4
+		writer := newLog(t)
+		follower, err := seqdb.OpenAppendRead(writer.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer follower.Close()
+		s, err := stream.New(follower, tc.streamConfig(stream.KernelNaive, 0, len(tc.db)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < len(tc.db); lo += 3 {
+			hi := min(lo+3, len(tc.db))
+			appendBatch(t, writer, tc.db[lo:hi])
+			if total := writer.Total(); total-writer.Start() > window {
+				if err := writer.ExpireBefore(total - window); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := s.Advance(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := s.State()
+			if st.WindowStart != writer.Start() || st.Cursor != writer.Total() {
+				t.Fatalf("seed %d: follower consumed [%d, %d), the log's live window is [%d, %d)",
+					seed, st.WindowStart, st.Cursor, writer.Start(), writer.Total())
+			}
+			ref := batchMine(t, tc, tc.db[writer.Start():hi], core.KernelNaive, 0, len(tc.db))
+			if got, want := setKeys(res.Frequent), setKeys(ref.Frequent); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d window [%d,%d): frequent %v, batch mine %v", seed, writer.Start(), hi, got, want)
+			}
+		}
+	}
+}
