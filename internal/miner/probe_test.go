@@ -96,6 +96,60 @@ func TestGatherBitIdentical(t *testing.T) {
 	}
 }
 
+// TestShardedValuerInvariance: over view shards the gather returns
+// bit-identical values for every shard and worker count, from one shard to
+// more shards than probe blocks.
+func TestShardedValuerInvariance(t *testing.T) {
+	db, c, ps := randomWorkload(t, 11, 400, 12)
+	var ref []float64
+	for _, shards := range []int{1, 2, 3, 5, 8, 64} {
+		for _, workers := range []int{0, 1, 2, 7} {
+			got, err := ParallelMatchDBValuer(seqdb.ShardScanner(db, shards), c, workers)(ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = got
+				continue
+			}
+			for i := range ps {
+				if got[i] != ref[i] {
+					t.Fatalf("shards=%d workers=%d pattern %d: %v != %v (not bit-identical)",
+						shards, workers, i, got[i], ref[i])
+				}
+			}
+		}
+	}
+}
+
+// TestRemoteValuerBitIdentical: a remote pool returns the same bits as the
+// local gather for every coordinator shard count, node count and worker
+// count — distribution is purely an execution layout.
+func TestRemoteValuerBitIdentical(t *testing.T) {
+	db, c, ps := randomWorkload(t, 21, 300, 12)
+	for _, shards := range []int{1, 3, 7} {
+		want, err := MatchDBValuer(seqdb.ShardScanner(db, shards), c)(ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nodes := range []int{1, 2, 5} {
+			for _, workers := range []int{0, 2} {
+				pool := instantPool(remoteHarness(db, nodes))
+				got, err := ProbeValuer(nil, seqdb.ShardScanner(db, shards), c, workers, pool, nil)(ps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range ps {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("shards=%d nodes=%d workers=%d pattern %d: remote %v != local %v",
+							shards, nodes, workers, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestShardedValuerAgreesWithSequential: block-merged sums over a sharded
 // store differ from the in-order running sum only by float reassociation.
 func TestShardedValuerAgreesWithSequential(t *testing.T) {
