@@ -117,7 +117,7 @@ func main() {
 	engine := flag.String("engine", "candidates", "Phase 2 engine: candidates or sweep (sparse matrices)")
 	phase2Engine := flag.String("phase2-engine", "levelwise", "Phase 2 mining strategy: levelwise (breadth-first generate-and-test) or growth (depth-first pattern growth over projected samples; same labels, bit-identical across worker counts)")
 	kernel := flag.String("phase2-kernel", "incremental", "Phase 2 sample kernel: incremental (prefix-extension cache) or naive (recompile per level)")
-	workers := flag.Int("workers", -1, "worker goroutines sharding Phase 2's sample and Phase 3's probe counting (-1 = all cores, 0/1 = sequential; results are identical for every count)")
+	workers := flag.Int("workers", -1, "worker goroutines sharding Phase 2's sample and Phase 3's probe counting (-1 = all cores, 0/1 = sequential, though 0 still scans a shard set's files concurrently; results are identical for every count)")
 	retries := flag.Int("retries", 0, "retry transient scan failures up to this many times per pass (0 = no retrying); also caps shard RPC attempts with -phase3-nodes")
 	retryBase := flag.Duration("retry-base", 0, "base delay of retry backoff — both the retrying scanner's and the shard RPC's (0 = 10ms)")
 	retryCap := flag.Duration("retry-cap", 0, "delay cap of retry backoff (0 = 1s)")

@@ -186,9 +186,10 @@ type Config struct {
 	Finalizer Finalizer
 	// Workers > 1 matches each Phase 3 probe scan's blocks on that many
 	// goroutines (-1 = GOMAXPROCS); the scan itself remains one sequential
-	// pass. The same count shards Phase 2's incremental kernel across the
-	// sample. Results are identical for every worker count. Default 0
-	// (inline).
+	// pass. A shard set is instead scanned up to Workers shards at once
+	// (0 = up to GOMAXPROCS). The same count shards Phase 2's incremental
+	// kernel across the sample. Results are identical for every worker
+	// count. Default 0 (inline, save for a shard set's concurrent scans).
 	Workers int
 	// Remote, when non-nil, serves Phase 3's probe scans from remote shard
 	// nodes (lspserve -serve-shards): each probe batch is sent one shard per

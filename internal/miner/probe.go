@@ -1,6 +1,7 @@
 package miner
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -16,35 +17,50 @@ import (
 )
 
 // ProbeValuer is the Phase 3 probe valuer (Algorithms 4.3/4.4): each call
-// counts a batch in one logical pass over db. The batch is compiled once into
-// a match.SoASet and sent to every shard of the store's layout; the shards'
-// per-probe-block (sums, count) partials are folded in ascending block order.
-// An unsharded store (or a RetryScanner over anything) is one shard read in
-// one full pass through db, so its pass counter, checksum trailer check and
-// per-attempt retry apply unchanged; a seqdb.Sharded with several shards is
-// read shard by shard as one logical pass; with a non-nil remote pool, its
-// nodes serve the shards of seqdb.ShardedView(db, nodes) instead. workers
-// bounds the goroutines matching probe blocks on a local layout (-1 =
-// GOMAXPROCS, 0 or 1 = inline). m records what bypasses the caller's
-// telemetry.Scanner wrapper: shard scans and the logical pass of a sharded
-// or remote layout.
+// counts a batch in one logical pass over db, folding per-probe-block (sums,
+// count) partials from every shard of the store's layout in ascending block
+// order. An unsharded store (or a RetryScanner over anything) is one shard
+// read in one full pass through db, so its pass counter, checksum trailer
+// check and per-attempt retry apply unchanged. A seqdb.Sharded with several
+// shards is scanned up to workers shards at once (0 = up to GOMAXPROCS); with
+// a remote pool, its nodes serve the shards of seqdb.ShardedView(db, nodes).
+// On one store, workers > 1 goroutines match copied probe blocks while the
+// pass reads on, and 0 or 1 match inline (-1 = GOMAXPROCS everywhere). m
+// records what bypasses the caller's telemetry.Scanner wrapper: shard scans
+// and the logical pass of a sharded or remote layout.
 //
 // Each block is summed in position order by one writer, so the values are
 // bit-identical for every worker, shard and node count and differ from one
-// running sum over the database only by float reassociation. Averages divide
-// by the sequences delivered, not db.Len(); an empty batch costs no pass;
-// ctx (nil = never cancelled) is checked between sequences.
+// running sum only by float reassociation. Averages divide by the sequences
+// delivered, not db.Len(); an empty batch costs no pass; ctx (nil = never
+// cancelled) is checked between sequences.
 func ProbeValuer(ctx context.Context, db seqdb.Scanner, c compat.Source, workers int, remote *shardrpc.Pool, m *telemetry.Metrics) Valuer {
-	p := newProber(db, c, workers, remote, m)
+	if workers < 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	// Local layouts see through telemetry wrappers but not a RetryScanner (no
+	// Unwrap): a retried store keeps whole-pass retries as one shard.
+	raw := db
+	for u, ok := raw.(interface{ Unwrap() seqdb.Scanner }); ok; u, ok = raw.(interface{ Unwrap() seqdb.Scanner }) {
+		raw = u.Unwrap()
+	}
+	sh, _ := raw.(*seqdb.Sharded)
+	if remote != nil {
+		sh = seqdb.ShardedView(db, len(remote.Clients))
+	} else if sh != nil && sh.NumShards() < 2 {
+		sh = nil
+	}
 	return func(ps []pattern.Pattern) ([]float64, error) {
 		if len(ps) == 0 {
 			return nil, nil
 		}
-		set, err := match.CompileSoA(c, ps)
-		if err != nil {
-			return nil, err
+		var parts []match.Partial
+		var err error
+		if remote != nil {
+			parts, err = probeRemote(ctx, sh, remote, c, ps, m)
+		} else {
+			parts, err = probeLocal(ctx, db, sh, c, ps, workers, m)
 		}
-		parts, err := p.probe(ctx, ps, set)
 		if err != nil {
 			return nil, err
 		}
@@ -67,75 +83,77 @@ func MatchDBValuer(db seqdb.Scanner, c compat.Source) Valuer {
 	return ProbeValuer(nil, db, c, 1, nil, nil)
 }
 
-// ParallelMatchDBValuer is ProbeValuer with workers goroutines matching
-// probe blocks (-1 = GOMAXPROCS); its values equal MatchDBValuer's.
+// ParallelMatchDBValuer is ProbeValuer with workers goroutines
+// (-1 = GOMAXPROCS); its values equal MatchDBValuer's.
 func ParallelMatchDBValuer(db seqdb.Scanner, c compat.Source, workers int) Valuer {
 	return ProbeValuer(nil, db, c, workers, nil, nil)
 }
 
-// A prober runs one compiled batch over every shard of its layout and
-// returns the per-block partials in ascending block order.
-type prober interface {
-	probe(ctx context.Context, ps []pattern.Pattern, set *match.SoASet) ([]match.Partial, error)
-}
-
-func newProber(db seqdb.Scanner, c compat.Source, workers int, remote *shardrpc.Pool, m *telemetry.Metrics) prober {
-	if remote != nil {
-		return &remoteProber{sh: seqdb.ShardedView(db, len(remote.Clients)), pool: remote, c: c, m: m}
+// probeLocal compiles the batch once and returns the partials of db, or of
+// the shards of sh when it is non-nil, in ascending block order.
+func probeLocal(ctx context.Context, db seqdb.Scanner, sh *seqdb.Sharded, c compat.Source, ps []pattern.Pattern, workers int, m *telemetry.Metrics) ([]match.Partial, error) {
+	set, err := match.CompileSoA(c, ps)
+	if err != nil {
+		return nil, err
 	}
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	l := &localProber{db: db, workers: workers, m: m}
-	// See through telemetry wrappers but not a RetryScanner (no Unwrap): a
-	// retried store keeps whole-pass retries as one shard.
-	raw := db
-	for u, ok := raw.(interface{ Unwrap() seqdb.Scanner }); ok; u, ok = raw.(interface{ Unwrap() seqdb.Scanner }) {
-		raw = u.Unwrap()
-	}
-	if sh, ok := raw.(*seqdb.Sharded); ok && sh.NumShards() > 1 {
-		l.sh = sh
-	}
-	return l
-}
-
-// localProber scans the layout's shards one after another in this process.
-type localProber struct {
-	db      seqdb.Scanner
-	sh      *seqdb.Sharded // nil for the one-shard layout
-	workers int
-	m       *telemetry.Metrics
-}
-
-func (l *localProber) probe(ctx context.Context, _ []pattern.Pattern, set *match.SoASet) ([]match.Partial, error) {
-	if l.sh == nil {
-		parts, _, err := l.scan(ctx, l.db, 0, seqdb.ProbeBlockSize(l.db.Len()), set, nil)
+	if sh == nil {
+		parts, _, err := scan(ctx, db, 0, seqdb.ProbeBlockSize(db.Len()), set, workers, nil)
 		return parts, err
 	}
-	passBytes, passReal := seqdb.RealBytes(l.sh)
-	var parts []match.Partial
-	var symbols int64
-	for s := 0; s < l.sh.NumShards(); s++ {
-		sp, syms, err := l.scan(ctx, l.sh.Shard(s), l.sh.ShardStart(s), l.sh.BlockSize(), set, l.m)
-		if err != nil {
-			return nil, err
-		}
-		parts, symbols = append(parts, sp...), symbols+syms
+	passBytes, passReal := seqdb.RealBytes(sh)
+	parts, symbols, err := eachShard(sh, cmp.Or(workers, runtime.GOMAXPROCS(0)), func(s int) ([]match.Partial, int64, error) {
+		return scan(ctx, sh.Shard(s), sh.ShardStart(s), sh.BlockSize(), set, 1, m)
+	})
+	if err != nil {
+		return nil, err
 	}
-	l.sh.NotePass()
-	if now, _ := seqdb.RealBytes(l.sh); passReal {
-		l.m.ScanDone(now-passBytes, false)
+	if now, _ := seqdb.RealBytes(sh); passReal {
+		m.ScanDone(now-passBytes, false)
 	} else {
-		l.m.ScanDone(4*symbols, true)
+		m.ScanDone(4*symbols, true)
 	}
 	return parts, nil
+}
+
+// eachShard runs probe on every shard of sh, up to conc at once, and returns
+// the first failure in shard order, or counts one logical pass on sh and
+// returns the partials in shard order and the symbols the shards read.
+func eachShard(sh *seqdb.Sharded, conc int, probe func(s int) ([]match.Partial, int64, error)) ([]match.Partial, int64, error) {
+	n := sh.NumShards()
+	parts, symbols, errs := make([][]match.Partial, n), make([]int64, n), make([]error, n)
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for i := 0; i < min(conc, n); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := range next {
+				parts[s], symbols[s], errs[s] = probe(s)
+			}
+		}()
+	}
+	for s := 0; s < n; s++ {
+		next <- s
+	}
+	close(next)
+	wg.Wait()
+	var out []match.Partial
+	var total int64
+	for s := range parts {
+		if errs[s] != nil {
+			return nil, 0, errs[s]
+		}
+		out, total = append(out, parts[s]...), total+symbols[s]
+	}
+	sh.NotePass()
+	return out, total, nil
 }
 
 // scan runs one pass over shard, whose first sequence sits at position
 // start, and returns its block partials and symbol count. Every attempt
 // starts fresh accumulators, so a retried pass never double counts. m (nil
 // when the caller's telemetry wrapper sees the pass) records the shard scan.
-func (l *localProber) scan(ctx context.Context, shard seqdb.Scanner, start, block int, set *match.SoASet, m *telemetry.Metrics) ([]match.Partial, int64, error) {
+func scan(ctx context.Context, shard seqdb.Scanner, start, block int, set *match.SoASet, workers int, m *telemetry.Metrics) ([]match.Partial, int64, error) {
 	began := time.Now()
 	startBytes, realBytes := seqdb.RealBytes(shard)
 	var finish func() []match.Partial
@@ -148,8 +166,8 @@ func (l *localProber) scan(ctx context.Context, shard seqdb.Scanner, start, bloc
 		b := set.NewBlocks(block, start)
 		observe := b.Observe
 		finish = b.Partials
-		if l.workers > 1 {
-			observe, finish = pipeline(set, block, start, l.workers)
+		if workers > 1 {
+			observe, finish = pipeline(set, block, workers)
 		}
 		return func(_ int, seq []pattern.Symbol) error {
 			observe(seq)
@@ -173,105 +191,106 @@ func (l *localProber) scan(ctx context.Context, shard seqdb.Scanner, start, bloc
 	return parts, symbols, nil
 }
 
-// pipeline matches probe blocks on workers goroutines while the pass reads
-// on: observe copies each block out of the store's buffers for a worker to sum
-// with match.Blocks, one writer per block; finish hands off the last block,
-// waits for the workers to exit and returns the partials in block order.
-func pipeline(set *match.SoASet, size, start, workers int) (observe func([]pattern.Symbol), finish func() []match.Partial) {
-	type job struct {
+// A pipeline chunk holds at most chunkSeqs sequences and chunkSymbols
+// symbols (a longer sequence is a chunk of its own); the pool holds
+// chunksPerWorker chunks per worker, however long the database.
+const (
+	chunkSeqs       = 256
+	chunkSymbols    = 1 << 16
+	chunksPerWorker = 4
+)
+
+// pipeline matches probe blocks on workers goroutines while a pass that
+// starts on a block boundary, as every shard does, reads on. observe copies
+// each sequence into a pooled chunk, waiting for one if the pool is empty;
+// every chunk of block k goes to worker k mod workers over that worker's FIFO
+// queue, so each block has one writer summing it in position order. finish
+// waits for the workers and returns the partials in block order.
+func pipeline(set *match.SoASet, size, workers int) (observe func([]pattern.Symbol), finish func() []match.Partial) {
+	type chunk struct {
 		arena []pattern.Symbol
 		ends  []int
-		part  *match.Partial
 	}
-	// One queued block per worker lets the scan read ahead while every
-	// worker is busy, holding at most 2*workers+1 copied blocks.
-	jobs := make(chan job, workers)
+	pool := make(chan *chunk, chunksPerWorker*workers)
+	for i := 0; i < cap(pool); i++ {
+		pool <- new(chunk)
+	}
+	queues := make([]chan *chunk, workers)
+	parts := make([][]match.Partial, workers) // worker w sums blocks w, w+workers, ...
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
+	for w := range queues {
+		queues[w] = make(chan *chunk, cap(pool)) // never full: sends do not block
+		go func(w int) {
 			defer wg.Done()
-			for j := range jobs {
-				b, off := set.NewBlocks(size, 0), 0
-				for _, end := range j.ends {
-					b.Observe(j.arena[off:end:end])
+			b := set.NewBlocks(size, 0) // the worker's blocks, each size long but the last
+			for ch := range queues[w] {
+				off := 0
+				for _, end := range ch.ends {
+					b.Observe(ch.arena[off:end:end])
 					off = end
 				}
-				*j.part = b.Partials()[0]
+				ch.arena, ch.ends = ch.arena[:0], ch.ends[:0]
+				pool <- ch
 			}
-		}()
+			parts[w] = b.Partials()
+		}(w)
 	}
-	var cur job
-	var parts []*match.Partial
-	pos := start
+	var cur *chunk
+	n := 0 // sequences observed
 	observe = func(seq []pattern.Symbol) {
-		if cur.part != nil && pos%size == 0 {
-			jobs <- cur
-			cur = job{}
-		}
-		if cur.part == nil {
-			cur.part = new(match.Partial)
-			parts = append(parts, cur.part)
+		if cur == nil || n%size == 0 || len(cur.ends) == chunkSeqs || len(cur.arena)+len(seq) > chunkSymbols {
+			if cur != nil {
+				queues[(n-1)/size%workers] <- cur
+			}
+			cur = <-pool
 		}
 		cur.arena = append(cur.arena, seq...)
 		cur.ends = append(cur.ends, len(cur.arena))
-		pos++
+		n++
 	}
 	finish = func() []match.Partial {
-		if cur.part != nil {
-			jobs <- cur
+		if cur != nil {
+			queues[(n-1)/size%workers] <- cur
 		}
-		close(jobs)
+		for _, q := range queues {
+			close(q)
+		}
 		wg.Wait()
-		out := make([]match.Partial, len(parts))
-		for i, p := range parts {
-			out[i] = *p
+		out := make([]match.Partial, (n+size-1)/size)
+		for k := range out {
+			out[k] = parts[k%workers][k/workers]
 		}
 		return out
 	}
 	return observe, finish
 }
 
-// remoteProber sends every shard of the layout to the pool at once and
-// concatenates the answers in shard order. Nodes sum the same blocks with the
-// same kernel and JSON round-trips float64 exactly, so remote partials equal
-// local ones; a shard no node can serve fails with shardrpc.ErrShardLost.
-type remoteProber struct {
-	sh   *seqdb.Sharded // the layout only; the coordinator never reads it
-	pool *shardrpc.Pool
-	c    compat.Source
-	m    *telemetry.Metrics
-}
-
-func (r *remoteProber) probe(ctx context.Context, ps []pattern.Pattern, _ *match.SoASet) ([]match.Partial, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	base := shardrpc.NewProbeRequest(r.c, ps, r.sh.Len(), r.sh.NumShards(), r.sh.BlockSize())
-	resps := make([]*shardrpc.ProbeResponse, r.sh.NumShards())
-	errs := make([]error, len(resps))
-	var wg sync.WaitGroup
-	for s := range resps {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			start, req := time.Now(), *base
-			req.Shard = s
-			if resps[s], errs[s] = r.pool.Probe(ctx, &req); errs[s] == nil {
-				r.m.ShardScan(time.Since(start), resps[s].Sequences, -1)
-			}
-		}(s)
-	}
-	wg.Wait()
-	var parts []match.Partial
-	var symbols int64
-	for s, resp := range resps {
-		if errs[s] != nil {
-			return nil, errs[s] // the first failure in shard order
+// probeRemote sends every shard of sh to the pool at once. Nodes sum the
+// same blocks with the same kernel and JSON round-trips float64 exactly, so
+// remote partials equal local ones; a shard no node can serve fails with
+// shardrpc.ErrShardLost.
+func probeRemote(ctx context.Context, sh *seqdb.Sharded, pool *shardrpc.Pool, c compat.Source, ps []pattern.Pattern, m *telemetry.Metrics) ([]match.Partial, error) {
+	for _, p := range ps {
+		if err := p.Validate(); err != nil {
+			return nil, err
 		}
-		parts, symbols = append(parts, resp.Blocks...), symbols+resp.Symbols
 	}
-	r.sh.NotePass()
-	r.m.ScanDone(4*symbols, true) // read on the nodes: estimated
+	ctx = cmp.Or(ctx, context.Background())
+	base := shardrpc.NewProbeRequest(c, ps, sh.Len(), sh.NumShards(), sh.BlockSize())
+	parts, symbols, err := eachShard(sh, sh.NumShards(), func(s int) ([]match.Partial, int64, error) {
+		start, req := time.Now(), *base
+		req.Shard = s
+		resp, err := pool.Probe(ctx, &req)
+		if err != nil {
+			return nil, 0, err
+		}
+		m.ShardScan(time.Since(start), resp.Sequences, -1)
+		return resp.Blocks, resp.Symbols, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	m.ScanDone(4*symbols, true) // read on the nodes: estimated
 	return parts, nil
 }

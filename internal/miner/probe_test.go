@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -198,47 +200,49 @@ func TestShardedValuerScanAccounting(t *testing.T) {
 
 // TestGatherRetryDoesNotDoubleCount: a transient fault mid-pass re-runs the
 // pass through the RetryScanner, and the re-run's partials replace the
-// failed attempt's, for one shard and for several.
+// failed attempt's, for one shard and for several. The fault injector
+// numbers pass attempts in the order they start, so the sharded case scans
+// its shards one at a time.
 func TestGatherRetryDoesNotDoubleCount(t *testing.T) {
 	db, c, ps := randomWorkload(t, 14, 150, 10)
 	want, err := MatchDBValuer(db, c)(ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{1, 3} {
-		for _, shards := range []int{1, 3} {
-			retry := &seqdb.RetryScanner{Inner: faults.New(db, faults.TransientOn(1, 10)), Sleep: func(time.Duration) {}}
-			var store seqdb.Scanner = retry
-			if shards > 1 {
-				store = seqdb.ShardScanner(retry, shards)
-			}
-			got, err := ParallelMatchDBValuer(store, c, w)(ps)
-			if err != nil {
-				t.Fatalf("shards=%d workers=%d: %v", shards, w, err)
-			}
-			if retry.ScanStats().Retries == 0 {
-				t.Fatalf("shards=%d workers=%d: the fault never fired", shards, w)
-			}
-			for i := range ps {
-				if got[i] != want[i] {
-					t.Fatalf("shards=%d workers=%d pattern %d: %v != %v after a retried pass", shards, w, i, got[i], want[i])
-				}
+	for _, tc := range []struct{ shards, workers int }{{1, 1}, {1, 3}, {3, 1}} {
+		retry := &seqdb.RetryScanner{Inner: faults.New(db, faults.TransientOn(1, 10)), Sleep: func(time.Duration) {}}
+		var store seqdb.Scanner = retry
+		if tc.shards > 1 {
+			store = seqdb.ShardScanner(retry, tc.shards)
+		}
+		got, err := ParallelMatchDBValuer(store, c, tc.workers)(ps)
+		if err != nil {
+			t.Fatalf("%+v: %v", tc, err)
+		}
+		if retry.ScanStats().Retries == 0 {
+			t.Fatalf("%+v: the fault never fired", tc)
+		}
+		for i := range ps {
+			if got[i] != want[i] {
+				t.Fatalf("%+v pattern %d: %v != %v after a retried pass", tc, i, got[i], want[i])
 			}
 		}
 	}
 }
 
 // cancelAfter cancels its context once n sequences have been delivered,
-// over full passes and shard range deliveries alike.
+// over full passes and shard range deliveries alike (shards may be scanned
+// concurrently).
 type cancelAfter struct {
 	*seqdb.MemDB
-	n, seen int
-	cancel  context.CancelFunc
+	n      int64
+	seen   atomic.Int64
+	cancel context.CancelFunc
 }
 
 func (s *cancelAfter) count(fn func(id int, seq []pattern.Symbol) error) func(id int, seq []pattern.Symbol) error {
 	return func(id int, seq []pattern.Symbol) error {
-		if s.seen++; s.seen == s.n {
+		if s.seen.Add(1) == s.n {
 			s.cancel()
 		}
 		return fn(id, seq)
@@ -278,6 +282,130 @@ func TestGatherCancellation(t *testing.T) {
 			t.Fatalf("%d goroutines left running after cancelled probes (%d before)", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// barrierDB lets each range scan deliver only once n of them have started,
+// so the scans finish only if they run at once.
+type barrierDB struct {
+	*seqdb.MemDB
+	started sync.WaitGroup
+}
+
+func (b *barrierDB) ScanRangeContext(ctx context.Context, lo, hi int, fn func(id int, seq []pattern.Symbol) error) error {
+	b.started.Done()
+	all := make(chan struct{})
+	go func() { b.started.Wait(); close(all) }()
+	select {
+	case <-all:
+	case <-time.After(10 * time.Second):
+		return errors.New("shard scans did not overlap")
+	}
+	return b.MemDB.ScanRangeContext(ctx, lo, hi, fn)
+}
+
+// TestGatherScansShardsConcurrently: a sharded layout scans up to workers
+// shards at once, and the values stay those of one inline pass.
+func TestGatherScansShardsConcurrently(t *testing.T) {
+	db, c, ps := randomWorkload(t, 25, 120, 8)
+	want, err := MatchDBValuer(seqdb.ShardScanner(db, 3), c)(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &barrierDB{MemDB: db}
+	b.started.Add(3)
+	got, err := ParallelMatchDBValuer(seqdb.ShardScanner(b, 3), c, 3)(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ps {
+		if got[i] != want[i] {
+			t.Fatalf("pattern %d: %v != %v", i, got[i], want[i])
+		}
+	}
+}
+
+// synthDB generates its sequences on every pass into one reused buffer, as
+// a disk store delivers them, so a test can scan long databases without
+// holding them in memory.
+type synthDB struct {
+	n, length int
+	scans     int
+}
+
+func (s *synthDB) Scan(fn func(id int, seq []pattern.Symbol) error) error {
+	seq := make([]pattern.Symbol, s.length)
+	for id := 0; id < s.n; id++ {
+		for j := range seq {
+			seq[j] = pattern.Symbol((id*7 + j*j) % 10)
+		}
+		if err := fn(id, seq); err != nil {
+			return err
+		}
+	}
+	s.scans++
+	return nil
+}
+
+func (s *synthDB) Len() int    { return s.n }
+func (s *synthDB) Scans() int  { return s.scans }
+func (s *synthDB) ResetScans() { s.scans = 0 }
+
+// TestGatherChunkedBlocks: probe blocks longer than one pipeline chunk — by
+// sequence count, and by symbol count for long sequences — are still summed
+// by one writer in position order, bit-identical to the inline pass.
+func TestGatherChunkedBlocks(t *testing.T) {
+	_, c, ps := randomWorkload(t, 18, 1, 1)
+	ps = ps[:5]
+	for _, db := range []*synthDB{
+		{n: 2 * 256 * chunkSeqs, length: 6},  // 2 chunks per block
+		{n: 100, length: chunkSymbols/3 + 1}, // 3 sequences per chunk
+	} {
+		want, err := MatchDBValuer(db, c)(ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{2, 3} {
+			got, err := ParallelMatchDBValuer(db, c, w)(ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range ps {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d length=%d workers=%d pattern %d: %v != %v (not bit-identical)",
+						db.n, db.length, w, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestGatherMemoryBounded: the parallel pass copies sequences into a fixed
+// pool of recycled chunks, so what one probe pass allocates — an upper
+// bound on the copied bytes it holds at once — does not grow with the
+// database length.
+func TestGatherMemoryBounded(t *testing.T) {
+	_, c, ps := randomWorkload(t, 19, 1, 1)
+	ps = ps[:1]
+	alloc := func(n int) uint64 {
+		v := ParallelMatchDBValuer(&synthDB{n: n, length: 8}, c, 4)
+		if _, err := v(ps); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := v(ps); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// From 256*chunkSeqs sequences on, a probe block fills whole chunks.
+	small, large := alloc(256*chunkSeqs), alloc(8*256*chunkSeqs)
+	t.Logf("one pass allocates %d bytes at %d sequences, %d at %d", small, 256*chunkSeqs, large, 8*256*chunkSeqs)
+	if large > 2*small+1<<20 {
+		t.Fatalf("one pass over 8x the sequences allocates %d bytes against %d: the copies grow with the database", large, small)
 	}
 }
 
