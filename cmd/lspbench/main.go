@@ -13,6 +13,13 @@
 // measure the collection overhead. -quick restricts the grid to the two
 // smallest workloads and two runs each — the CI configuration.
 //
+// Workloads mine with the Phase 2 engine the automatic rule picks; each
+// cell also re-times Phase 2 under both engines forced. The engine sweep is
+// the rule's evidence: the long-low recipe at a range of mean sequence
+// lengths over 20 and 40 symbols, plus banded-matrix rows, each with both
+// engines' Phase 2 time and the engine the rule picks (-quick keeps one
+// length on each side of the threshold).
+//
 // A final serve cell drives the base workload through an in-process
 // lspserve (internal/jobs behind its HTTP handler) and reports submission
 // throughput and submit→complete latency percentiles.
@@ -147,7 +154,9 @@ type result struct {
 	Sample    int     `json:"sample"`
 	MemBudget int     `json:"mem_budget"`
 
-	Runs         int     `json:"runs"`
+	Runs int `json:"runs"`
+	// Phase2Engine is the engine the automatic rule ran Phase 2 with.
+	Phase2Engine string  `json:"phase2_engine"`
 	NsPerOp      float64 `json:"ns_per_op"`
 	PlainNsPerOp float64 `json:"plain_ns_per_op"`
 	// TelemetryOverheadPct compares the instrumented and uninstrumented
@@ -159,10 +168,12 @@ type result struct {
 	Phase1Ms   float64 `json:"phase1_ms"`
 	Phase2Ms   float64 `json:"phase2_ms"`
 	Phase3Ms   float64 `json:"phase3_ms"`
-	// Phase2LevelMs is the incremental run's per-level Phase 2 wall time.
+	// Phase2LevelMs is the last run's per-level Phase 2 wall time (level-wise
+	// engine only).
 	Phase2LevelMs []float64 `json:"phase2_level_ms,omitempty"`
-	// Phase2NaiveMs re-mines the same sample with Phase2Kernel=KernelNaive;
-	// Phase2SpeedupX is naive over incremental, and LabelsIdentical confirms
+	// Phase2NaiveMs re-mines the same sample with Phase2Kernel=KernelNaive
+	// on the level-wise engine; Phase2SpeedupX is naive over the level-wise
+	// incremental kernel (Phase2LevelwiseMs), and LabelsIdentical confirms
 	// both kernels classified every evaluated pattern identically.
 	Phase2NaiveMs   float64 `json:"phase2_naive_ms"`
 	Phase2SpeedupX  float64 `json:"phase2_speedup_x"`
@@ -262,6 +273,53 @@ type streamResult struct {
 	FinalSetsAgree bool `json:"final_sets_agree"`
 }
 
+// sweepCell is one row of the engine sweep: the long-low recipe with Alphabet
+// symbols and sequence lengths centred on MeanLen, over the uniform or the
+// banded compatibility matrix.
+type sweepCell struct {
+	Alphabet, MeanLen int
+	Banded            bool
+	quick             bool
+}
+
+// engineSweep spans both sides of the rule's threshold (mean length =
+// core.GrowthLengthRatio × alphabet: 60 at 20 symbols, 120 at 40). The
+// banded rows probe a sparse matrix, where few windows survive and the
+// crossover sits at longer sequences than the rule assumes.
+var engineSweep = []sweepCell{
+	{Alphabet: 20, MeanLen: 40, quick: true},
+	{Alphabet: 20, MeanLen: 60},
+	{Alphabet: 20, MeanLen: 90, quick: true},
+	{Alphabet: 20, MeanLen: 130},
+	{Alphabet: 20, MeanLen: 185},
+	{Alphabet: 40, MeanLen: 40},
+	{Alphabet: 40, MeanLen: 60},
+	{Alphabet: 40, MeanLen: 90},
+	{Alphabet: 40, MeanLen: 130},
+	{Alphabet: 40, MeanLen: 185},
+	{Alphabet: 20, MeanLen: 90, Banded: true},
+	{Alphabet: 20, MeanLen: 130, Banded: true},
+	{Alphabet: 20, MeanLen: 185, Banded: true},
+}
+
+// sweepRow is one measured engine-sweep row. LengthRatio is the database's
+// mean sequence length over the alphabet size; Pick is the engine the
+// automatic rule ran (it reads the sample's mean, which is within a few
+// percent of the database's). Phase 2 times are best-of-3 with each engine
+// forced; GrowthSpeedupX is level-wise over growth, and LabelsIdentical
+// confirms both engines classified every candidate identically.
+type sweepRow struct {
+	Alphabet          int     `json:"alphabet"`
+	MeanLen           int     `json:"mean_len"`
+	Banded            bool    `json:"banded,omitempty"`
+	LengthRatio       float64 `json:"length_ratio"`
+	Phase2LevelwiseMs float64 `json:"phase2_levelwise_ms"`
+	Phase2GrowthMs    float64 `json:"phase2_growth_ms"`
+	GrowthSpeedupX    float64 `json:"growth_speedup_x"`
+	Pick              string  `json:"pick"`
+	LabelsIdentical   bool    `json:"labels_identical"`
+}
+
 // report is the BENCH_mine.json document.
 type report struct {
 	Schema    string        `json:"schema"`
@@ -272,6 +330,7 @@ type report struct {
 	Quick     bool          `json:"quick"`
 	Seed      int64         `json:"seed"`
 	Workloads []result      `json:"workloads"`
+	Sweep     []sweepRow    `json:"engine_sweep"`
 	Serve     *serveResult  `json:"serve,omitempty"`
 	Stream    *streamResult `json:"stream,omitempty"`
 }
@@ -309,6 +368,18 @@ func main() {
 			fatal(fmt.Errorf("%s: %w", w.Name, err))
 		}
 		rep.Workloads = append(rep.Workloads, r)
+	}
+
+	for _, cell := range engineSweep {
+		if *quick && !cell.quick {
+			continue
+		}
+		fmt.Fprintf(os.Stderr, "lspbench: engine sweep (m=%d, mean length %d, banded %v)\n", cell.Alphabet, cell.MeanLen, cell.Banded)
+		row, err := sweep(cell, *seed)
+		if err != nil {
+			fatal(fmt.Errorf("engine sweep m=%d mean length %d: %w", cell.Alphabet, cell.MeanLen, err))
+		}
+		rep.Sweep = append(rep.Sweep, row)
 	}
 
 	serveJobs := 32
@@ -350,20 +421,24 @@ func main() {
 	}
 }
 
-// bench generates the workload's noisy database once, then mines it
-// runs times with telemetry and runs times without.
-func bench(w workload, runs int, seed int64) (result, error) {
+// mineFunc mines a workload once with the given telemetry collector,
+// sampling seed, Phase 2 kernel and engine, timing the whole run.
+type mineFunc func(metrics *telemetry.Metrics, runSeed int64, kernel core.Phase2Kernel, engine core.Phase2Engine) (*core.Result, time.Duration, error)
+
+// generate builds the workload's noisy database and compatibility matrix and
+// returns a mineFunc over them.
+func (w workload) generate(seed int64) (*seqdb.MemDB, mineFunc, error) {
 	rng := rand.New(rand.NewSource(seed))
 	standard, _, err := datagen.Protein(datagen.ProteinConfig{
 		N: w.N, M: w.M, MinLen: w.MinLen, MaxLen: w.MaxLen,
 		NumMotifs: w.NumMotifs, MotifLen: w.MotifLen, PlantProb: w.PlantProb,
 	}, rng)
 	if err != nil {
-		return result{}, err
+		return nil, nil, err
 	}
 	db, err := datagen.ApplyUniformNoise(standard, w.M, w.Alpha, rng)
 	if err != nil {
-		return result{}, err
+		return nil, nil, err
 	}
 	var c compat.Source
 	if w.Sparse {
@@ -372,9 +447,8 @@ func bench(w workload, runs int, seed int64) (result, error) {
 		c, err = compat.UniformNoise(w.M, w.Alpha)
 	}
 	if err != nil {
-		return result{}, err
+		return nil, nil, err
 	}
-
 	mine := func(metrics *telemetry.Metrics, runSeed int64, kernel core.Phase2Kernel, engine core.Phase2Engine) (*core.Result, time.Duration, error) {
 		start := time.Now()
 		res, err := core.Mine(db, c, core.Config{
@@ -394,6 +468,82 @@ func bench(w workload, runs int, seed int64) (result, error) {
 		})
 		return res, time.Since(start), err
 	}
+	return db, mine, nil
+}
+
+// comparePhase2 re-mines one sample with each Phase 2 engine forced. Phase 2
+// is milliseconds on the quick grid, so both engines are timed
+// uninstrumented best-of-3, alternating, against the same seed; the last
+// result of each is returned for label comparison.
+func comparePhase2(mine mineFunc, seed int64) (lwBest, growthBest time.Duration, lwRes, growthRes *core.Result, err error) {
+	for rep := 0; rep < 3; rep++ {
+		if lwRes, _, err = mine(nil, seed, core.KernelIncremental, core.Phase2Levelwise); err != nil {
+			return
+		}
+		if rep == 0 || lwRes.Phase2Time < lwBest {
+			lwBest = lwRes.Phase2Time
+		}
+		if growthRes, _, err = mine(nil, seed, core.KernelIncremental, core.Phase2Growth); err != nil {
+			return
+		}
+		if rep == 0 || growthRes.Phase2Time < growthBest {
+			growthBest = growthRes.Phase2Time
+		}
+	}
+	return
+}
+
+// sweep measures one engine-sweep row: the long-low workload with the cell's
+// alphabet and lengths (±19% around the mean, the long-low spread), Phase 3
+// skipped since only Phase 2 differs between engines.
+func sweep(cell sweepCell, seed int64) (sweepRow, error) {
+	var w workload
+	for _, g := range grid {
+		if g.Name == "long-low" {
+			w = g
+		}
+	}
+	spread := cell.MeanLen * 19 / 100
+	w.M, w.MinLen, w.MaxLen, w.Sparse = cell.Alphabet, cell.MeanLen-spread, cell.MeanLen+spread, cell.Banded
+	w.Finalizer = core.None
+	db, mine, err := w.generate(seed)
+	if err != nil {
+		return sweepRow{}, err
+	}
+	lw, gr, lwRes, grRes, err := comparePhase2(mine, seed)
+	if err != nil {
+		return sweepRow{}, err
+	}
+	auto, _, err := mine(nil, seed, core.KernelIncremental, core.Phase2Auto)
+	if err != nil {
+		return sweepRow{}, err
+	}
+	symbols := 0
+	for i := 0; i < db.Len(); i++ {
+		symbols += len(db.Seq(i))
+	}
+	row := sweepRow{
+		Alphabet: cell.Alphabet, MeanLen: cell.MeanLen, Banded: cell.Banded,
+		LengthRatio:       float64(symbols) / float64(db.Len()) / float64(cell.Alphabet),
+		Phase2LevelwiseMs: float64(lw.Microseconds()) / 1000,
+		Phase2GrowthMs:    float64(gr.Microseconds()) / 1000,
+		Pick:              auto.Phase2Engine,
+		LabelsIdentical:   sameLabels(lwRes, grRes) && sameFrequent(lwRes, grRes),
+	}
+	if gr > 0 {
+		row.GrowthSpeedupX = float64(lw.Microseconds()) / float64(gr.Microseconds())
+	}
+	return row, nil
+}
+
+// bench generates the workload's noisy database once, then mines it
+// runs times with telemetry and runs times without, under the automatic
+// Phase 2 engine.
+func bench(w workload, runs int, seed int64) (result, error) {
+	db, mine, err := w.generate(seed)
+	if err != nil {
+		return result{}, err
+	}
 
 	r := result{
 		Name: w.Name, Sequences: w.N, Alphabet: w.M, Alpha: w.Alpha,
@@ -408,7 +558,7 @@ func bench(w workload, runs int, seed int64) (result, error) {
 		// both sequences of runs mine identical samples.
 		runSeed := seed + int64(i)
 		metrics := &telemetry.Metrics{}
-		res, d, err := mine(metrics, runSeed, core.KernelIncremental, core.Phase2Levelwise)
+		res, d, err := mine(metrics, runSeed, core.KernelIncremental, core.Phase2Auto)
 		if err != nil {
 			return result{}, err
 		}
@@ -428,55 +578,26 @@ func bench(w workload, runs int, seed int64) (result, error) {
 			r.PeakCandidates = snap.PeakCandidates
 			r.Frequent = res.Frequent.Len()
 			r.Border = res.Border.Len()
+			r.Phase2Engine = res.Phase2Engine
 			if res.Phase2 != nil {
 				r.Phase2LevelMs = res.Phase2.LevelMillis
 			}
 			lastRes, lastSeed = res, runSeed
 		}
-		if _, d, err := mine(nil, runSeed, core.KernelIncremental, core.Phase2Levelwise); err != nil {
+		if _, d, err := mine(nil, runSeed, core.KernelIncremental, core.Phase2Auto); err != nil {
 			return result{}, err
 		} else {
 			plain += d
 		}
 	}
 
-	// Mine the last run's sample once more with the naive per-pattern kernel:
-	// its Phase 2 wall time is the speedup baseline, and its classifications
-	// must agree with the incremental kernel's pattern for pattern.
-	naiveRes, _, err := mine(nil, lastSeed, core.KernelNaive, core.Phase2Levelwise)
+	// The engine-comparison cell: re-mine the last run's sample with each
+	// engine forced; one extra instrumented growth run collects the DFS node
+	// and bound-prune counters reported next to the level-wise engine's
+	// resident peak_candidates.
+	lwP2Best, growthP2Best, lwRes, growthRes, err := comparePhase2(mine, lastSeed)
 	if err != nil {
 		return result{}, err
-	}
-	r.Phase2NaiveMs = float64(naiveRes.Phase2Time.Microseconds()) / 1000
-	if r.Phase2Ms > 0 {
-		r.Phase2SpeedupX = r.Phase2NaiveMs / r.Phase2Ms
-	}
-	r.LabelsIdentical = sameLabels(lastRes, naiveRes)
-
-	// The engine-comparison cell: re-mine the last run's sample with the
-	// depth-first pattern-growth engine. Phase 2 is milliseconds on the quick
-	// grid, so both engines are re-timed uninstrumented best-of-3 against the
-	// same seed; one extra instrumented growth run collects the DFS node and
-	// bound-prune counters reported next to the level-wise engine's resident
-	// peak_candidates.
-	var growthRes *core.Result
-	var lwP2Best, growthP2Best time.Duration
-	for rep := 0; rep < 3; rep++ {
-		lwRes, _, err := mine(nil, lastSeed, core.KernelIncremental, core.Phase2Levelwise)
-		if err != nil {
-			return result{}, err
-		}
-		if rep == 0 || lwRes.Phase2Time < lwP2Best {
-			lwP2Best = lwRes.Phase2Time
-		}
-		res, _, err := mine(nil, lastSeed, core.KernelIncremental, core.Phase2Growth)
-		if err != nil {
-			return result{}, err
-		}
-		if rep == 0 || res.Phase2Time < growthP2Best {
-			growthP2Best = res.Phase2Time
-		}
-		growthRes = res
 	}
 	growthMetrics := &telemetry.Metrics{}
 	if _, _, err := mine(growthMetrics, lastSeed, core.KernelIncremental, core.Phase2Growth); err != nil {
@@ -490,7 +611,21 @@ func bench(w workload, runs int, seed int64) (result, error) {
 	}
 	r.GrowthNodesExpanded = growthSnap.GrowthNodes
 	r.GrowthBoundPrunes = growthSnap.GrowthPrunes
-	r.GrowthLabelsIdentical = sameLabels(lastRes, growthRes) && sameFrequent(lastRes, growthRes)
+	r.GrowthLabelsIdentical = sameLabels(lwRes, growthRes) && sameFrequent(lwRes, growthRes)
+
+	// Mine the last run's sample once more with the naive per-pattern kernel
+	// on the level-wise engine: its Phase 2 wall time is the incremental
+	// kernel's speedup baseline, and its classifications must agree with the
+	// automatic run's pattern for pattern.
+	naiveRes, _, err := mine(nil, lastSeed, core.KernelNaive, core.Phase2Levelwise)
+	if err != nil {
+		return result{}, err
+	}
+	r.Phase2NaiveMs = float64(naiveRes.Phase2Time.Microseconds()) / 1000
+	if lwP2Best > 0 {
+		r.Phase2SpeedupX = float64(naiveRes.Phase2Time.Microseconds()) / float64(lwP2Best.Microseconds())
+	}
+	r.LabelsIdentical = sameLabels(lastRes, naiveRes)
 
 	r.NsPerOp = float64(instrumented.Nanoseconds()) / float64(runs)
 	r.PlainNsPerOp = float64(plain.Nanoseconds()) / float64(runs)

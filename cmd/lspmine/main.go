@@ -7,7 +7,6 @@
 //	lspmine -db test.lsq -matrix compat.txt -min-match 0.01 \
 //	        [-max-len 8] [-max-gap 1] [-sample 1000] [-delta 1e-4] \
 //	        [-budget 10000] [-finalizer collapse|levelwise|none] [-seed 1] \
-//	        [-phase2-engine levelwise|growth] \
 //	        [-phase2-kernel incremental|naive] [-workers -1] \
 //	        [-retries 3] [-retry-base 10ms] [-retry-cap 1s] \
 //	        [-checkpoint run.lckp] [-resume] [-phase-timeout 30s] \
@@ -34,13 +33,15 @@
 // the classifications are identical). Kernel cache statistics appear in
 // -metrics output as the kernel_* fields.
 //
-// -phase2-engine growth swaps the breadth-first candidate miner for the
-// depth-first pattern-growth engine: patterns grow by prefix extension over
-// projected sample databases with optimistic bound pruning, producing the
-// same labels and borders — bit-identical for every -workers count — without
-// materializing whole candidate levels (so -max-candidates does not apply).
-// It shines on long-pattern/low-threshold workloads; growth statistics
-// appear in -metrics output as the growth_* fields.
+// Phase 2's engine is picked from the sample: when its mean sequence length
+// is at least 3× the alphabet size, the depth-first pattern-growth engine
+// replaces the breadth-first candidate miner. Patterns then grow by prefix
+// extension over projected sample databases with optimistic bound pruning,
+// producing the same labels and borders — bit-identical for every -workers
+// count — and a level over -max-candidates hands Phase 2 back to the
+// candidate miner, whose truncation defines the result. -v names the engine
+// that ran; growth statistics appear in -metrics output as the growth_*
+// fields.
 //
 // -metrics collects pipeline telemetry (per-phase scan traffic and wall
 // time, lattice and probe counters) and prints it to stderr; the same
@@ -114,8 +115,7 @@ func main() {
 	budget := flag.Int("budget", 10000, "Phase 3 pattern counters per scan")
 	maxCand := flag.Int("max-candidates", 50000, "Phase 2 per-level candidate cap (0 = unlimited; dense matrices explode without one)")
 	finalizer := flag.String("finalizer", "collapse", "Phase 3 strategy: collapse, implicit, levelwise or none")
-	engine := flag.String("engine", "candidates", "Phase 2 engine: candidates or sweep (sparse matrices)")
-	phase2Engine := flag.String("phase2-engine", "levelwise", "Phase 2 mining strategy: levelwise (breadth-first generate-and-test) or growth (depth-first pattern growth over projected samples; same labels, bit-identical across worker counts)")
+	engine := flag.String("engine", "candidates", "Phase 2 pipeline: candidates (level-wise or pattern growth, picked from the sample) or sweep (sparse matrices)")
 	kernel := flag.String("phase2-kernel", "incremental", "Phase 2 sample kernel: incremental (prefix-extension cache) or naive (recompile per level)")
 	workers := flag.Int("workers", -1, "worker goroutines sharding Phase 2's sample and Phase 3's probe counting (-1 = all cores, 0/1 = sequential, though 0 still scans a shard set's files concurrently; results are identical for every count)")
 	retries := flag.Int("retries", 0, "retry transient scan failures up to this many times per pass (0 = no retrying); also caps shard RPC attempts with -phase3-nodes")
@@ -245,19 +245,6 @@ func main() {
 		fatal(fmt.Errorf("unknown Phase 2 kernel %q (want incremental or naive)", *kernel))
 	}
 
-	var p2e core.Phase2Engine
-	switch *phase2Engine {
-	case "levelwise":
-		p2e = core.Phase2Levelwise
-	case "growth":
-		p2e = core.Phase2Growth
-	default:
-		fatal(fmt.Errorf("unknown Phase 2 engine %q (want levelwise or growth)", *phase2Engine))
-	}
-	if p2e == core.Phase2Growth && *engine == "sweep" {
-		fatal(errors.New("-phase2-engine growth requires -engine candidates (the sweep pipeline has its own Phase 2)"))
-	}
-
 	// SIGINT/SIGTERM cancel the mining context: the run aborts within one
 	// sequence block, flushes a final checkpoint when -checkpoint is set,
 	// and reports the partial result instead of dying mid-scan. A second
@@ -311,7 +298,6 @@ func main() {
 		Finalizer:             fin,
 		Workers:               *workers,
 		Phase2Kernel:          p2k,
-		Phase2Engine:          p2e,
 		Rng:                   rand.New(rand.NewSource(*seed)),
 		Metrics:               metrics,
 		PhaseTimeouts:         core.PhaseTimeouts{Phase3: *phaseTimeout},
@@ -383,8 +369,8 @@ func main() {
 		if st := res.ScanStats; st.Retries > 0 || st.Permanent > 0 {
 			fmt.Printf("scan attempts: %d (%d retried after transient failures)\n", st.Attempts, st.Retries)
 		}
-		fmt.Printf("phase 2: %d frequent, %d ambiguous (%v)\n",
-			res.Phase2.Frequent.Len(), res.Phase2.Ambiguous.Len(), res.Phase2Time.Round(1e6))
+		fmt.Printf("phase 2: %d frequent, %d ambiguous (%s, %v)\n",
+			res.Phase2.Frequent.Len(), res.Phase2.Ambiguous.Len(), res.Phase2Engine, res.Phase2Time.Round(1e6))
 		if res.Phase2.Truncated {
 			fmt.Println("phase 2: candidate cap hit; result is complete only for the explored space")
 		}

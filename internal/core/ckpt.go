@@ -63,9 +63,10 @@ type CheckpointPolicy struct {
 var ErrIncompatible = errors.New("core: checkpoint incompatible with this run")
 
 // configHash fingerprints every configuration field that shapes the mined
-// result (tuning knobs like Workers, Remote, Phase2Kernel and Metrics are
-// excluded — they change how scans are executed, never what is mined).
-// Call after setDefaults so zero values hash like their explicit defaults.
+// result (tuning knobs like Workers, Remote, Phase2Kernel, Phase2Engine and
+// Metrics are excluded — they change how the work is executed, never what
+// is mined). Call after setDefaults so zero values hash like their explicit
+// defaults.
 func configHash(cfg *Config, engine string) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%v|%v|%d|%d|%d|%d|%d|%s|%s",
@@ -214,10 +215,9 @@ func phase2ToSnapshot(p2 *miner.Result) *checkpoint.Phase2State {
 }
 
 // phase2FromSnapshot rebuilds the full Phase 2 result: sets from the labels,
-// borders from the sets, Scans per the engine's accounting (the candidates
-// engine spends one sample-valuer call per level; the sweep and growth
-// engines spend none).
-func phase2FromSnapshot(ps *checkpoint.Phase2State, engine string) (*miner.Result, error) {
+// borders from the sets. Scans is left 0; the pipeline sets it for the
+// engine that produced the snapshot.
+func phase2FromSnapshot(ps *checkpoint.Phase2State) (*miner.Result, error) {
 	p2 := &miner.Result{
 		Frequent:           pattern.NewSet(),
 		Ambiguous:          pattern.NewSet(),
@@ -254,9 +254,6 @@ func phase2FromSnapshot(ps *checkpoint.Phase2State, engine string) (*miner.Resul
 	combined := p2.Frequent.Clone()
 	combined.Union(p2.Ambiguous)
 	p2.Ceiling = pattern.Border(combined)
-	if engine == engineCandidates {
-		p2.Scans = len(p2.CandidatesPerLevel)
-	}
 	return p2, nil
 }
 
@@ -331,8 +328,8 @@ func stateFromSnapshot(ps *checkpoint.ProbeState) (*border.State, error) {
 // error wrapping ErrIncompatible when the configuration hash, database
 // length, or database path disagree. cfg.Rng may be nil — the generator is
 // rebuilt from the snapshot's recorded seed and fast-forwarded past the
-// draws Phase 1 consumed. The engine (Mine vs MineSweep) is recorded in the
-// snapshot, so Resume serves both. Checkpointing continues (and the
+// draws Phase 1 consumed. The pipeline (Mine vs MineSweep) is recorded in
+// the snapshot, so Resume serves both. Checkpointing continues (and the
 // snapshot keeps advancing) when cfg.Checkpoint is set, which a resumed run
 // normally wants; phase budgets in cfg.PhaseTimeouts apply to the phases
 // actually run.

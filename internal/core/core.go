@@ -71,38 +71,48 @@ func (f Finalizer) String() string {
 	}
 }
 
-// Phase 2 engine names, recorded in checkpoints so Resume can dispatch to
-// the pipeline variant that wrote the snapshot.
+// Pipeline names, recorded in checkpoints so Resume can dispatch to the
+// pipeline that wrote the snapshot. engineGrowth only appears in snapshots
+// written while the growth engine was a user-selected option; those resume
+// through the candidates pipeline.
 const (
 	engineCandidates = "candidates"
 	engineSweep      = "sweep"
 	engineGrowth     = "growth"
 )
 
-// Phase2Engine selects the Phase 2 sample-mining strategy.
+// Phase2Engine selects the candidate-driven pipeline's Phase 2 engine.
+// Every value yields the same result, so it is a tuning knob excluded from
+// the checkpoint config hash; the explicit values exist for tests,
+// lspverify and lspbench.
 type Phase2Engine int
 
 const (
-	// Phase2Levelwise (the default) is the paper's breadth-first
-	// generate-and-test miner: each lattice level's candidates are generated
-	// from the previous level's survivors and valued in one batch
-	// (miner.Engine with the kernel selected by Phase2Kernel).
-	Phase2Levelwise Phase2Engine = iota
+	// Phase2Auto (the default) picks the engine from the Phase 1 sample with
+	// PickPhase2Engine.
+	Phase2Auto Phase2Engine = iota
+	// Phase2Levelwise is the paper's breadth-first generate-and-test miner:
+	// each lattice level's candidates are generated from the previous
+	// level's survivors and valued in one batch (miner.Engine with the kernel
+	// selected by Phase2Kernel).
+	Phase2Levelwise
 	// Phase2Growth is the depth-first pattern-growth engine: patterns grow
 	// by prefix extension over projected sample databases, with optimistic
 	// bound pruning (internal/growth). It produces the same labels, borders
 	// and level counts as Phase2Levelwise — bit-identical for every worker
-	// count — while skipping the per-level candidate materialization;
-	// MaxCandidatesPerLevel therefore does not apply (the DFS holds one
-	// path, not a level, in memory) and is ignored. Phase2Kernel still
-	// selects the valuation discipline: KernelIncremental walks projections,
-	// KernelNaive recompiles every candidate from scratch.
+	// count — while skipping the per-level candidate materialization. A
+	// level with more than MaxCandidatesPerLevel candidates hands the run
+	// back to Phase2Levelwise, whose truncation defines the result.
+	// Phase2Kernel still selects the valuation discipline: KernelIncremental
+	// walks projections, KernelNaive recompiles every candidate from scratch.
 	Phase2Growth
 )
 
-// String names the engine for experiment output and checkpoints.
+// String names the engine for experiment output and reports.
 func (e Phase2Engine) String() string {
 	switch e {
+	case Phase2Auto:
+		return "auto"
 	case Phase2Levelwise:
 		return "levelwise"
 	case Phase2Growth:
@@ -110,6 +120,28 @@ func (e Phase2Engine) String() string {
 	default:
 		return fmt.Sprintf("Phase2Engine(%d)", int(e))
 	}
+}
+
+// GrowthLengthRatio is PickPhase2Engine's threshold: pattern growth runs
+// when the sample's mean sequence length is at least this many times the
+// alphabet size (DESIGN "Pattern-growth Phase 2" holds the table behind it).
+const GrowthLengthRatio = 3
+
+// PickPhase2Engine is Phase2Auto's rule. Growth values a child at
+// O(alphabet) per sequence where the level-wise kernel pays O(windows), so
+// it wins once sequences are long relative to the alphabet: it is picked
+// when the sample's mean length is at least GrowthLengthRatio × m. The
+// choice depends only on the sample and the alphabet size, so a resumed run
+// picks the engine the interrupted run picked.
+func PickPhase2Engine(sample [][]pattern.Symbol, m int) Phase2Engine {
+	total := 0
+	for _, seq := range sample {
+		total += len(seq)
+	}
+	if len(sample) > 0 && total >= GrowthLengthRatio*m*len(sample) {
+		return Phase2Growth
+	}
+	return Phase2Levelwise
 }
 
 // Phase2Kernel selects how the candidate-driven Phase 2 scores each lattice
@@ -177,7 +209,8 @@ type Config struct {
 	// MaxGap bounds runs of eternal symbols inside a pattern. Default 0.
 	MaxGap int
 	// MaxCandidatesPerLevel caps Phase 2's per-level candidate count
-	// (0 = unlimited).
+	// (0 = unlimited). A level over it is truncated by the level-wise
+	// engine; the growth engine hands such a run back to level-wise.
 	MaxCandidatesPerLevel int
 	// MemBudget is the number of pattern counters Phase 3 may hold per scan.
 	// Default 10000.
@@ -204,19 +237,19 @@ type Config struct {
 	// classifications agree between kernels, so it is excluded from the
 	// checkpoint config hash.
 	Phase2Kernel Phase2Kernel
-	// Phase2Engine selects the Phase 2 mining strategy: Phase2Levelwise
-	// (default, the paper's breadth-first miner) or Phase2Growth (the
-	// depth-first pattern-growth engine — same labels and borders,
-	// bit-identical across worker counts, no per-level candidate
-	// materialization). Recorded in the checkpoint config hash: the engines
-	// agree on results but not on intermediate snapshots, so a snapshot is
-	// resumed by the engine that wrote it.
+	// Phase2Engine selects the Phase 2 engine of the candidate-driven
+	// pipeline. Default Phase2Auto, which picks it from the sample
+	// (PickPhase2Engine); the explicit values are for tests and benchmarks.
+	// Results are identical for every value, so it is excluded from the
+	// checkpoint config hash. Result.Phase2Engine names the engine that ran.
 	Phase2Engine Phase2Engine
-	// Phase2CacheBudget bounds the incremental kernel's prefix cache in
-	// bytes (0 = match.DefaultCacheBudget, 256 MiB; negative = unlimited).
-	// Exceeding it falls back to compiled-matcher recomputation for the
-	// overflowing patterns — slower, never wrong. The growth engine applies
-	// the same budget to the projection bytes held along a DFS path.
+	// Phase2CacheBudget bounds Phase 2's cache in bytes (negative =
+	// unlimited). For the level-wise incremental kernel it bounds the prefix
+	// cache (0 = match.DefaultCacheBudget, 256 MiB), and exceeding it falls
+	// back to compiled-matcher recomputation for the overflowing patterns.
+	// For the growth engine it bounds the projections cached across all
+	// workers (0 = growth.DefaultBudget, 32 MiB). Either way a smaller
+	// budget is slower, never wrong.
 	Phase2CacheBudget int64
 	// Rng drives the sampling; required for reproducibility.
 	Rng *rand.Rand
@@ -288,7 +321,7 @@ func (c *Config) validate() error {
 	if c.Phase2Kernel < KernelIncremental || c.Phase2Kernel > KernelNaive {
 		return fmt.Errorf("core: unknown Phase 2 kernel %d", c.Phase2Kernel)
 	}
-	if c.Phase2Engine < Phase2Levelwise || c.Phase2Engine > Phase2Growth {
+	if c.Phase2Engine < Phase2Auto || c.Phase2Engine > Phase2Growth {
 		return fmt.Errorf("core: unknown Phase 2 engine %d", c.Phase2Engine)
 	}
 	if err := c.PhaseTimeouts.validate(); err != nil {
@@ -326,6 +359,12 @@ type Result struct {
 	SampleSize int
 	// Phase2 is the sample-mining result (labels, borders, level counts).
 	Phase2 *miner.Result
+	// Phase2Engine names the engine that produced Phase2: "levelwise" or
+	// "growth" (Phase2Engine.String), or "sweep" for MineSweep. A growth
+	// run that handed a capped level back is "levelwise". The name is
+	// derived from the sample and Phase2 alone, so a run resumed past
+	// Phase 2 reports the engine the interrupted run used.
+	Phase2Engine string
 	// Phase3 is the finalization result (nil when Finalizer is None or no
 	// ambiguous patterns remained).
 	Phase3 *border.Result
@@ -429,11 +468,7 @@ func MineContext(ctx context.Context, db seqdb.Scanner, c compat.Source, cfg Con
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	engine := engineCandidates
-	if cfg.Phase2Engine == Phase2Growth {
-		engine = engineGrowth
-	}
-	return mineContext(ctx, db, c, cfg, engine, nil)
+	return mineContext(ctx, db, c, cfg, engineCandidates, nil)
 }
 
 // implicitLower assembles CollapseImplicit's lower border: the FQT plus the

@@ -39,9 +39,9 @@ func phaseCtx(parent context.Context, d time.Duration) (context.Context, context
 	return context.WithTimeout(parent, d)
 }
 
-// mineContext runs the pipeline for either Phase 2 engine, fresh (snap nil)
-// or resumed from a snapshot whose compatibility the caller has verified.
-// cfg must already be defaulted and validated.
+// mineContext runs the candidates or sweep pipeline (engine), fresh (snap
+// nil) or resumed from a snapshot whose compatibility the caller has
+// verified. cfg must already be defaulted and validated.
 func mineContext(ctx context.Context, db seqdb.Scanner, c compat.Source, cfg Config, engine string, snap *checkpoint.Snapshot) (*Result, error) {
 	if db.Len() == 0 {
 		return nil, fmt.Errorf("core: empty database")
@@ -108,18 +108,15 @@ func mineContext(ctx context.Context, db seqdb.Scanner, c compat.Source, cfg Con
 	var p2 *miner.Result
 	var err error
 	if snap != nil && snap.Phase >= 2 {
-		p2, err = phase2FromSnapshot(snap.Phase2, engine)
+		p2, err = phase2FromSnapshot(snap.Phase2)
 		if err != nil {
 			return fail(2, err)
 		}
 	} else {
 		pctx, cancel := phaseCtx(ctx, cfg.PhaseTimeouts.Phase2)
-		switch engine {
-		case engineSweep:
+		if engine == engineSweep {
 			p2, err = phase2Sweep(pctx, c, &cfg, symbolMatch, sample)
-		case engineGrowth:
-			p2, err = phase2Growth(pctx, c, &cfg, symbolMatch, sample)
-		default:
+		} else {
 			p2, err = phase2Candidates(pctx, c, &cfg, symbolMatch, sample)
 		}
 		cancel()
@@ -132,6 +129,14 @@ func mineContext(ctx context.Context, db seqdb.Scanner, c compat.Source, cfg Con
 		}
 	}
 	res.Phase2 = p2
+	res.Phase2Engine = "sweep"
+	if engine != engineSweep {
+		ran := cfg.phase2Ran(sample, c.Size(), p2)
+		res.Phase2Engine = ran.String()
+		if snap != nil && snap.Phase >= 2 && ran == Phase2Levelwise {
+			p2.Scans = len(p2.CandidatesPerLevel) // one sample-valuer call per level
+		}
+	}
 	res.Phase2Time = time.Since(start)
 	cfg.Metrics.PhaseTime(2, res.Phase2Time)
 
@@ -276,11 +281,48 @@ func phase1Run(ctx context.Context, db seqdb.Scanner, c compat.Source, n int, rn
 	return acc.Matches(delivered), sampler.Samples(), priorDraws + sampler.Draws(), nil
 }
 
-// phase2Candidates is the candidate-generation Phase 2 (Algorithm 4.2). By
-// default each level is scored by the incremental prefix-extension kernel,
-// sharded across cfg.Workers; the kernel's cache is released as soon as the
-// level-wise run returns.
+// phase2Engine resolves Config.Phase2Engine for a sample: the explicit
+// engine, or PickPhase2Engine's choice under Phase2Auto.
+func (c *Config) phase2Engine(sample [][]pattern.Symbol, m int) Phase2Engine {
+	if c.Phase2Engine == Phase2Auto {
+		return PickPhase2Engine(sample, m)
+	}
+	return c.Phase2Engine
+}
+
+// phase2Ran names the engine that produced the candidate-driven Phase 2
+// result p2: the one picked for the sample, unless p2 is truncated — growth
+// never truncates, so that run was handed back to the level-wise engine at
+// the candidate cap. It reads only the sample and the result, so a run
+// resumed from a Phase 2 snapshot names the engine the interrupted run used.
+func (c *Config) phase2Ran(sample [][]pattern.Symbol, m int, p2 *miner.Result) Phase2Engine {
+	if p2.Truncated {
+		return Phase2Levelwise
+	}
+	return c.phase2Engine(sample, m)
+}
+
+// phase2Candidates is the candidate-driven Phase 2 (Algorithm 4.2) under the
+// engine cfg picks for the sample. When growth stops at a level over
+// MaxCandidatesPerLevel, Phase 2 is re-run level-wise, so the result is
+// always the level-wise engine's, truncation included.
 func phase2Candidates(ctx context.Context, c compat.Source, cfg *Config, symbolMatch []float64, sample [][]pattern.Symbol) (*miner.Result, error) {
+	if cfg.phase2Engine(sample, c.Size()) == Phase2Growth {
+		p2, err := phase2Growth(ctx, c, cfg, symbolMatch, sample)
+		var capped *growth.CapError
+		if !errors.As(err, &capped) {
+			return p2, err
+		}
+		cfg.Metrics.GrowthCapFallback()
+	}
+	return phase2Levelwise(ctx, c, cfg, symbolMatch, sample)
+}
+
+// phase2Levelwise is the breadth-first Phase 2. By default each level is
+// scored by the incremental prefix-extension kernel, sharded across
+// cfg.Workers; the kernel's cache is released as soon as the level-wise run
+// returns.
+func phase2Levelwise(ctx context.Context, c compat.Source, cfg *Config, symbolMatch []float64, sample [][]pattern.Symbol) (*miner.Result, error) {
 	opts := miner.Options{
 		MaxLen:                cfg.MaxLen,
 		MaxGap:                cfg.MaxGap,
@@ -302,22 +344,24 @@ func phase2Candidates(ctx context.Context, c compat.Source, cfg *Config, symbolM
 }
 
 // phase2Growth is the depth-first pattern-growth Phase 2: same labels,
-// borders and level counts as phase2Candidates (bit-identical for every
+// borders and level counts as phase2Levelwise (bit-identical for every
 // worker count), with candidates valued over projected sample databases and
 // bound-pruned subtrees never valued at all. KernelNaive maps to the
 // engine's scratch mode — per-candidate compiled matching, no projections —
-// mirroring the level-wise kernel split.
+// mirroring the level-wise kernel split. A level over the candidate cap
+// returns a *growth.CapError.
 func phase2Growth(ctx context.Context, c compat.Source, cfg *Config, symbolMatch []float64, sample [][]pattern.Symbol) (*miner.Result, error) {
 	return growth.Mine(c, sample, growth.Config{
-		SymbolMatch: symbolMatch,
-		MinMatch:    cfg.MinMatch,
-		Delta:       cfg.Delta,
-		MaxLen:      cfg.MaxLen,
-		MaxGap:      cfg.MaxGap,
-		Workers:     cfg.Workers,
-		Budget:      cfg.Phase2CacheBudget,
-		Scratch:     cfg.Phase2Kernel == KernelNaive,
-		Metrics:     cfg.Metrics,
-		Ctx:         ctx,
+		SymbolMatch:           symbolMatch,
+		MinMatch:              cfg.MinMatch,
+		Delta:                 cfg.Delta,
+		MaxLen:                cfg.MaxLen,
+		MaxGap:                cfg.MaxGap,
+		Workers:               cfg.Workers,
+		Budget:                cfg.Phase2CacheBudget,
+		Scratch:               cfg.Phase2Kernel == KernelNaive,
+		Metrics:               cfg.Metrics,
+		Ctx:                   ctx,
+		MaxCandidatesPerLevel: cfg.MaxCandidatesPerLevel,
 	})
 }

@@ -58,13 +58,15 @@ type PatternReport struct {
 
 // PhaseReport carries per-phase statistics.
 type PhaseReport struct {
-	Phase1Millis       float64 `json:"phase1_ms"`
-	Phase2Millis       float64 `json:"phase2_ms"`
-	Phase3Millis       float64 `json:"phase3_ms"`
-	SampleFrequent     int     `json:"sample_frequent"`
-	SampleAmbiguous    int     `json:"sample_ambiguous"`
-	ProbedPatterns     int     `json:"probed_patterns"`
-	CandidatesPerLevel []int   `json:"candidates_per_level"`
+	Phase1Millis float64 `json:"phase1_ms"`
+	Phase2Millis float64 `json:"phase2_ms"`
+	Phase3Millis float64 `json:"phase3_ms"`
+	// Phase2Engine names the engine that ran Phase 2 (Result.Phase2Engine).
+	Phase2Engine       string `json:"phase2_engine,omitempty"`
+	SampleFrequent     int    `json:"sample_frequent"`
+	SampleAmbiguous    int    `json:"sample_ambiguous"`
+	ProbedPatterns     int    `json:"probed_patterns"`
+	CandidatesPerLevel []int  `json:"candidates_per_level"`
 	// Phase2LevelMillis is the wall time each Phase 2 lattice level took.
 	Phase2LevelMillis []float64 `json:"phase2_level_ms,omitempty"`
 	Truncated         bool      `json:"truncated"`
@@ -88,6 +90,7 @@ func NewReport(res *Result, minMatch float64, sequences int, alphabet *pattern.A
 			Phase1Millis:       float64(res.Phase1Time.Microseconds()) / 1000,
 			Phase2Millis:       float64(res.Phase2Time.Microseconds()) / 1000,
 			Phase3Millis:       float64(res.Phase3Time.Microseconds()) / 1000,
+			Phase2Engine:       res.Phase2Engine,
 			SampleFrequent:     res.Phase2.Frequent.Len(),
 			SampleAmbiguous:    res.Phase2.Ambiguous.Len(),
 			CandidatesPerLevel: res.Phase2.CandidatesPerLevel,

@@ -128,7 +128,7 @@ func ResumeStream(path string, db *seqdb.AppendDB, c compat.Source, cfg StreamCo
 	}
 	var mine *miner.Result
 	if snap.Phase >= 2 {
-		if mine, err = phase2FromSnapshot(snap.Phase2, engineStream); err != nil {
+		if mine, err = phase2FromSnapshot(snap.Phase2); err != nil {
 			return nil, err
 		}
 	}

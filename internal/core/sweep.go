@@ -43,7 +43,7 @@ func MineSweepContext(ctx context.Context, db seqdb.Scanner, c compat.Source, cf
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Phase2Engine != Phase2Levelwise {
+	if cfg.Phase2Engine == Phase2Growth {
 		return nil, fmt.Errorf("core: Phase2Engine %v incompatible with the sweep pipeline", cfg.Phase2Engine)
 	}
 	return mineContext(ctx, db, c, cfg, engineSweep, nil)

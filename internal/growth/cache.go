@@ -6,11 +6,12 @@ import (
 )
 
 // projCache is one worker's private LRU of prefix projections, byte-capped
-// by Config.Budget. It only affects how fast a projection is obtained, never
-// which projection: a pattern's projection is always the same left-to-right
-// extension chain over the same sample, whether the chain starts from a
-// cached prefix or from a fresh 1-symbol build, so cache hits and evictions
-// are invisible to every recorded float. No locks — each worker owns one.
+// by the worker's share of Config.Budget. It only affects how fast a
+// projection is obtained, never which projection: a pattern's projection is
+// always the same left-to-right extension chain over the same sample,
+// whether the chain starts from a cached prefix or from a fresh 1-symbol
+// build, so cache hits and evictions are invisible to every recorded float.
+// No locks — each worker owns one.
 type projCache struct {
 	e       *engine
 	cap     int64 // byte cap; negative = unlimited
@@ -27,8 +28,8 @@ type cacheEnt struct {
 	prev, next *cacheEnt
 }
 
-func newProjCache(e *engine) *projCache {
-	return &projCache{e: e, cap: e.cfg.Budget, entries: make(map[string]*cacheEnt)}
+func newProjCache(e *engine, cap int64) *projCache {
+	return &projCache{e: e, cap: cap, entries: make(map[string]*cacheEnt)}
 }
 
 // proj returns the projection for p — nil in scratch mode. It extends the
@@ -95,7 +96,6 @@ func (pc *projCache) put(key string, pr *match.Projection) {
 	b := pr.Bytes()
 	if pc.cap >= 0 && b > pc.cap {
 		pc.e.cfg.Metrics.GrowthProjectionDenied()
-		pc.e.peakCheck(pc.bytes + b)
 		return
 	}
 	if pc.cap >= 0 {
@@ -114,7 +114,7 @@ func (pc *projCache) put(key string, pr *match.Projection) {
 		pc.tail = ce
 	}
 	pc.bytes += b
-	pc.e.peakCheck(pc.bytes)
+	pc.e.cacheGrew(b)
 }
 
 func (pc *projCache) touch(ce *cacheEnt) {
@@ -153,11 +153,15 @@ func (pc *projCache) evict(ce *cacheEnt) {
 	} else {
 		pc.tail = ce.prev
 	}
-	pc.bytes -= ce.pr.Bytes()
+	b := ce.pr.Bytes()
+	pc.bytes -= b
+	pc.e.cached.Add(-b)
 }
 
-// peakCheck raises the engine-wide peak projection bytes gauge.
-func (e *engine) peakCheck(bytes int64) {
+// cacheGrew adds b bytes to the engine-wide cached total and raises its
+// high-water mark — the figure Config.Budget bounds.
+func (e *engine) cacheGrew(b int64) {
+	bytes := e.cached.Add(b)
 	for {
 		cur := e.peak.Load()
 		if bytes <= cur || e.peak.CompareAndSwap(cur, bytes) {

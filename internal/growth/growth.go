@@ -41,6 +41,18 @@
 //     k−1 (its children's subpatterns' parents), so the waits-on relation is
 //     graded by level and therefore acyclic. Results are bit-identical for
 //     every worker count and every cache budget.
+//
+// # Bounded resources
+//
+// One byte budget (Config.Budget) bounds the projections cached by the
+// whole engine: it is split evenly across the workers' caches, so the bytes
+// cached at any instant never exceed it whatever the worker count. The
+// level-wise engine's per-level candidate cap has no depth-first analogue —
+// truncating a level keeps its best-parented candidates, which a DFS cannot
+// know until the level is complete — so a level whose candidate count
+// exceeds Config.MaxCandidatesPerLevel stops the run with a *CapError, and
+// the caller re-runs Phase 2 level-wise (core does) to get the truncated
+// result the level-wise engine defines.
 package growth
 
 import (
@@ -74,15 +86,21 @@ type Config struct {
 	// MaxLen bounds total pattern length (>= 1); MaxGap bounds runs of
 	// eternal symbols; MaxK caps the lattice level (0 = no cap).
 	MaxLen, MaxGap, MaxK int
+	// MaxCandidatesPerLevel, when > 0, is the level-wise engine's per-level
+	// candidate cap: as soon as a level's candidate count exceeds it, Mine
+	// stops with a *CapError (the level-wise engine would truncate that
+	// level). Level 1 is never capped, as in the level-wise engine.
+	MaxCandidatesPerLevel int
 	// Workers shards the DFS roots across goroutines (-1 = GOMAXPROCS,
 	// 0/1 = sequential). Results are bit-identical for every count.
 	Workers int
-	// Budget caps each worker's projection cache in bytes
-	// (0 = match.DefaultCacheBudget, negative = unlimited). A projection too
-	// large to cache is built transiently and dropped — slower on the next
-	// visit, never different: a projection is the same object whether
-	// extended from a cached prefix or rebuilt from scratch, so the cache
-	// (and with it every recorded float) is invisible to the results.
+	// Budget caps the projection bytes cached by the whole engine
+	// (0 = DefaultBudget, negative = unlimited), split evenly across the
+	// workers' caches. A projection too large for its worker's share is
+	// built transiently and dropped — slower on the next visit, never
+	// different: a projection is the same object whether extended from a
+	// cached prefix or rebuilt from scratch, so the cache (and with it every
+	// recorded float) is invisible to the results.
 	Budget int64
 	// Scratch disables projections entirely: every candidate is valued by
 	// per-pattern compiled matching (the naive-kernel discipline, still
@@ -93,6 +111,24 @@ type Config struct {
 	Metrics *telemetry.Metrics
 	// Ctx, when non-nil, is checked at every node expansion.
 	Ctx context.Context
+}
+
+// DefaultBudget is the engine-wide projection cache budget when
+// Config.Budget is 0. It sits on the plateau of the budget sweep in DESIGN
+// "Pattern-growth Phase 2": on the long-low recipe a 4× larger cache saves
+// no Phase 2 time and triples peak memory, while 4 MiB costs 30%. The
+// budget trades speed for memory, never results.
+const DefaultBudget int64 = 32 << 20
+
+// CapError reports that lattice level Level holds more than Cap candidates —
+// the level the level-wise engine would truncate. Mine returns it as soon as
+// the count passes the cap; the candidates recorded so far are discarded.
+type CapError struct {
+	Level, Cap int
+}
+
+func (e *CapError) Error() string {
+	return fmt.Sprintf("growth: level %d exceeds the cap of %d candidates", e.Level, e.Cap)
 }
 
 // memoEntry caches one pattern's resolved label for admission checks and
@@ -124,16 +160,16 @@ type engine struct {
 	cand  []int // candidates recorded per lattice level (1-indexed by K)
 	alive []int
 
-	err  atomic.Pointer[error]
-	peak atomic.Int64 // peak projection bytes held by any single worker
+	err    atomic.Pointer[error]
+	cached atomic.Int64 // projection bytes cached across all workers
+	peak   atomic.Int64 // high-water mark of cached
 }
 
 // Mine runs the growth engine over the sample. The result is interchangeable
 // with miner.SampleChernoff's (see the package comment); Scans is 0 — the
 // DFS never batches valuer calls — LevelMillis is nil and Truncated is
-// always false (the engine holds bounded projections, not a level, in
-// memory, so it never truncates; miner.Options.MaxCandidatesPerLevel has no
-// analogue).
+// always false: where the level-wise engine would truncate, Mine returns a
+// *CapError instead.
 func Mine(c compat.Source, sample [][]pattern.Symbol, cfg Config) (*miner.Result, error) {
 	m := c.Size()
 	if m < 1 {
@@ -142,7 +178,7 @@ func Mine(c compat.Source, sample [][]pattern.Symbol, cfg Config) (*miner.Result
 	if cfg.MaxLen < 1 {
 		return nil, fmt.Errorf("growth: MaxLen %d < 1", cfg.MaxLen)
 	}
-	if cfg.MaxGap < 0 || cfg.MaxK < 0 {
+	if cfg.MaxGap < 0 || cfg.MaxK < 0 || cfg.MaxCandidatesPerLevel < 0 {
 		return nil, fmt.Errorf("growth: negative cap")
 	}
 	cls, err := chernoff.NewClassifier(cfg.MinMatch, cfg.Delta, len(sample))
@@ -150,7 +186,7 @@ func Mine(c compat.Source, sample [][]pattern.Symbol, cfg Config) (*miner.Result
 		return nil, err
 	}
 	if cfg.Budget == 0 {
-		cfg.Budget = match.DefaultCacheBudget
+		cfg.Budget = DefaultBudget
 	}
 	e := &engine{
 		cfg:    cfg,
@@ -215,13 +251,17 @@ func Mine(c compat.Source, sample [][]pattern.Symbol, cfg Config) (*miner.Result
 		if workers > len(roots) {
 			workers = len(roots)
 		}
+		share := cfg.Budget
+		if share > 0 {
+			share /= int64(workers)
+		}
 		var cursor atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				pc := newProjCache(e)
+				pc := newProjCache(e, share)
 				for {
 					i := int(cursor.Add(1)) - 1
 					if i >= len(roots) || e.err.Load() != nil {
@@ -246,8 +286,13 @@ func Mine(c compat.Source, sample [][]pattern.Symbol, cfg Config) (*miner.Result
 	combined := e.res.Frequent.Clone()
 	combined.Union(e.res.Ambiguous)
 	e.res.Ceiling = pattern.Border(combined)
+	// Lattice telemetry is recorded only for a completed run, so a run that
+	// hands a capped level back to the level-wise engine is not counted twice.
 	for _, n := range e.cand {
 		cfg.Metrics.LevelEvaluated(n)
+	}
+	for _, label := range e.res.Labels {
+		cfg.Metrics.Classified(int(label))
 	}
 	cfg.Metrics.GrowthPeakBytes(e.peak.Load())
 	return e.res, nil
@@ -536,6 +581,9 @@ func (e *engine) record(q pattern.Pattern, k int, v float64, hasValue bool, spre
 		e.alive = append(e.alive, 0)
 	}
 	e.cand[k-1]++
+	if limit := e.cfg.MaxCandidatesPerLevel; limit > 0 && k > 1 && e.cand[k-1] > limit {
+		e.fail(&CapError{Level: k, Cap: limit})
+	}
 	switch label {
 	case chernoff.Frequent:
 		e.res.Frequent.Add(q)
@@ -545,7 +593,6 @@ func (e *engine) record(q pattern.Pattern, k int, v float64, hasValue bool, spre
 		e.alive[k-1]++
 	}
 	e.mu.Unlock()
-	e.cfg.Metrics.Classified(int(label))
 }
 
 // maxGapRun returns the longest run of eternal symbols in p.

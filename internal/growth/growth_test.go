@@ -1,17 +1,21 @@
 package growth_test
 
 import (
+	"errors"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/chernoff"
 	"repro/internal/compat"
+	"repro/internal/datagen"
 	"repro/internal/growth"
 	"repro/internal/match"
 	"repro/internal/miner"
 	"repro/internal/oracle"
 	"repro/internal/pattern"
+	"repro/internal/telemetry"
 )
 
 // levelwise runs the breadth-first engine with the incremental kernel — the
@@ -297,6 +301,121 @@ func TestGrowthDeterministicRepeat(t *testing.T) {
 		}
 		if !reflect.DeepEqual(base, got) {
 			t.Fatalf("run %d differs from first run", i)
+		}
+	}
+}
+
+// longSample is a planted-motif sample of long sequences (mean length 50
+// over 6 symbols), whose projections are large enough for a small budget to
+// bind.
+func longSample(t *testing.T) (compat.Source, [][]pattern.Symbol) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(8))
+	std, _, err := datagen.Protein(datagen.ProteinConfig{
+		N: 60, M: 6, MinLen: 40, MaxLen: 60,
+		Motifs:    []pattern.Pattern{pattern.MustNew(0, 1, 2, 3)},
+		PlantProb: 0.6,
+	}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noisy, err := datagen.ApplyUniformNoise(std, 6, 0.1, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := compat.UniformNoise(6, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample := make([][]pattern.Symbol, noisy.Len())
+	for i := range sample {
+		sample[i] = noisy.Seq(i)
+	}
+	return c, sample
+}
+
+// TestGrowthSharedBudget: the budget bounds the projections cached by the
+// whole engine, not by each worker — the engine-wide peak stays within it at
+// every worker count, while an unlimited run caches more than it, so the
+// bound is what keeps the peak down.
+func TestGrowthSharedBudget(t *testing.T) {
+	c, sample := longSample(t)
+	cfg := growth.Config{MinMatch: 0.3, Delta: 0.05, MaxLen: 6, MaxGap: 1}
+	peak := func(budget int64, workers int) (*miner.Result, int64) {
+		m := &telemetry.Metrics{}
+		bcfg := cfg
+		bcfg.Budget, bcfg.Workers, bcfg.Metrics = budget, workers, m
+		res, err := growth.Mine(c, sample, bcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, m.Snapshot().GrowthPeakBytes
+	}
+	want, unlimited := peak(-1, 1)
+	const budget = 256 << 10
+	if unlimited <= budget {
+		t.Fatalf("unlimited run caches only %d bytes; the %d-byte budget would not bind", unlimited, budget)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		got, p := peak(budget, workers)
+		if p <= 0 || p > budget {
+			t.Errorf("workers=%d: engine-wide peak %d bytes, want within (0, %d]", workers, p, budget)
+		}
+		if !reflect.DeepEqual(want.Labels, got.Labels) || !reflect.DeepEqual(want.Values, got.Values) {
+			t.Errorf("workers=%d: budgeted result differs from the unlimited one", workers)
+		}
+	}
+}
+
+// TestGrowthCandidateCap: a cap below a level's candidate count stops the
+// engine with a *CapError naming the first level over it — the level the
+// level-wise engine truncates — and records no lattice telemetry; a cap at
+// the largest level's count lets the run finish unchanged.
+func TestGrowthCandidateCap(t *testing.T) {
+	c, sample := longSample(t)
+	sm := symbolMatches(t, c, sample)
+	want := levelwise(t, c, sample, sm, 0.3, 0.05, 6, 1)
+	widest, level := 0, 0
+	for k, n := range want.CandidatesPerLevel[1:] {
+		if n > widest {
+			widest, level = n, k+2
+		}
+	}
+	if widest < 2 {
+		t.Fatalf("lattice too small: %v", want.CandidatesPerLevel)
+	}
+	cfg := growth.Config{SymbolMatch: sm, MinMatch: 0.3, Delta: 0.05, MaxLen: 6, MaxGap: 1}
+	for _, workers := range []int{1, 3} {
+		ccfg := cfg
+		ccfg.Workers = workers
+		ccfg.MaxCandidatesPerLevel = widest
+		got, err := growth.Mine(c, sample, ccfg)
+		if err != nil {
+			t.Fatalf("workers=%d, cap %d: %v", workers, widest, err)
+		}
+		assertEquivalent(t, want, got)
+
+		m := &telemetry.Metrics{}
+		ccfg.MaxCandidatesPerLevel, ccfg.Metrics = widest-1, m
+		_, err = growth.Mine(c, sample, ccfg)
+		var capped *growth.CapError
+		if !errors.As(err, &capped) {
+			t.Fatalf("workers=%d, cap %d: err = %v, want a *CapError", workers, widest-1, err)
+		}
+		// The first level over the cap is the widest one unless an earlier
+		// level also exceeds it.
+		first := level
+		for k, n := range want.CandidatesPerLevel[1:] {
+			if n > widest-1 {
+				first = k + 2
+				break
+			}
+		}
+		if capped.Level != first || capped.Cap != widest-1 {
+			t.Errorf("workers=%d: %+v, want level %d over cap %d", workers, *capped, first, widest-1)
+		}
+		if snap := m.Snapshot(); snap.Candidates != 0 || snap.Frequent+snap.Ambiguous+snap.Infrequent != 0 {
+			t.Errorf("workers=%d: a capped run recorded lattice telemetry: %+v", workers, snap)
 		}
 	}
 }

@@ -74,13 +74,9 @@ type Spec struct {
 	// Finalizer is the Phase 3 strategy: collapse (default), levelwise,
 	// implicit, or none.
 	Finalizer string `json:"finalizer,omitempty"`
-	// Engine is the Phase 2 engine: candidates (default) or sweep.
+	// Engine is the pipeline: candidates (default; its Phase 2 engine is
+	// picked from the sample, see core.PickPhase2Engine) or sweep.
 	Engine string `json:"engine,omitempty"`
-	// Phase2Engine is the Phase 2 mining strategy: levelwise (default) or
-	// growth (depth-first pattern growth over projected samples; identical
-	// results, no per-level candidate materialization). Only valid with the
-	// candidates engine — the sweep pipeline has its own Phase 2.
-	Phase2Engine string `json:"phase2_engine,omitempty"`
 	// Workers is the number of worker slots the job wants from the global
 	// semaphore (default 1). The grant may be smaller under load — never
 	// zero — and never changes the mined result.
@@ -161,17 +157,6 @@ func (s *Spec) Normalize() error {
 	case "candidates", "sweep":
 	default:
 		return fmt.Errorf("jobs: unknown engine %q (want candidates or sweep)", s.Engine)
-	}
-	switch s.Phase2Engine {
-	case "":
-		s.Phase2Engine = "levelwise"
-	case "levelwise":
-	case "growth":
-		if s.Engine == "sweep" {
-			return fmt.Errorf("jobs: phase2_engine growth requires the candidates engine")
-		}
-	default:
-		return fmt.Errorf("jobs: unknown phase2_engine %q (want levelwise or growth)", s.Phase2Engine)
 	}
 	if s.Workers == 0 {
 		s.Workers = 1
@@ -276,7 +261,10 @@ type Result struct {
 	Sequences  int     `json:"sequences"`
 	SampleSize int     `json:"sample_size"`
 	Scans      int     `json:"scans"`
-	Degraded   bool    `json:"degraded,omitempty"`
+	// Phase2Engine names the engine that ran Phase 2: levelwise or growth
+	// (picked from the sample), or sweep.
+	Phase2Engine string `json:"phase2_engine"`
+	Degraded     bool   `json:"degraded,omitempty"`
 	// Frequent lists every frequent pattern (border members flagged),
 	// sorted as core.Report sorts them.
 	Frequent []core.PatternReport `json:"frequent"`

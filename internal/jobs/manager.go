@@ -543,10 +543,6 @@ func (m *Manager) mine(ctx context.Context, j *job, workers int) (*core.Result, 
 	if spec.Phase3TimeoutMillis > 0 {
 		phase3 = time.Duration(spec.Phase3TimeoutMillis) * time.Millisecond
 	}
-	var p2e core.Phase2Engine
-	if spec.Phase2Engine == "growth" {
-		p2e = core.Phase2Growth
-	}
 	cfg := core.Config{
 		MinMatch:              spec.MinMatch,
 		Delta:                 spec.Delta,
@@ -557,7 +553,6 @@ func (m *Manager) mine(ctx context.Context, j *job, workers int) (*core.Result, 
 		MemBudget:             spec.MemBudget,
 		Finalizer:             fin,
 		Workers:               workers,
-		Phase2Engine:          p2e,
 		Metrics:               j.metrics,
 		Checkpoint:            policy,
 		PhaseTimeouts:         core.PhaseTimeouts{Phase3: phase3},
@@ -611,14 +606,15 @@ func buildResult(res *core.Result, spec Spec, sequences, alphabetSize int) ([]by
 		return nil, err
 	}
 	out := Result{
-		Schema:     ResultSchema,
-		MinMatch:   rep.MinMatch,
-		Sequences:  rep.Sequences,
-		SampleSize: rep.SampleSize,
-		Scans:      rep.Scans,
-		Degraded:   rep.Degraded,
-		Frequent:   rep.Frequent,
-		Unresolved: rep.Unresolved,
+		Schema:       ResultSchema,
+		MinMatch:     rep.MinMatch,
+		Sequences:    rep.Sequences,
+		SampleSize:   rep.SampleSize,
+		Scans:        rep.Scans,
+		Phase2Engine: rep.Phase.Phase2Engine,
+		Degraded:     rep.Degraded,
+		Frequent:     rep.Frequent,
+		Unresolved:   rep.Unresolved,
 	}
 	if out.Frequent == nil {
 		out.Frequent = []core.PatternReport{}

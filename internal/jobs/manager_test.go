@@ -8,11 +8,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/compat"
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/pattern"
 	"repro/internal/seqdb"
@@ -25,11 +27,17 @@ import (
 // test submits jobs against.
 func testWorld(t *testing.T, seed int64, n int, alpha float64) (dbPath, matrixPath string) {
 	t.Helper()
+	return testWorldLen(t, seed, n, alpha, 10, 14)
+}
+
+// testWorldLen is testWorld with sequence lengths drawn from [minLen, maxLen].
+func testWorldLen(t *testing.T, seed int64, n int, alpha float64, minLen, maxLen int) (dbPath, matrixPath string) {
+	t.Helper()
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(seed))
 	const m = 6
 	std, _, err := datagen.Protein(datagen.ProteinConfig{
-		N: n, M: m, MinLen: 10, MaxLen: 14,
+		N: n, M: m, MinLen: minLen, MaxLen: maxLen,
 		Motifs:    []pattern.Pattern{pattern.MustNew(0, 1, 2)},
 		PlantProb: 0.7,
 	}, rng)
@@ -163,12 +171,10 @@ func TestSubmitValidation(t *testing.T) {
 		{DB: "x", Matrix: "y"},                // no min_match
 		{DB: "x", Matrix: "y", MinMatch: 2},   // out of range
 		{DB: "x", Matrix: "y", MinMatch: 0.5}, // no max_len
-		{DB: "x", Matrix: "y", MinMatch: 0.5, MaxLen: 3, Engine: "warp"},                               // bad engine
-		{DB: "x", Matrix: "y", MinMatch: 0.5, MaxLen: 3, Finalizer: "guesswork"},                       // bad finalizer
-		{DB: "x", Matrix: "y", MinMatch: 0.5, MaxLen: 3, Phase3TimeoutMillis: -1},                      // negative budget
-		{DB: "x", Matrix: "y", MinMatch: 0.5, MaxLen: 3, Phase2Engine: "prefixspan"},                   // bad phase2 engine
-		{DB: "x", Matrix: "y", MinMatch: 0.5, MaxLen: 3, Engine: "sweep", Phase2Engine: "growth"},      // growth needs candidates
-		{DB: "x", Matrix: "y", MinMatch: 0.5, MaxLen: 3, Engine: "candidates", Phase2Engine: "GROWTH"}, // names are case-sensitive
+		{DB: "x", Matrix: "y", MinMatch: 0.5, MaxLen: 3, Engine: "warp"},          // bad engine
+		{DB: "x", Matrix: "y", MinMatch: 0.5, MaxLen: 3, Finalizer: "guesswork"},  // bad finalizer
+		{DB: "x", Matrix: "y", MinMatch: 0.5, MaxLen: 3, Phase3TimeoutMillis: -1}, // negative budget
+		{DB: "x", Matrix: "y", MinMatch: 0.5, MaxLen: 3, Engine: "SWEEP"},         // names are case-sensitive
 	}
 	for i, spec := range bad {
 		if _, err := m.Submit(spec); err == nil {
@@ -180,49 +186,75 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestGrowthEngineJob submits the same spec under both Phase 2 engines and
-// demands identical result documents modulo timings: the growth engine is a
-// pure execution-strategy knob.
+// TestGrowthEngineJob checks that a job's Phase 2 engine is picked from its
+// sample and named in the result document: long sequences over the 6-symbol
+// alphabet (mean length 24 ≥ 3 × 6) run growth, short ones (mean 12) run
+// level-wise, and the growth job's document equals a forced level-wise mine
+// of the same spec in everything but the engine name.
 func TestGrowthEngineJob(t *testing.T) {
-	dbPath, matrixPath := testWorld(t, testutil.Seed(t), 40, 0.2)
+	seed := testutil.Seed(t)
 	m := newTestManager(t, Options{})
-	results := make(map[string]Result)
-	for _, engine := range []string{"levelwise", "growth"} {
+	for _, tc := range []struct {
+		minLen, maxLen int
+		engine         string
+	}{{20, 28, "growth"}, {10, 14, "levelwise"}} {
+		dbPath, matrixPath := testWorldLen(t, seed, 40, 0.2, tc.minLen, tc.maxLen)
 		spec := testSpec(dbPath, matrixPath)
-		spec.Phase2Engine = engine
 		st, err := m.Submit(spec)
 		if err != nil {
-			t.Fatalf("%s: %v", engine, err)
+			t.Fatalf("%s: %v", tc.engine, err)
 		}
-		final := waitDone(t, m, st.ID)
-		if final.State != StateDone {
-			t.Fatalf("%s: state = %s (error %q)", engine, final.State, final.Error)
+		if final := waitDone(t, m, st.ID); final.State != StateDone {
+			t.Fatalf("%s: state = %s (error %q)", tc.engine, final.State, final.Error)
 		}
 		doc, err := m.Result(st.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var res Result
-		if err := json.Unmarshal(doc, &res); err != nil {
+		var got Result
+		if err := json.Unmarshal(doc, &got); err != nil {
 			t.Fatal(err)
 		}
-		results[engine] = res
-	}
-	lw, gr := results["levelwise"], results["growth"]
-	if len(gr.Frequent) == 0 {
-		t.Fatal("growth job found no frequent patterns in a world with a planted motif")
-	}
-	if len(lw.Frequent) != len(gr.Frequent) {
-		t.Fatalf("frequent counts differ: levelwise %d, growth %d", len(lw.Frequent), len(gr.Frequent))
-	}
-	for i := range lw.Frequent {
-		l, g := lw.Frequent[i], gr.Frequent[i]
-		if l.Key != g.Key || l.Border != g.Border || l.Match != g.Match {
-			t.Errorf("pattern %d differs: levelwise %+v, growth %+v", i, l, g)
+		if got.Phase2Engine != tc.engine {
+			t.Fatalf("mean length in [%d, %d]: phase2_engine = %q, want %q", tc.minLen, tc.maxLen, got.Phase2Engine, tc.engine)
 		}
-	}
-	if lw.Scans != gr.Scans {
-		t.Errorf("scan counts differ: levelwise %d, growth %d", lw.Scans, gr.Scans)
+		if len(got.Frequent) == 0 {
+			t.Fatalf("%s job found no frequent patterns in a world with a planted motif", tc.engine)
+		}
+
+		if err := spec.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		db, err := seqdb.OpenAuto(dbPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := defaultOpenMatrix(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lw, err := core.Mine(db, c, core.Config{
+			MinMatch: spec.MinMatch, Delta: spec.Delta, SampleSize: spec.Sample,
+			MaxLen: spec.MaxLen, MaxGap: spec.MaxGap, MaxCandidatesPerLevel: spec.MaxCandidates,
+			MemBudget: spec.MemBudget, Phase2Engine: core.Phase2Levelwise,
+			Rng: rand.New(rand.NewSource(spec.Seed)),
+		})
+		closeIfCloser(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDoc, err := buildResult(lw, spec, db.Len(), c.Size())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want Result
+		if err := json.Unmarshal(wantDoc, &want); err != nil {
+			t.Fatal(err)
+		}
+		want.Phase2Engine = tc.engine
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s job's document differs from a forced level-wise mine:\n%s\n%s", tc.engine, doc, wantDoc)
+		}
 	}
 }
 
@@ -389,12 +421,14 @@ func TestDegradedJobCompletesWithExitContract(t *testing.T) {
 // two jobs mid-flight, each past at least one checkpoint; a new manager over
 // the same directory replays the journal, resumes both from their
 // checkpoints, and must produce result documents byte-identical to an
-// uninterrupted manager's.
+// uninterrupted manager's. Job A's short sequences run Phase 2 level-wise,
+// job B's long ones run it by pattern growth.
 func TestKillResumeBitIdentical(t *testing.T) {
 	dbPath, matrixPath := testWorld(t, 77, 60, 0.2)
+	longDBPath, longMatrixPath := testWorldLen(t, 77, 60, 0.2, 20, 28)
 	specA := testSpec(dbPath, matrixPath)
 	specA.Seed = 2
-	specB := testSpec(dbPath, matrixPath)
+	specB := testSpec(longDBPath, longMatrixPath)
 	specB.Seed = 5
 	specB.MinMatch = 0.25
 
@@ -421,6 +455,18 @@ func TestKillResumeBitIdentical(t *testing.T) {
 	wantB, err := base.Result(baseB.ID)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		doc    []byte
+		engine string
+	}{{wantA, "levelwise"}, {wantB, "growth"}} {
+		var res Result
+		if err := json.Unmarshal(tc.doc, &res); err != nil {
+			t.Fatal(err)
+		}
+		if res.Phase2Engine != tc.engine {
+			t.Fatalf("baseline phase2_engine = %q, want %q", res.Phase2Engine, tc.engine)
+		}
 	}
 
 	// Crash run: both jobs in flight, each past >= 1 checkpoint, then kill.
@@ -632,8 +678,8 @@ func TestFailedJobReportsError(t *testing.T) {
 }
 
 // TestJournalRecordWithRetiredFieldReplays: a queued job journaled by an
-// older server, whose spec still carries the retired phase3_shards field,
-// replays and runs to completion.
+// older server, whose spec still carries the retired phase3_shards and
+// phase2_engine fields, replays and runs to completion.
 func TestJournalRecordWithRetiredFieldReplays(t *testing.T) {
 	dbPath, matrixPath := testWorld(t, testutil.Seed(t), 40, 0.2)
 	dir := t.TempDir()
@@ -650,6 +696,7 @@ func TestJournalRecordWithRetiredFieldReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	fields["phase3_shards"] = 4
+	fields["phase2_engine"] = "growth"
 	const id = "retired-field"
 	rec, err := json.Marshal(map[string]any{"id": id, "spec": fields, "state": StateQueued, "submitted_ms": 1})
 	if err != nil {

@@ -140,16 +140,24 @@ func TestServerSubmitPollResult(t *testing.T) {
 	}
 }
 
-// TestServerRejectsUnknownPhase2Engine pins the machine-readable 400: an
-// unknown phase2_engine name must fail the submit with a JSON error body,
-// not enqueue a job.
+// TestServerRejectsUnknownPhase2Engine pins the machine-readable 400 for
+// the retired phase2_engine field (the engine is picked from the sample
+// now): a submit that sets it fails with a JSON error body naming it, and
+// no job is enqueued.
 func TestServerRejectsUnknownPhase2Engine(t *testing.T) {
 	dbPath, matrixPath := testWorld(t, testutil.Seed(t), 10, 0.2)
 	m, srv := startTestServer(t, Options{})
 
-	spec := testSpec(dbPath, matrixPath)
-	spec.Phase2Engine = "prefixspan"
-	body, err := json.Marshal(spec)
+	raw, err := json.Marshal(testSpec(dbPath, matrixPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["phase2_engine"] = "growth"
+	body, err := json.Marshal(fields)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -280,10 +280,29 @@ func TestIncrementalOrphanAndEdgeCases(t *testing.T) {
 	t.Run("orphan-pattern", func(t *testing.T) {
 		// A pattern whose parent was never evaluated heals: the parent's
 		// spine block is rebuilt from scratch and the orphan is valued
-		// through extension, exactly.
+		// through extension, exactly. The random matrix may zero the cells a
+		// random sample offers the pattern, leaving the rebuilt block no
+		// window, so the pattern is drawn from symbols with a non-zero row
+		// (1 * 3 2 when every row has one) and planted, through each
+		// symbol's first compatible observation, at the head of three
+		// sequences.
+		var live []pattern.Symbol
+		for d := pattern.Symbol(0); d < 6; d++ {
+			if len(c.ObservedGiven(d)) > 0 {
+				live = append(live, d)
+			}
+		}
+		sym := func(i int) pattern.Symbol { return live[i%len(live)] }
+		p := pattern.MustNew(sym(1), pattern.Eternal, sym(3), sym(2))
 		sample := randomSample(20, 8, 16, 6, rng)
+		for _, seq := range sample[:3] {
+			for i, s := range p {
+				if !s.IsEternal() {
+					seq[i] = c.ObservedGiven(s)[0].Sym
+				}
+			}
+		}
 		inc := NewIncremental(c, sample, IncrementalOptions{Workers: 2, ShardSize: 4})
-		p := pattern.MustNew(1, pattern.Eternal, 3, 2)
 		vals, ls, err := inc.ValueLevel([]pattern.Pattern{p})
 		if err != nil {
 			t.Fatal(err)

@@ -196,7 +196,8 @@ func caseRng(cs *Case) *rand.Rand {
 }
 
 // MineEngine wraps the full three-phase pipeline with the given finalizer,
-// Phase 2 kernel, and worker count. For the implicit finalizer — whose
+// Phase 2 kernel, and worker count, its Phase 2 engine picked from the case
+// as in production. For the implicit finalizer — whose
 // frequent set is the downward closure of its border and may legitimately
 // contain gapped patterns outside the truncated candidate space — every
 // member is first verified frequent by the oracle, then the set is
@@ -220,15 +221,15 @@ func MineEngineSharded(fin core.Finalizer, kernel core.Phase2Kernel, workers, sh
 	}}
 }
 
-// MineGrowthEngine is MineEngine with Phase 2 run by the depth-first
-// pattern-growth engine instead of the breadth-first candidate miner. The
+// MinePhase2Engine is MineEngine with Phase 2 forced onto one engine instead
+// of the one core.PickPhase2Engine picks for the case (MineEngine's). The
 // engines must agree exactly — growth replicates the level-wise labels
 // bit-for-bit — so the frequent set must equal every other engine's.
-func MineGrowthEngine(fin core.Finalizer, kernel core.Phase2Kernel, workers int) Engine {
-	name := fmt.Sprintf("core.Mine/growth/%s/%s/workers=%d", fin, kernel, workers)
+func MinePhase2Engine(e core.Phase2Engine, fin core.Finalizer, kernel core.Phase2Kernel, workers int) Engine {
+	name := fmt.Sprintf("core.Mine/%s/%s/%s/workers=%d", e, fin, kernel, workers)
 	return Engine{Name: name, Ref: RefMatch, Mine: func(cs *Case) (*pattern.Set, error) {
 		return mineCase(cs, seqdb.NewMemDB(cs.DB), core.Config{
-			Finalizer: fin, Workers: workers, Phase2Kernel: kernel, Phase2Engine: core.Phase2Growth,
+			Finalizer: fin, Workers: workers, Phase2Kernel: kernel, Phase2Engine: e,
 		})
 	}}
 }
@@ -386,7 +387,8 @@ func SupportExhaustiveEngine() Engine {
 	}}
 }
 
-// Battery returns the standard cross-check battery: the full pipeline under
+// Battery returns the standard cross-check battery: the full pipeline with
+// its Phase 2 engine picked from the case and forced onto each engine, under
 // both Phase 2 kernels, several worker counts, sharded and remote-worker
 // Phase 3 probe scans, all three resolving finalizers, the exhaustive
 // miner, Max-Miner, and both support miners.
@@ -400,10 +402,11 @@ func Battery() []Engine {
 		MineEngineSharded(core.BorderCollapsing, core.KernelIncremental, 0, 4),
 		MineEngineSharded(core.BorderCollapsing, core.KernelIncremental, 2, 3),
 		MineEngineSharded(core.BorderCollapsingImplicit, core.KernelIncremental, 0, 2),
-		MineGrowthEngine(core.BorderCollapsing, core.KernelIncremental, 0),
-		MineGrowthEngine(core.BorderCollapsing, core.KernelIncremental, 3),
-		MineGrowthEngine(core.BorderCollapsing, core.KernelNaive, 2),
-		MineGrowthEngine(core.LevelWise, core.KernelIncremental, 2),
+		MinePhase2Engine(core.Phase2Levelwise, core.BorderCollapsing, core.KernelIncremental, 2),
+		MinePhase2Engine(core.Phase2Growth, core.BorderCollapsing, core.KernelIncremental, 0),
+		MinePhase2Engine(core.Phase2Growth, core.BorderCollapsing, core.KernelIncremental, 3),
+		MinePhase2Engine(core.Phase2Growth, core.BorderCollapsing, core.KernelNaive, 2),
+		MinePhase2Engine(core.Phase2Growth, core.LevelWise, core.KernelIncremental, 2),
 		RemoteShardEngine(core.BorderCollapsing, core.KernelIncremental, 3),
 		StreamEngine(stream.KernelIncremental, 0, 1),
 		StreamEngine(stream.KernelIncremental, 3, 4),
@@ -652,9 +655,12 @@ func Verify(w io.Writer, opt VerifyOptions) int {
 		engines = Battery()
 	}
 	failures := 0
+	picked := map[core.Phase2Engine]int{}
 	for _, seed := range opt.Seeds {
+		cs := GenCase(seed)
+		picked[core.PickPhase2Engine(cs.DB, cs.C.Size())]++ // the sample is the whole database
 		if opt.Properties {
-			if err := CheckProperties(GenCase(seed)); err != nil {
+			if err := CheckProperties(cs); err != nil {
 				failures++
 				fmt.Fprintf(w, "PROPERTY VIOLATION seed=%d: %v\n", seed, err)
 				continue
@@ -667,6 +673,8 @@ func Verify(w io.Writer, opt VerifyOptions) int {
 			fmt.Fprintf(w, "ok seed=%d (%d engines)\n", seed, len(engines))
 		}
 	}
+	fmt.Fprintf(w, "lspverify: phase 2 rule sent %d cases to %s, %d to %s\n",
+		picked[core.Phase2Levelwise], core.Phase2Levelwise, picked[core.Phase2Growth], core.Phase2Growth)
 	fmt.Fprintf(w, "lspverify: %d seeds, %d engines, %d failures\n", len(opt.Seeds), len(engines), failures)
 	return failures
 }

@@ -156,6 +156,26 @@ func TestVerifyReportsFailuresAndSummary(t *testing.T) {
 	}
 }
 
+// TestCommittedSeedsReachBothEngines: the committed corpus (which every
+// lspverify run replays) must exercise both engines the Phase 2 rule can
+// pick — GenCase's short sequences mostly fall below its threshold — and
+// Verify must report the split.
+func TestCommittedSeedsReachBothEngines(t *testing.T) {
+	var buf bytes.Buffer
+	if n := Verify(&buf, VerifyOptions{Seeds: CommittedSeeds, Engines: []Engine{ExhaustiveEngine()}}); n != 0 {
+		t.Fatalf("%d failures:\n%s", n, buf.String())
+	}
+	var levelwise, growth int
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if _, err := fmt.Sscanf(line, "lspverify: phase 2 rule sent %d cases to levelwise, %d to growth", &levelwise, &growth); err == nil {
+			break
+		}
+	}
+	if levelwise == 0 || growth == 0 || levelwise+growth != len(CommittedSeeds) {
+		t.Fatalf("rule split %d levelwise / %d growth over %d committed seeds:\n%s", levelwise, growth, len(CommittedSeeds), buf.String())
+	}
+}
+
 func TestGenCaseDeterministic(t *testing.T) {
 	a, b := GenCase(42), GenCase(42)
 	if a.MinMatch != b.MinMatch || a.MaxLen != b.MaxLen || a.MaxGap != b.MaxGap ||

@@ -209,14 +209,15 @@ type Metrics struct {
 	streamRemines       Counter // scoped Phase 2 re-mines (border shift, sample churn, rebuild)
 
 	// Phase 2 growth-engine accounting (depth-first prefix projection).
-	growthNodes      Counter // DFS nodes expanded (patterns whose children were enumerated)
-	growthProjBuilt  Counter // projections built from scratch
-	growthProjReused Counter // projections extended from a parent projection
-	growthProjValued Counter // candidate valuations served by a projection walk
-	growthScratch    Counter // candidate valuations recomputed from scratch
-	growthPrunes     Counter // candidates discarded by the optimistic bound
-	growthDenied     Counter // projections denied by the path memory budget
-	growthPeakBytes  Gauge   // peak projection bytes held along any single DFS path
+	growthNodes        Counter // DFS nodes expanded (patterns whose children were enumerated)
+	growthProjBuilt    Counter // projections built from scratch
+	growthProjReused   Counter // projections extended from a parent projection
+	growthProjValued   Counter // candidate valuations served by a projection walk
+	growthScratch      Counter // candidate valuations recomputed from scratch
+	growthPrunes       Counter // candidates discarded by the optimistic bound
+	growthDenied       Counter // projections too large for a worker's share of the cache budget
+	growthPeakBytes    Gauge   // peak projection bytes cached across all workers
+	growthCapFallbacks Counter // growth runs handed back to the level-wise engine at the candidate cap
 }
 
 // SetPhase marks the pipeline phase subsequent scan traffic is attributed to.
@@ -449,8 +450,9 @@ func (m *Metrics) GrowthProjection(reused bool) {
 	}
 }
 
-// GrowthProjectionDenied records a projection too large for a worker's cache
-// budget; it served its node transiently and is rebuilt on the next visit.
+// GrowthProjectionDenied records a projection too large for a worker's share
+// of the cache budget; it served its node transiently and is rebuilt on the
+// next visit.
 func (m *Metrics) GrowthProjectionDenied() {
 	if m == nil {
 		return
@@ -458,13 +460,22 @@ func (m *Metrics) GrowthProjectionDenied() {
 	m.growthDenied.Inc()
 }
 
-// GrowthPeakBytes raises the high-water mark of projection memory held by a
-// single worker (its cache plus any transient build).
+// GrowthPeakBytes raises the high-water mark of projection bytes cached
+// across all of the growth engine's workers — the figure its budget bounds.
 func (m *Metrics) GrowthPeakBytes(n int64) {
 	if m == nil {
 		return
 	}
 	m.growthPeakBytes.SetMax(n)
+}
+
+// GrowthCapFallback records a growth run stopped at a level over the
+// candidate cap, whose Phase 2 was re-run by the level-wise engine.
+func (m *Metrics) GrowthCapFallback() {
+	if m == nil {
+		return
+	}
+	m.growthCapFallbacks.Inc()
 }
 
 // StreamBatch records one streaming Advance: the sequences it appended, the
@@ -570,6 +581,9 @@ type Snapshot struct {
 	GrowthPrunes     int64 `json:"growth_prunes,omitempty"`
 	GrowthDenied     int64 `json:"growth_denied,omitempty"`
 	GrowthPeakBytes  int64 `json:"growth_peak_bytes,omitempty"`
+	// GrowthCapFallbacks counts growth runs handed back to the level-wise
+	// engine because a level exceeded the candidate cap.
+	GrowthCapFallbacks int64 `json:"growth_cap_fallbacks,omitempty"`
 
 	StreamBatches       int64 `json:"stream_batches,omitempty"`
 	StreamAppended      int64 `json:"stream_appended,omitempty"`
@@ -649,6 +663,7 @@ func (m *Metrics) Snapshot() Snapshot {
 	s.GrowthPrunes = m.growthPrunes.Load()
 	s.GrowthDenied = m.growthDenied.Load()
 	s.GrowthPeakBytes = m.growthPeakBytes.Load()
+	s.GrowthCapFallbacks = m.growthCapFallbacks.Load()
 	s.Probed = m.probed.Load()
 	s.ProbeBatch = m.probeBatch.Snapshot()
 	s.ProbeScans = s.ProbeBatch.Count
@@ -716,9 +731,12 @@ func (s Snapshot) WriteText(w io.Writer) error {
 			s.KernelExtended, s.KernelScratch, s.KernelWindows, s.KernelPeakBytes, s.KernelEvicted, s.KernelFallbacks)
 	}
 	if s.GrowthNodes > 0 {
-		p("  phase-2 growth: %d nodes, %d projections (%d built / %d reused, %d denied, peak worker %d bytes), %d proj-valued / %d scratch, %d bound-pruned\n",
+		p("  phase-2 growth: %d nodes, %d projections (%d built / %d reused, %d denied, peak %d bytes cached), %d proj-valued / %d scratch, %d bound-pruned\n",
 			s.GrowthNodes, s.GrowthProjBuilt+s.GrowthProjReused, s.GrowthProjBuilt, s.GrowthProjReused,
 			s.GrowthDenied, s.GrowthPeakBytes, s.GrowthProjValued, s.GrowthScratch, s.GrowthPrunes)
+	}
+	if s.GrowthCapFallbacks > 0 {
+		p("  phase-2 growth: %d runs handed back to the level-wise engine at the candidate cap\n", s.GrowthCapFallbacks)
 	}
 	p("  probes: %d patterns in %d scans (batch mean %.1f, max %d)\n",
 		s.Probed, s.ProbeScans, s.ProbeBatch.Mean, s.ProbeBatch.Max)

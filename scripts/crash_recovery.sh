@@ -92,14 +92,28 @@ cli_mode() {
 
   args=(-db "$dir/test.lsq" -matrix "$dir/compat.txt"
     -min-match 0.08 -sample 800 -seed 7)
-
   cli_cell levelwise
-  cli_cell growth -phase2-engine growth
+  expect_engine levelwise levelwise
 
-  # The two Phase 2 engines promise identical labels, so the mined borders —
-  # and therefore the printed pattern lists — must agree across engines too.
-  diff -u "$dir/levelwise-baseline.txt" "$dir/growth-baseline.txt"
-  echo "crash recovery OK: both engines resume to their baselines, and the engines agree"
+  # Sequences long relative to the alphabet (mean length 150 >= 3 x 20
+  # symbols): Phase 2 runs by pattern growth.
+  "$dir/lspgen" -out "$dir/long.lsq" -matrix "$dir/long-compat.txt" \
+    -n 3000 -minlen 120 -maxlen 180 -alpha 0.25 -seed 7
+  args=(-db "$dir/long.lsq" -matrix "$dir/long-compat.txt"
+    -min-match 0.3 -sample 400 -budget 50 -seed 7)
+  cli_cell growth
+  expect_engine growth growth
+  echo "crash recovery OK: both cells resume to their baselines, each on its Phase 2 engine"
+}
+
+# expect_engine CELL ENGINE — require the cell's resumed -v output to name
+# ENGINE as the one that ran Phase 2.
+expect_engine() {
+  if ! grep -q "^phase 2: .*($2, " "$dir/$1-resumed.txt"; then
+    echo "$1: the resumed run does not report the $2 Phase 2 engine" >&2
+    cat "$dir/$1-resumed.txt" >&2
+    exit 1
+  fi
 }
 
 # serve_start DATA_DIR LOG_PREFIX — start lspserve on a free port and set
