@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/compat"
+	"repro/internal/datagen"
 	"repro/internal/pattern"
 )
 
@@ -40,21 +42,103 @@ func BenchmarkCompiledMatch(b *testing.B) {
 	}
 }
 
+// BenchmarkSoAObserve scores one sequence against a compiled probe batch per
+// op, in the regimes the window kernel must hold in:
+//
+//   - uniform: 5% uniform noise over 20 symbols, sequences of length 30–50
+//     with two planted 8-symbol motifs, and a batch of 32 gapped 5–8-symbol
+//     patterns cut from the motifs (a third of them mutated) — the shape of
+//     the benchmark workloads' probe batches;
+//   - banded: the same sequences and batch under lspbench's banded sparse
+//     matrix, where most first factors are zero;
+//   - identity: the same under the identity matrix (classic support);
+//   - dense30: a 16-symbol random matrix with 30% zeros and 2–3-symbol
+//     patterns.
 func BenchmarkSoAObserve(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
-	c := randomDense(b, 16, 0.3, rng)
+	seqs, motifs := plantedSample(b, 256, 20, rng)
+	batch := gappedBatch(motifs, 32, 20, rng)
 	_, children := benchLevels(16)
-	sample := randomSample(64, 40, 60, 16, rng)
-	set, err := CompileSoA(c, children)
+	cases := []struct {
+		name   string
+		c      compat.Source
+		batch  []pattern.Pattern
+		sample [][]pattern.Symbol
+	}{
+		{"uniform", uniformNoise(b, 20, 0.05), batch, seqs},
+		{"banded", randomSparse(b, 20), batch, seqs},
+		{"identity", compat.Identity(20), batch, seqs},
+		{"dense30", randomDense(b, 16, 0.3, rng), children, randomSample(64, 40, 60, 16, rng)},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			set, err := CompileSoA(tc.c, tc.batch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sums := make([]float64, set.Len())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				set.Observe(sums, tc.sample[i%len(tc.sample)])
+			}
+		})
+	}
+}
+
+// plantedSample draws n sequences of length 30–50 over m symbols carrying two
+// planted 8-symbol motifs (each with probability 0.5) under 5% uniform noise.
+func plantedSample(b testing.TB, n, m int, rng *rand.Rand) ([][]pattern.Symbol, []pattern.Pattern) {
+	std, motifs, err := datagen.Protein(datagen.ProteinConfig{
+		N: n, M: m, MinLen: 30, MaxLen: 50, NumMotifs: 2, MotifLen: 8, PlantProb: 0.5,
+	}, rng)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sums := make([]float64, set.Len())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		set.Observe(sums, sample[i%len(sample)])
+	noisy, err := datagen.ApplyUniformNoise(std, m, 0.05, rng)
+	if err != nil {
+		b.Fatal(err)
 	}
+	seqs := make([][]pattern.Symbol, noisy.Len())
+	for i := range seqs {
+		seqs[i] = noisy.Seq(i)
+	}
+	return seqs, motifs
+}
+
+// gappedBatch cuts n patterns of total length 5–8 from the motifs: each is a
+// motif window whose inner positions turn eternal with probability 1/4, and
+// a third of them have one symbol replaced by a random one.
+func gappedBatch(motifs []pattern.Pattern, n, m int, rng *rand.Rand) []pattern.Pattern {
+	ps := make([]pattern.Pattern, 0, n)
+	for len(ps) < n {
+		mo := motifs[rng.Intn(len(motifs))]
+		l := 5 + rng.Intn(min(4, len(mo)-4))
+		at := rng.Intn(len(mo) - l + 1)
+		p := mo[at : at+l].Clone()
+		for i := 1; i < l-1; i++ {
+			if rng.Intn(4) == 0 && !p[i-1].IsEternal() {
+				p[i] = pattern.Eternal
+			}
+		}
+		if rng.Intn(3) == 0 {
+			i := rng.Intn(l)
+			for p[i].IsEternal() {
+				i = rng.Intn(l)
+			}
+			p[i] = pattern.Symbol(rng.Intn(m))
+		}
+		ps = append(ps, p)
+	}
+	return ps
+}
+
+func uniformNoise(b testing.TB, m int, alpha float64) compat.Source {
+	c, err := compat.UniformNoise(m, alpha)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c
 }
 
 // BenchmarkIncrementalExtend measures scoring one child level through the

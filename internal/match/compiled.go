@@ -46,11 +46,13 @@ func (rc *rowCache) row(d pattern.Symbol) []float64 {
 }
 
 // Compiled is a pattern pre-processed for repeated matching against many
-// sequences. Compilation hoists the eternal positions out of the inner loop,
-// caches each position's matrix row, and builds a first-symbol filter that
-// skips windows whose first observed symbol has zero compatibility with the
-// pattern's first symbol — the sparse-matrix fast path the paper alludes to
-// for near-Θ(|S|) match computation (§4.2).
+// sequences. Compilation hoists the eternal positions out of the inner loop
+// and caches each position's matrix row. Match skips windows whose first
+// factor cannot beat the best so far, which covers every window whose first
+// observed symbol has zero compatibility with the pattern's first symbol —
+// the sparse-matrix fast path the paper alludes to for near-Θ(|S|) match
+// computation (§4.2). The incremental kernel's appendWindows keeps every
+// non-zero window, so it filters on the first symbol alone (firstOK).
 type Compiled struct {
 	length  int
 	offsets []int       // offsets of non-eternal positions within the window
@@ -86,33 +88,65 @@ func compileWith(rc *rowCache, m int, p pattern.Pattern) (*Compiled, error) {
 // Match computes M(P,S) exactly like Sequence but with the precompiled
 // structure.
 func (cp *Compiled) Match(seq []pattern.Symbol) float64 {
-	return windowMax(seq, cp.length, cp.offsets, cp.rows, cp.firstOK)
+	return windowMax(seq, cp.length, cp.offsets, cp.rows)
 }
 
 // windowMax is one pattern's match against seq, shared by Compiled.Match and
-// SoASet.Observe: the best product over its l-windows, with the first-symbol
-// filter and the best-so-far cutoff. Written inline in Observe's pattern
-// loop, the same loop ran 5–10% slower on a 30,000-sequence, 32-pattern
-// probe.
-func windowMax(seq []pattern.Symbol, l int, offs []int, rows [][]float64, firstOK []bool) float64 {
+// SoASet.Observe: the best product over its l-windows. It scores the windows
+// in blocks of four consecutive ones. A block's four first factors are loaded
+// and the block is skipped when none beats the best so far, which also skips
+// every window whose first symbol is incompatible with the pattern's.
+// Otherwise the four products are extended position by position as four
+// independent multiply chains with no per-window branch; the block is
+// abandoned once all four are at or below the best, and folded into it with
+// max when it completes. The last (fewer than four) windows are scored one
+// at a time under the same rules.
+//
+// The result is bit-identical to Sequence's one-window loop. Every product
+// is still formed left to right from 1.0 over the same factors, and every
+// factor lies in [0, 1] (compat.New and compat.NewSparse reject anything
+// else), so a running product never grows: a window skipped or abandoned at
+// or below the best ends there too, and the loop takes the max of exactly
+// the products Sequence keeps. DESIGN.md ("The window kernel") has the
+// measurements.
+func windowMax(seq []pattern.Symbol, l int, offs []int, rows [][]float64) float64 {
+	n := len(seq) - l + 1 // window count
+	first, offs, rows := rows[0], offs[1:], rows[1:]
 	best := 0.0
-	for w := 0; w+l <= len(seq); w++ {
-		if !firstOK[seq[w]] {
+	w := 0
+blocks:
+	for ; w+4 <= n; w += 4 {
+		v0, v1, v2, v3 := first[seq[w]], first[seq[w+1]], first[seq[w+2]], first[seq[w+3]]
+		if v0 <= best && v1 <= best && v2 <= best && v3 <= best {
 			continue
 		}
-		v := 1.0
 		for j, off := range offs {
-			v *= rows[j][seq[w+off]]
-			if v <= best {
-				v = 0
-				break
+			r, i := rows[j], w+off
+			v0 *= r[seq[i]]
+			v1 *= r[seq[i+1]]
+			v2 *= r[seq[i+2]]
+			v3 *= r[seq[i+3]]
+			if v0 <= best && v1 <= best && v2 <= best && v3 <= best {
+				continue blocks
 			}
 		}
-		if v > best {
-			best = v
-			if best == 1 {
-				return 1
+		if best = max(best, v0, v1, v2, v3); best == 1 {
+			return 1
+		}
+	}
+windows:
+	for ; w < n; w++ {
+		v := first[seq[w]]
+		if v <= best {
+			continue
+		}
+		for j, off := range offs {
+			if v *= rows[j][seq[w+off]]; v <= best {
+				continue windows
 			}
+		}
+		if best = v; best == 1 {
+			return 1
 		}
 	}
 	return best

@@ -211,33 +211,104 @@ func TestSample(t *testing.T) {
 	}
 }
 
+// TestCompiledAgreesWithSequence: Compiled.Match must equal Sequence, the
+// independent one-window reference, bit for bit — under a dense matrix with
+// zeros, the paper's Figure 2 matrix, the identity and a sparse matrix, at
+// every block/tail split of the window count and on sequences that carry an
+// exact occurrence (best == 1).
 func TestCompiledAgreesWithSequence(t *testing.T) {
-	c := compat.Fig2()
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 300; trial++ {
-		// Random valid pattern and random sequence.
-		l := 1 + rng.Intn(5)
-		p := make(pattern.Pattern, l)
-		for i := range p {
-			if i > 0 && i < l-1 && rng.Intn(3) == 0 {
-				p[i] = et
-			} else {
-				p[i] = pattern.Symbol(rng.Intn(5))
-			}
+	ones := 0
+	for trial := 0; trial < 600; trial++ {
+		m := 2 + rng.Intn(7)
+		c := kernelMatrix(rng, m, trial)
+		if trial%4 == 3 {
+			c, m = compat.Fig2(), 5
 		}
-		seq := make([]pattern.Symbol, rng.Intn(12))
-		for i := range seq {
-			seq[i] = pattern.Symbol(rng.Intn(5))
-		}
+		p := randomPattern(rng, m, 8)
+		seq := windowSeq(rng, m, p, windowCounts[trial%len(windowCounts)])
 		cp, err := Compile(c, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := Sequence(c, p, seq)
-		if got := cp.Match(seq); !almost(got, want) {
+		got, want := cp.Match(seq), Sequence(c, p, seq)
+		if got != want {
 			t.Fatalf("trial %d: Compiled.Match(%v,%v)=%v, want %v", trial, p, seq, got, want)
 		}
+		if got == 1 {
+			ones++
+		}
 	}
+	if ones == 0 {
+		t.Fatal("no trial reached a match of exactly 1")
+	}
+}
+
+// windowCounts covers every block/tail split of the four-window kernel: no
+// window, fewer than one block, and several whole blocks with and without a
+// tail.
+var windowCounts = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 16, 19, 20, 24, 31, 32, 33}
+
+// windowSeq draws a sequence holding exactly windows l-windows for the
+// pattern p (none when windows is 0: one symbol short). Half the sequences
+// carry p's symbols at a random window, so identity and one-cell columns
+// reach a product of exactly 1.
+func windowSeq(r *rand.Rand, m int, p pattern.Pattern, windows int) []pattern.Symbol {
+	n := len(p) - 1 + windows
+	seq := make([]pattern.Symbol, n)
+	for i := range seq {
+		seq[i] = pattern.Symbol(r.Intn(m))
+	}
+	if windows > 0 && r.Intn(2) == 0 {
+		at := r.Intn(windows)
+		for i, d := range p {
+			if !d.IsEternal() {
+				seq[at+i] = d
+			}
+		}
+	}
+	return seq
+}
+
+// kernelMatrix cycles through the matrix kinds the window kernel must agree
+// on: a dense matrix with zeros, the identity, and a sparse matrix.
+func kernelMatrix(r *rand.Rand, m, i int) compat.Source {
+	switch i % 3 {
+	case 0:
+		return randomMatrix(r, m)
+	case 1:
+		return compat.Identity(m)
+	default:
+		return randomSparseMatrix(r, m)
+	}
+}
+
+// randomSparseMatrix builds a compat.NewSparse matrix in which each observed
+// symbol is explained by one to three true symbols; a one-cell column has
+// probability 1.
+func randomSparseMatrix(r *rand.Rand, m int) *compat.SparseMatrix {
+	var cells []compat.Cell
+	for o := 0; o < m; o++ {
+		k := 1 + r.Intn(min(3, m))
+		weights := make([]float64, k)
+		sum := 0.0
+		for i := range weights {
+			weights[i] = 0.05 + r.Float64()
+			sum += weights[i]
+		}
+		for i, t := range r.Perm(m)[:k] {
+			p := weights[i] / sum
+			if k == 1 {
+				p = 1
+			}
+			cells = append(cells, compat.Cell{True: pattern.Symbol(t), Observed: pattern.Symbol(o), P: p})
+		}
+	}
+	c, err := compat.NewSparse(m, cells)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
 func TestCompileRejectsInvalid(t *testing.T) {
@@ -357,18 +428,22 @@ func TestQuickSymbolMatchIsUpperBound(t *testing.T) {
 	}
 }
 
+// TestQuickCompiledEqualsReference: Compiled.Match == Sequence bit for bit
+// over random matrices of every kind, patterns and window counts.
 func TestQuickCompiledEqualsReference(t *testing.T) {
 	r := rand.New(rand.NewSource(24))
+	i := 0
 	f := func() bool {
+		i++
 		m := 2 + r.Intn(8)
-		c := randomMatrix(r, m)
+		c := kernelMatrix(r, m, i)
 		p := randomPattern(r, m, 6)
-		s := randomSeq(r, m, 20)
+		s := windowSeq(r, m, p, r.Intn(26))
 		cp, err := Compile(c, p)
 		if err != nil {
 			return false
 		}
-		return almost(cp.Match(s), Sequence(c, p, s))
+		return cp.Match(s) == Sequence(c, p, s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)

@@ -14,25 +14,21 @@ import (
 // bit-identical to it.
 type SoASet struct {
 	n        int
-	m        int         // alphabet size (firstOK row stride)
 	winLen   []int32     // pattern i's window length
 	offStart []int32     // pattern i's offs/rows span [offStart[i], offStart[i+1])
 	offs     []int       // flat non-eternal position offsets within the window
 	rows     [][]float64 // matrix row per flat offset (shared via the row cache)
-	firstOK  []bool      // firstOK[i*m+obs]: pattern i's window starting at obs can be non-zero
 }
 
 // CompileSoA compiles a probe batch into the flat layout. All patterns share
-// one row cache.
+// one row cache, so the batch holds one matrix row per distinct pattern
+// symbol.
 func CompileSoA(c compat.Source, ps []pattern.Pattern) (*SoASet, error) {
 	rc := newRowCache(c)
-	m := c.Size()
 	s := &SoASet{
 		n:        len(ps),
-		m:        m,
 		winLen:   make([]int32, len(ps)),
 		offStart: make([]int32, len(ps)+1),
-		firstOK:  make([]bool, len(ps)*m),
 	}
 	for i, p := range ps {
 		if err := p.Validate(); err != nil {
@@ -47,10 +43,6 @@ func CompileSoA(c compat.Source, ps []pattern.Pattern) (*SoASet, error) {
 			s.rows = append(s.rows, rc.row(d))
 		}
 		s.offStart[i+1] = int32(len(s.offs))
-		firstRow := s.rows[s.offStart[i]] // offset 0: patterns never start eternal
-		for obs, v := range firstRow {
-			s.firstOK[i*m+obs] = v > 0
-		}
 	}
 	return s, nil
 }
@@ -63,7 +55,7 @@ func (s *SoASet) Len() int { return s.n }
 func (s *SoASet) Observe(sums []float64, seq []pattern.Symbol) {
 	for p := 0; p < s.n; p++ {
 		a, b := s.offStart[p], s.offStart[p+1]
-		sums[p] += windowMax(seq, int(s.winLen[p]), s.offs[a:b], s.rows[a:b], s.firstOK[p*s.m:(p+1)*s.m])
+		sums[p] += windowMax(seq, int(s.winLen[p]), s.offs[a:b], s.rows[a:b])
 	}
 }
 

@@ -2,19 +2,24 @@ package match
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"repro/internal/compat"
 	"repro/internal/pattern"
 )
 
 // TestSoAMatchesCompiledBitwise: the structure-of-arrays kernel must
-// reproduce Compiled.Match bit-for-bit — same operations, same order — on
-// random matrices, patterns and sequences.
+// reproduce Compiled.Match and Sequence bit for bit — same operations, same
+// order — on dense matrices with zeros, the identity and sparse matrices,
+// with sequences whose window counts cover every block/tail split and that
+// often carry one of the batch's patterns exactly.
 func TestSoAMatchesCompiledBitwise(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	const m = 8
-	for trial := 0; trial < 50; trial++ {
-		c := randomMatrix(r, m)
+	ones := 0
+	for trial := 0; trial < 90; trial++ {
+		c := kernelMatrix(r, m, trial)
 		var ps []pattern.Pattern
 		for len(ps) < 12 {
 			p := randomPattern(r, m, 6)
@@ -36,16 +41,27 @@ func TestSoAMatchesCompiledBitwise(t *testing.T) {
 			}
 		}
 		for s := 0; s < 40; s++ {
-			seq := randomSeq(r, m, 15)
+			seq := windowSeq(r, m, ps[r.Intn(len(ps))], windowCounts[s%len(windowCounts)])
 			sums := make([]float64, len(ps))
 			soa.Observe(sums, seq)
 			for i, cp := range compiled {
-				if want := cp.Match(seq); sums[i] != want {
-					t.Fatalf("trial %d pattern %v seq %v: SoA %v != Compiled %v",
+				want := Sequence(c, ps[i], seq)
+				if got := cp.Match(seq); got != want {
+					t.Fatalf("trial %d pattern %v seq %v: Compiled %v != Sequence %v",
+						trial, ps[i], seq, got, want)
+				}
+				if sums[i] != want {
+					t.Fatalf("trial %d pattern %v seq %v: SoA %v != Sequence %v",
 						trial, ps[i], seq, sums[i], want)
+				}
+				if want == 1 {
+					ones++
 				}
 			}
 		}
+	}
+	if ones == 0 {
+		t.Fatal("no sequence matched a pattern exactly 1")
 	}
 }
 
@@ -134,5 +150,40 @@ func TestSoARejectsInvalidPattern(t *testing.T) {
 	c := randomMatrix(rand.New(rand.NewSource(3)), 4)
 	if _, err := CompileSoA(c, []pattern.Pattern{{1}, {pattern.Eternal}}); err == nil {
 		t.Error("CompileSoA accepted a pattern starting with an eternal symbol")
+	}
+}
+
+// TestCompileSoAMemoryIndependentOfAlphabet: compiling a probe batch costs
+// one dense matrix row per distinct pattern symbol, not a table per pattern
+// over the alphabet. 4,000 one-symbol patterns sharing one symbol over a
+// 4,000-symbol sparse identity compile in under 1 MiB; a patterns × alphabet
+// byte table alone would take 16 MB.
+func TestCompileSoAMemoryIndependentOfAlphabet(t *testing.T) {
+	const m, n = 4000, 4000
+	cells := make([]compat.Cell, m)
+	for i := range cells {
+		cells[i] = compat.Cell{True: pattern.Symbol(i), Observed: pattern.Symbol(i), P: 1}
+	}
+	c, err := compat.NewSparse(m, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := make([]pattern.Pattern, n)
+	for i := range ps {
+		ps[i] = pattern.Pattern{7}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	set, err := CompileSoA(c, ps)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set.Len() != n {
+		t.Fatalf("Len %d, want %d", set.Len(), n)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("CompileSoA allocated %d bytes for %d one-symbol patterns over %d symbols, want < 1 MiB", got, n, m)
 	}
 }

@@ -17,7 +17,10 @@
 //     sums; only when some label changes (a border shift), the sample was
 //     perturbed by a reservoir replacement, or the candidate space was
 //     truncated does the stream fall back to a scoped re-mine of the
-//     in-memory sample — no database scan either way.
+//     in-memory sample — no database scan either way. The sums and the
+//     mine's raw-label baseline are built on first read, from the sample
+//     members and symbol matches the mine saw, so a sample the next batch
+//     perturbs is never re-scored.
 //   - Phase 3: exact database match sums of previously probed patterns are
 //     extended with each appended sequence, so a pattern probed in an earlier
 //     batch is re-probed for free — its Chernoff interval is resolved from
@@ -196,13 +199,24 @@ type Stream struct {
 	symbolMatch []float64
 	lastMine    *miner.Result
 	evaluated   []pattern.Pattern  // last mine's candidates, key-sorted
+	evalSet     *match.SoASet      // evaluated, compiled
+	mined       *mineView          // what the last mine saw, until the sums are built
 	sampleSums  map[string]float64 // straight sample match sums per candidate
+	summed      int                // sampleSums cover sample[:summed]
 	prevRaw     map[string]chernoff.Label
 	exactSums   map[string]float64 // straight window match sums per probed pattern
 	probed      []pattern.Pattern  // exactSums keys as patterns, key-sorted
 	dirty       bool               // sample perturbed: maintained sums invalid
+}
 
-	grew int // sample members appended (at the tail) by the current batch
+// mineView is what the last mine saw: the sample members (their headers
+// copied, so a later replacement does not reach them), the symbol matches
+// and a classifier for that sample size. The maintained sample sums and the
+// raw-label baseline are built from it when first read.
+type mineView struct {
+	sample      [][]pattern.Symbol
+	symbolMatch []float64
+	cls         *chernoff.Classifier
 }
 
 // New builds a stream over db. No data is consumed until Advance.
@@ -240,7 +254,10 @@ type State struct {
 }
 
 // State captures the stream's current progress. Slices and maps are copies.
+// It builds the sample sums first if no Advance has read them since the
+// last mine.
 func (s *Stream) State() *State {
+	s.sums()
 	st := &State{
 		Cursor:      s.cursor,
 		WindowStart: s.windowStart,
@@ -317,26 +334,43 @@ func Restore(db *seqdb.AppendDB, cfg Config, st *State, mine *miner.Result) (*St
 // adoptSums installs restored sample sums for the restored mine's candidates
 // and recomputes the raw-label baseline from them.
 func (s *Stream) adoptSums(sums map[string]float64) error {
+	if err := s.adoptCandidates(); err != nil {
+		return err
+	}
+	s.sampleSums = make(map[string]float64, len(s.evaluated))
+	for _, p := range s.evaluated {
+		v, ok := sums[p.Key()]
+		if !ok {
+			return fmt.Errorf("stream: restored state misses sample sum for %q", p.Key())
+		}
+		s.sampleSums[p.Key()] = v
+	}
+	s.summed = len(s.sample)
+	cls, err := s.classifier()
+	if err != nil {
+		return err
+	}
+	s.prevRaw = s.rawLabels(cls, s.symbolMatch)
+	return nil
+}
+
+// adoptCandidates makes the last mine's candidates the maintained ones:
+// parsed, key-sorted and compiled.
+func (s *Stream) adoptCandidates() error {
 	s.evaluated = s.evaluated[:0]
-	s.sampleSums = make(map[string]float64, len(s.lastMine.Values))
 	for key := range s.lastMine.Values {
 		p, err := pattern.ParseKey(key)
 		if err != nil {
 			return fmt.Errorf("stream: candidate key %q: %w", key, err)
 		}
-		v, ok := sums[key]
-		if !ok {
-			return fmt.Errorf("stream: restored state misses sample sum for %q", key)
-		}
 		s.evaluated = append(s.evaluated, p)
-		s.sampleSums[key] = v
 	}
 	sortPatterns(s.evaluated)
-	raw, err := s.rawLabels()
+	set, err := match.CompileSoA(s.cfg.C, s.evaluated)
 	if err != nil {
 		return err
 	}
-	s.prevRaw = raw
+	s.evalSet = set
 	return nil
 }
 
@@ -363,8 +397,8 @@ func (s *Stream) Advance(ctx context.Context) (*Result, error) {
 	res.SampleSize = len(s.sample)
 	if n == 0 {
 		// An empty window mines nothing; the frequent set is trivially empty.
-		s.lastMine, s.evaluated, s.prevRaw = nil, nil, nil
-		s.sampleSums = nil
+		s.lastMine, s.evaluated, s.evalSet, s.mined = nil, nil, nil, nil
+		s.sampleSums, s.prevRaw = nil, nil
 		s.dirty = true
 		res.Frequent = pattern.NewSet()
 		res.Border = pattern.NewSet()
@@ -376,11 +410,12 @@ func (s *Stream) Advance(ctx context.Context) (*Result, error) {
 	// did not move; otherwise re-mine the in-memory sample.
 	need := s.dirty || s.lastMine == nil || s.lastMine.Truncated
 	if !need {
-		raw, err := s.rawLabels()
+		s.sums()
+		cls, err := s.classifier()
 		if err != nil {
 			return nil, err
 		}
-		if !sameLabels(raw, s.prevRaw) {
+		if !sameLabels(s.rawLabels(cls, s.symbolMatch), s.prevRaw) {
 			res.BorderShifted = true
 			need = true
 		}
@@ -424,9 +459,9 @@ func (s *Stream) Advance(ctx context.Context) (*Result, error) {
 
 // ingest consumes appended sequences — or, when the window start moved,
 // rebuilds the whole Phase 1 state from the live window — extending the
-// maintained sums along the way.
+// exact sums along the way. Sample members it appends are added to the
+// sample sums when those are next read.
 func (s *Stream) ingest(ctx context.Context, res *Result) error {
-	s.grew = 0
 	// A read-only handle caches the window start: re-read the log's head and
 	// sidecar first, so an expiry by the writer is seen before anything is
 	// consumed (a no-op on the writer's own handle).
@@ -479,13 +514,8 @@ func (s *Stream) ingest(ctx context.Context, res *Result) error {
 		return nil
 	}
 
-	// Extend the maintained sums, in arrival order, so they stay
-	// bit-identical to a from-scratch in-order scan.
-	if s.lastMine != nil && !s.dirty && s.grew > 0 {
-		if err := s.extendSums(s.sampleSums, s.evaluated, s.sample[len(s.sample)-s.grew:]); err != nil {
-			return err
-		}
-	}
+	// Extend the exact sums, in arrival order, so they stay bit-identical
+	// to a from-scratch in-order scan.
 	if len(s.probed) > 0 {
 		if err := s.extendSums(s.exactSums, s.probed, appended); err != nil {
 			return err
@@ -499,7 +529,6 @@ func (s *Stream) ingest(ctx context.Context, res *Result) error {
 func (s *Stream) offer(rel int, seq []pattern.Symbol) {
 	if rel < s.cfg.SampleSize {
 		s.sample = append(s.sample, append([]pattern.Symbol(nil), seq...))
-		s.grew++
 		return
 	}
 	if j := drawIndex(s.cfg.Seed, rel); j < s.cfg.SampleSize {
@@ -517,15 +546,23 @@ func drawIndex(seed int64, rel int) int {
 }
 
 // extendSums scores seqs against ps (key-sorted) and extends each pattern's
-// running sum. The running totals are loaded first and each sequence's match
-// is added in arrival order, continuing the exact left-to-right addition a
-// from-scratch in-order scan performs (adding a separately-summed chunk
-// would reassociate the floats and drift from the batch pipeline by ulps).
+// running sum in sums.
 func (s *Stream) extendSums(sums map[string]float64, ps []pattern.Pattern, seqs [][]pattern.Symbol) error {
 	set, err := match.CompileSoA(s.cfg.C, ps)
 	if err != nil {
 		return err
 	}
+	accumulate(sums, set, ps, seqs)
+	return nil
+}
+
+// accumulate extends each pattern's running sum by its matches in seqs, with
+// set the compiled ps. The running totals are loaded first and each
+// sequence's match is added in arrival order, continuing the exact
+// left-to-right addition a from-scratch in-order scan performs (adding a
+// separately-summed chunk would reassociate the floats and drift from the
+// batch pipeline by ulps).
+func accumulate(sums map[string]float64, set *match.SoASet, ps []pattern.Pattern, seqs [][]pattern.Symbol) {
 	buf := make([]float64, len(ps))
 	for i, p := range ps {
 		buf[i] = sums[p.Key()]
@@ -536,34 +573,56 @@ func (s *Stream) extendSums(sums map[string]float64, ps []pattern.Pattern, seqs 
 	for i, p := range ps {
 		sums[p.Key()] = buf[i]
 	}
-	return nil
+}
+
+// sums brings the maintained sample sums up to the current sample. On the
+// first read after a mine it builds them, and the raw-label baseline, from
+// the members and symbol matches the mine saw; it then adds the members
+// appended since, unless a replacement has made the sums stale (the next
+// Advance re-mines). It cannot fail: the candidates were compiled and the
+// classifier built when the mine ran.
+func (s *Stream) sums() {
+	if v := s.mined; v != nil {
+		s.mined = nil
+		s.sampleSums = make(map[string]float64, len(s.evaluated))
+		accumulate(s.sampleSums, s.evalSet, s.evaluated, v.sample)
+		s.summed = len(v.sample)
+		s.prevRaw = s.rawLabels(v.cls, v.symbolMatch)
+	}
+	if s.lastMine != nil && !s.dirty && s.summed < len(s.sample) {
+		accumulate(s.sampleSums, s.evalSet, s.evaluated, s.sample[s.summed:])
+		s.summed = len(s.sample)
+	}
+}
+
+// classifier is the Chernoff classifier for the current sample size.
+func (s *Stream) classifier() (*chernoff.Classifier, error) {
+	return chernoff.NewClassifier(s.cfg.MinMatch, s.cfg.Delta, len(s.sample))
 }
 
 // rawLabels computes the unclamped classification of every maintained
-// candidate from the current sums: exact for 1-patterns (Phase 1's symbol
-// matches carry no sampling uncertainty), Chernoff with the restricted
-// spread otherwise. If none of these change, a fresh mine would regenerate
-// the same candidate space with the same labels, so the re-mine is skipped.
-func (s *Stream) rawLabels() (map[string]chernoff.Label, error) {
-	cls, err := chernoff.NewClassifier(s.cfg.MinMatch, s.cfg.Delta, len(s.sample))
-	if err != nil {
-		return nil, err
-	}
-	n := float64(len(s.sample))
+// candidate from the sample sums, under cls (whose N is the sample size the
+// sums cover) and the given symbol matches: exact for 1-patterns (Phase 1's
+// symbol matches carry no sampling uncertainty), Chernoff with the
+// restricted spread otherwise. If none of these change, a fresh mine would
+// regenerate the same candidate space with the same labels, so the re-mine
+// is skipped.
+func (s *Stream) rawLabels(cls *chernoff.Classifier, symbolMatch []float64) map[string]chernoff.Label {
+	n := float64(cls.N)
 	out := make(map[string]chernoff.Label, len(s.evaluated))
 	for _, p := range s.evaluated {
 		key := p.Key()
 		if p.K() == 1 {
-			if s.symbolMatch[p[0]] >= s.cfg.MinMatch {
+			if symbolMatch[p[0]] >= s.cfg.MinMatch {
 				out[key] = chernoff.Frequent
 			} else {
 				out[key] = chernoff.Infrequent
 			}
 			continue
 		}
-		out[key] = cls.Classify(s.sampleSums[key]/n, chernoff.RestrictedSpread(p, s.symbolMatch))
+		out[key] = cls.Classify(s.sampleSums[key]/n, chernoff.RestrictedSpread(p, symbolMatch))
 	}
-	return out, nil
+	return out
 }
 
 func sameLabels(a, b map[string]chernoff.Label) bool {
@@ -580,8 +639,10 @@ func sameLabels(a, b map[string]chernoff.Label) bool {
 
 // remine reruns the sample classification (Phase 2) over the maintained
 // sample — the scoped fallback when the incremental path cannot prove the
-// border stayed put. It then rebuilds the maintained sums and the raw-label
-// baseline from the fresh candidate space.
+// border stayed put. It records what the mine saw; the maintained sums and
+// the raw-label baseline over the fresh candidate space are built from that
+// record when first read, so a sample the next batch perturbs is never
+// re-scored.
 func (s *Stream) remine(ctx context.Context) error {
 	opts := miner.Options{
 		MaxLen:                s.cfg.MaxLen,
@@ -605,27 +666,22 @@ func (s *Stream) remine(ctx context.Context) error {
 		return err
 	}
 	s.lastMine = r
-	s.evaluated = s.evaluated[:0]
-	for key := range r.Values {
-		p, err := pattern.ParseKey(key)
-		if err != nil {
-			return fmt.Errorf("stream: candidate key %q: %w", key, err)
-		}
-		s.evaluated = append(s.evaluated, p)
-	}
-	sortPatterns(s.evaluated)
-	// Rebuild the sample sums with one in-memory pass, so the maintained sums
-	// (and every label derived from them later) are anchored to a straight
-	// in-order accumulation regardless of the re-mine kernel.
-	s.sampleSums = make(map[string]float64, len(s.evaluated))
-	if err := s.extendSums(s.sampleSums, s.evaluated, s.sample); err != nil {
+	if err := s.adoptCandidates(); err != nil {
 		return err
 	}
-	raw, err := s.rawLabels()
+	cls, err := s.classifier()
 	if err != nil {
 		return err
 	}
-	s.prevRaw = raw
+	// The sample sums are rebuilt with one straight in-order pass over these
+	// members, so they (and every label derived from them later) do not
+	// depend on the re-mine kernel.
+	s.mined = &mineView{
+		sample:      append([][]pattern.Symbol(nil), s.sample...),
+		symbolMatch: append([]float64(nil), s.symbolMatch...),
+		cls:         cls,
+	}
+	s.sampleSums, s.prevRaw = nil, nil
 	s.dirty = false
 	return nil
 }

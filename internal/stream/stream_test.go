@@ -648,3 +648,88 @@ func TestReadOnlyFollowerSeesWriterExpiry(t *testing.T) {
 		}
 	}
 }
+
+// TestDeferredSampleSumsMatchEagerBuild: the maintained sample sums and the
+// raw-label baseline are built on first read, from the sample members and
+// symbol matches the last mine saw. A stream whose State() forces that build
+// after every Advance must decide exactly like one that leaves it to the
+// next Advance: same re-mines, border shifts, frequent sets and values, and
+// the same final State. The handmade schedule grows the sample, crosses
+// MinMatch with symbol 2's match on the batch after a mine (Infrequent at
+// the mine, Frequent now), then moves a 2-pattern's label by growth alone
+// on the batch after the next mine, and finally keeps a reservoir smaller
+// than the window; the generated cases add variety.
+func TestDeferredSampleSumsMatchEagerBuild(t *testing.T) {
+	a, b := []pattern.Symbol{0, 1}, []pattern.Symbol{2, 0, 1}
+	var db [][]pattern.Symbol
+	for _, run := range []struct {
+		seq []pattern.Symbol
+		n   int
+	}{{a, 4}, {b, 4}, {b, 8}, {a, 3}, {b, 1}, {a, 2}, {b, 6}, {a, 12}} {
+		for i := 0; i < run.n; i++ {
+			db = append(db, run.seq)
+		}
+	}
+	handmade := &testCase{c: compat.Identity(3), db: db, minMatch: 0.5, delta: 0.2, maxLen: 3, maxGap: 1}
+	shifts := compareDeferred(t, handmade, []int{4, 4, 8, 4, 4, 4, 4, 4, 4}, 24)
+	if !shifts[1] || !shifts[2] {
+		t.Fatalf("handmade schedule: border shifts %v, want the crossing (batch 2) and the growth move (batch 3)", shifts)
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		tc := genCase(t, seed)
+		compareDeferred(t, tc, []int{1, 2, 1, 3, 2, 1, 2, 4, 1, 2, 3}, len(tc.db)/2)
+	}
+}
+
+// compareDeferred replays tc.db in batches of the given sizes (the last
+// batch takes the rest) into two streams over their own logs, one calling
+// State() after every Advance, and fails on any difference between them. It
+// returns which batches shifted the border.
+func compareDeferred(t *testing.T, tc *testCase, batches []int, sampleSize int) []bool {
+	t.Helper()
+	cfg := tc.streamConfig(stream.KernelNaive, 0, sampleSize)
+	logA, logB := newLog(t), newLog(t)
+	eager, err := stream.New(logA, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy, err := stream.New(logB, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shifts []bool
+	lo := 0
+	for i := 0; lo < len(tc.db); i++ {
+		hi := len(tc.db)
+		if i < len(batches) {
+			hi = min(hi, lo+batches[i])
+		}
+		appendBatch(t, logA, tc.db[lo:hi])
+		appendBatch(t, logB, tc.db[lo:hi])
+		lo = hi
+		x, err := eager.Advance(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		eager.State()
+		y, err := lazy.Advance(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if x.Remined != y.Remined || x.BorderShifted != y.BorderShifted {
+			t.Fatalf("batch %d (prefix %d): eager build remined %v shifted %v, deferred remined %v shifted %v",
+				i+1, hi, x.Remined, x.BorderShifted, y.Remined, y.BorderShifted)
+		}
+		if !reflect.DeepEqual(setKeys(x.Frequent), setKeys(y.Frequent)) {
+			t.Fatalf("batch %d: frequent %v (eager) vs %v (deferred)", i+1, setKeys(x.Frequent), setKeys(y.Frequent))
+		}
+		if !reflect.DeepEqual(x.Phase2.Values, y.Phase2.Values) {
+			t.Fatalf("batch %d: sample values diverge: %v (eager) vs %v (deferred)", i+1, x.Phase2.Values, y.Phase2.Values)
+		}
+		shifts = append(shifts, x.BorderShifted)
+	}
+	if !reflect.DeepEqual(eager.State(), lazy.State()) {
+		t.Fatal("final states diverge")
+	}
+	return shifts
+}
