@@ -44,6 +44,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/jobs"
+	"repro/internal/miner"
 	"repro/internal/pattern"
 	"repro/internal/seqdb"
 	"repro/internal/telemetry"
@@ -66,7 +67,7 @@ type workload struct {
 	Alpha          float64 // uniform noise rate
 	// Sparse mines with a banded compatibility matrix (each observed symbol
 	// explained only by itself and its ring neighbors) instead of the uniform
-	// one — the regime the incremental kernel's sparse window cache targets.
+	// one — the regime where the projections' sparse window storage pays.
 	Sparse bool
 
 	// Mining.
@@ -171,10 +172,12 @@ type result struct {
 	// Phase2LevelMs is the last run's per-level Phase 2 wall time (level-wise
 	// engine only).
 	Phase2LevelMs []float64 `json:"phase2_level_ms,omitempty"`
-	// Phase2NaiveMs re-mines the same sample with Phase2Kernel=KernelNaive
-	// on the level-wise engine; Phase2SpeedupX is naive over the level-wise
-	// incremental kernel (Phase2LevelwiseMs), and LabelsIdentical confirms
-	// both kernels classified every evaluated pattern identically.
+	// Phase2NaiveMs classifies the last run's sample (core.Phase1 with the
+	// same seed) level-wise through the naive reference valuer
+	// (miner.MatchSampleValuer); Phase2SpeedupX is naive over the level-wise
+	// projection kernel (Phase2LevelwiseMs), and LabelsIdentical confirms
+	// the reference classified every evaluated pattern as the automatic run
+	// did.
 	Phase2NaiveMs   float64 `json:"phase2_naive_ms"`
 	Phase2SpeedupX  float64 `json:"phase2_speedup_x"`
 	LabelsIdentical bool    `json:"labels_identical"`
@@ -422,23 +425,28 @@ func main() {
 }
 
 // mineFunc mines a workload once with the given telemetry collector,
-// sampling seed, Phase 2 kernel and engine, timing the whole run.
-type mineFunc func(metrics *telemetry.Metrics, runSeed int64, kernel core.Phase2Kernel, engine core.Phase2Engine) (*core.Result, time.Duration, error)
+// sampling seed and Phase 2 engine, timing the whole run.
+type mineFunc func(metrics *telemetry.Metrics, runSeed int64, engine core.Phase2Engine) (*core.Result, time.Duration, error)
+
+// naiveFunc draws the sample a mine with runSeed draws (core.Phase1) and
+// classifies it level-wise through the naive reference valuer
+// (miner.MatchSampleValuer), timing that Phase 2 alone.
+type naiveFunc func(runSeed int64) (*miner.Result, time.Duration, error)
 
 // generate builds the workload's noisy database and compatibility matrix and
-// returns a mineFunc over them.
-func (w workload) generate(seed int64) (*seqdb.MemDB, mineFunc, error) {
+// returns a mineFunc and a naiveFunc over them.
+func (w workload) generate(seed int64) (*seqdb.MemDB, mineFunc, naiveFunc, error) {
 	rng := rand.New(rand.NewSource(seed))
 	standard, _, err := datagen.Protein(datagen.ProteinConfig{
 		N: w.N, M: w.M, MinLen: w.MinLen, MaxLen: w.MaxLen,
 		NumMotifs: w.NumMotifs, MotifLen: w.MotifLen, PlantProb: w.PlantProb,
 	}, rng)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	db, err := datagen.ApplyUniformNoise(standard, w.M, w.Alpha, rng)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	var c compat.Source
 	if w.Sparse {
@@ -447,9 +455,9 @@ func (w workload) generate(seed int64) (*seqdb.MemDB, mineFunc, error) {
 		c, err = compat.UniformNoise(w.M, w.Alpha)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	mine := func(metrics *telemetry.Metrics, runSeed int64, kernel core.Phase2Kernel, engine core.Phase2Engine) (*core.Result, time.Duration, error) {
+	mine := func(metrics *telemetry.Metrics, runSeed int64, engine core.Phase2Engine) (*core.Result, time.Duration, error) {
 		start := time.Now()
 		res, err := core.Mine(db, c, core.Config{
 			MinMatch:              w.MinMatch,
@@ -461,14 +469,24 @@ func (w workload) generate(seed int64) (*seqdb.MemDB, mineFunc, error) {
 			MemBudget:             w.MemBudget,
 			Finalizer:             w.Finalizer,
 			Workers:               runtime.NumCPU(),
-			Phase2Kernel:          kernel,
 			Phase2Engine:          engine,
 			Rng:                   rand.New(rand.NewSource(runSeed)),
 			Metrics:               metrics,
 		})
 		return res, time.Since(start), err
 	}
-	return db, mine, nil
+	naive := func(runSeed int64) (*miner.Result, time.Duration, error) {
+		symbolMatch, sample, err := core.Phase1(db, c, w.Sample, rand.New(rand.NewSource(runSeed)))
+		if err != nil {
+			return nil, 0, err
+		}
+		start := time.Now()
+		res, err := miner.SampleChernoff(c.Size(), miner.MatchSampleValuer(c, sample), symbolMatch,
+			w.MinMatch, w.Delta, len(sample),
+			miner.Options{MaxLen: w.PatLen, MaxGap: w.MaxGap, MaxCandidatesPerLevel: w.MaxCand})
+		return res, time.Since(start), err
+	}
+	return db, mine, naive, nil
 }
 
 // comparePhase2 re-mines one sample with each Phase 2 engine forced. Phase 2
@@ -477,13 +495,13 @@ func (w workload) generate(seed int64) (*seqdb.MemDB, mineFunc, error) {
 // result of each is returned for label comparison.
 func comparePhase2(mine mineFunc, seed int64) (lwBest, growthBest time.Duration, lwRes, growthRes *core.Result, err error) {
 	for rep := 0; rep < 3; rep++ {
-		if lwRes, _, err = mine(nil, seed, core.KernelIncremental, core.Phase2Levelwise); err != nil {
+		if lwRes, _, err = mine(nil, seed, core.Phase2Levelwise); err != nil {
 			return
 		}
 		if rep == 0 || lwRes.Phase2Time < lwBest {
 			lwBest = lwRes.Phase2Time
 		}
-		if growthRes, _, err = mine(nil, seed, core.KernelIncremental, core.Phase2Growth); err != nil {
+		if growthRes, _, err = mine(nil, seed, core.Phase2Growth); err != nil {
 			return
 		}
 		if rep == 0 || growthRes.Phase2Time < growthBest {
@@ -506,7 +524,7 @@ func sweep(cell sweepCell, seed int64) (sweepRow, error) {
 	spread := cell.MeanLen * 19 / 100
 	w.M, w.MinLen, w.MaxLen, w.Sparse = cell.Alphabet, cell.MeanLen-spread, cell.MeanLen+spread, cell.Banded
 	w.Finalizer = core.None
-	db, mine, err := w.generate(seed)
+	db, mine, _, err := w.generate(seed)
 	if err != nil {
 		return sweepRow{}, err
 	}
@@ -514,7 +532,7 @@ func sweep(cell sweepCell, seed int64) (sweepRow, error) {
 	if err != nil {
 		return sweepRow{}, err
 	}
-	auto, _, err := mine(nil, seed, core.KernelIncremental, core.Phase2Auto)
+	auto, _, err := mine(nil, seed, core.Phase2Auto)
 	if err != nil {
 		return sweepRow{}, err
 	}
@@ -528,7 +546,7 @@ func sweep(cell sweepCell, seed int64) (sweepRow, error) {
 		Phase2LevelwiseMs: float64(lw.Microseconds()) / 1000,
 		Phase2GrowthMs:    float64(gr.Microseconds()) / 1000,
 		Pick:              auto.Phase2Engine,
-		LabelsIdentical:   sameLabels(lwRes, grRes) && sameFrequent(lwRes, grRes),
+		LabelsIdentical:   sameLabels(lwRes.Phase2, grRes.Phase2) && sameFrequent(lwRes, grRes),
 	}
 	if gr > 0 {
 		row.GrowthSpeedupX = float64(lw.Microseconds()) / float64(gr.Microseconds())
@@ -540,7 +558,7 @@ func sweep(cell sweepCell, seed int64) (sweepRow, error) {
 // runs times with telemetry and runs times without, under the automatic
 // Phase 2 engine.
 func bench(w workload, runs int, seed int64) (result, error) {
-	db, mine, err := w.generate(seed)
+	db, mine, naive, err := w.generate(seed)
 	if err != nil {
 		return result{}, err
 	}
@@ -558,7 +576,7 @@ func bench(w workload, runs int, seed int64) (result, error) {
 		// both sequences of runs mine identical samples.
 		runSeed := seed + int64(i)
 		metrics := &telemetry.Metrics{}
-		res, d, err := mine(metrics, runSeed, core.KernelIncremental, core.Phase2Auto)
+		res, d, err := mine(metrics, runSeed, core.Phase2Auto)
 		if err != nil {
 			return result{}, err
 		}
@@ -584,7 +602,7 @@ func bench(w workload, runs int, seed int64) (result, error) {
 			}
 			lastRes, lastSeed = res, runSeed
 		}
-		if _, d, err := mine(nil, runSeed, core.KernelIncremental, core.Phase2Auto); err != nil {
+		if _, d, err := mine(nil, runSeed, core.Phase2Auto); err != nil {
 			return result{}, err
 		} else {
 			plain += d
@@ -600,7 +618,7 @@ func bench(w workload, runs int, seed int64) (result, error) {
 		return result{}, err
 	}
 	growthMetrics := &telemetry.Metrics{}
-	if _, _, err := mine(growthMetrics, lastSeed, core.KernelIncremental, core.Phase2Growth); err != nil {
+	if _, _, err := mine(growthMetrics, lastSeed, core.Phase2Growth); err != nil {
 		return result{}, err
 	}
 	growthSnap := growthMetrics.Snapshot()
@@ -611,21 +629,21 @@ func bench(w workload, runs int, seed int64) (result, error) {
 	}
 	r.GrowthNodesExpanded = growthSnap.GrowthNodes
 	r.GrowthBoundPrunes = growthSnap.GrowthPrunes
-	r.GrowthLabelsIdentical = sameLabels(lwRes, growthRes) && sameFrequent(lwRes, growthRes)
+	r.GrowthLabelsIdentical = sameLabels(lwRes.Phase2, growthRes.Phase2) && sameFrequent(lwRes, growthRes)
 
-	// Mine the last run's sample once more with the naive per-pattern kernel
-	// on the level-wise engine: its Phase 2 wall time is the incremental
-	// kernel's speedup baseline, and its classifications must agree with the
-	// automatic run's pattern for pattern.
-	naiveRes, _, err := mine(nil, lastSeed, core.KernelNaive, core.Phase2Levelwise)
+	// Classify the last run's sample once more through the naive reference
+	// valuer on the level-wise engine: its Phase 2 wall time is the
+	// projection kernel's speedup baseline, and its classifications must
+	// agree with the automatic run's pattern for pattern.
+	naiveRes, naiveTime, err := naive(lastSeed)
 	if err != nil {
 		return result{}, err
 	}
-	r.Phase2NaiveMs = float64(naiveRes.Phase2Time.Microseconds()) / 1000
+	r.Phase2NaiveMs = float64(naiveTime.Microseconds()) / 1000
 	if lwP2Best > 0 {
-		r.Phase2SpeedupX = float64(naiveRes.Phase2Time.Microseconds()) / float64(lwP2Best.Microseconds())
+		r.Phase2SpeedupX = float64(naiveTime.Microseconds()) / float64(lwP2Best.Microseconds())
 	}
-	r.LabelsIdentical = sameLabels(lastRes, naiveRes)
+	r.LabelsIdentical = sameLabels(lastRes.Phase2, naiveRes)
 
 	r.NsPerOp = float64(instrumented.Nanoseconds()) / float64(runs)
 	r.PlainNsPerOp = float64(plain.Nanoseconds()) / float64(runs)
@@ -943,17 +961,17 @@ func bandedMatrix(m int) (compat.Source, error) {
 	return compat.NewSparse(m, cells)
 }
 
-// sameLabels reports whether two runs' Phase 2 results evaluated the same
+// sameLabels reports whether two Phase 2 results evaluated the same
 // candidates and assigned every one the same classification.
-func sameLabels(a, b *core.Result) bool {
-	if a == nil || b == nil || a.Phase2 == nil || b.Phase2 == nil {
+func sameLabels(a, b *miner.Result) bool {
+	if a == nil || b == nil {
 		return false
 	}
-	if len(a.Phase2.Labels) != len(b.Phase2.Labels) {
+	if len(a.Labels) != len(b.Labels) {
 		return false
 	}
-	for k, la := range a.Phase2.Labels {
-		lb, ok := b.Phase2.Labels[k]
+	for k, la := range a.Labels {
+		lb, ok := b.Labels[k]
 		if !ok || la != lb {
 			return false
 		}

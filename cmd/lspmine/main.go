@@ -7,8 +7,7 @@
 //	lspmine -db test.lsq -matrix compat.txt -min-match 0.01 \
 //	        [-max-len 8] [-max-gap 1] [-sample 1000] [-delta 1e-4] \
 //	        [-budget 10000] [-finalizer collapse|levelwise|none] [-seed 1] \
-//	        [-phase2-kernel incremental|naive] [-workers -1] \
-//	        [-retries 3] [-retry-base 10ms] [-retry-cap 1s] \
+//	        [-workers -1] [-retries 3] [-retry-base 10ms] [-retry-cap 1s] \
 //	        [-checkpoint run.lckp] [-resume] [-phase-timeout 30s] \
 //	        [-phase3-nodes http://a:8427,http://b:8427] [-auth-token T] \
 //	        [-phase3-hedge 0] [-rpc-timeout 0] \
@@ -27,11 +26,10 @@
 // of failing it. -retry-base/-retry-cap shape both the local retrying
 // scanner's backoff and the shard RPC retry backoff.
 //
-// Phase 2 scores each lattice level with the incremental prefix-extension
-// kernel by default, sharding the sample across -workers goroutines;
-// -phase2-kernel naive restores per-level recompilation (for verification —
-// the classifications are identical). Kernel cache statistics appear in
-// -metrics output as the kernel_* fields.
+// The level-wise Phase 2 scores each lattice level by extending the
+// previous level's projected sample databases (one multiply per surviving
+// window), building and valuing across -workers goroutines. Its cache
+// statistics appear in -metrics output as the kernel_* fields.
 //
 // Phase 2's engine is picked from the sample: when its mean sequence length
 // is at least 3× the alphabet size, the depth-first pattern-growth engine
@@ -116,7 +114,6 @@ func main() {
 	maxCand := flag.Int("max-candidates", 50000, "Phase 2 per-level candidate cap (0 = unlimited; dense matrices explode without one)")
 	finalizer := flag.String("finalizer", "collapse", "Phase 3 strategy: collapse, implicit, levelwise or none")
 	engine := flag.String("engine", "candidates", "Phase 2 pipeline: candidates (level-wise or pattern growth, picked from the sample) or sweep (sparse matrices)")
-	kernel := flag.String("phase2-kernel", "incremental", "Phase 2 sample kernel: incremental (prefix-extension cache) or naive (recompile per level)")
 	workers := flag.Int("workers", -1, "worker goroutines sharding Phase 2's sample and Phase 3's probe counting (-1 = all cores, 0/1 = sequential, though 0 still scans a shard set's files concurrently; results are identical for every count)")
 	retries := flag.Int("retries", 0, "retry transient scan failures up to this many times per pass (0 = no retrying); also caps shard RPC attempts with -phase3-nodes")
 	retryBase := flag.Duration("retry-base", 0, "base delay of retry backoff — both the retrying scanner's and the shard RPC's (0 = 10ms)")
@@ -235,16 +232,6 @@ func main() {
 		fatal(fmt.Errorf("unknown engine %q", *engine))
 	}
 
-	var p2k core.Phase2Kernel
-	switch *kernel {
-	case "incremental":
-		p2k = core.KernelIncremental
-	case "naive":
-		p2k = core.KernelNaive
-	default:
-		fatal(fmt.Errorf("unknown Phase 2 kernel %q (want incremental or naive)", *kernel))
-	}
-
 	// SIGINT/SIGTERM cancel the mining context: the run aborts within one
 	// sequence block, flushes a final checkpoint when -checkpoint is set,
 	// and reports the partial result instead of dying mid-scan. A second
@@ -278,7 +265,6 @@ func main() {
 				MaxCandidatesPerLevel: *maxCand,
 				MemBudget:             *budget,
 				Workers:               *workers,
-				Phase2Kernel:          p2k,
 				Metrics:               metrics,
 			},
 			Seed:           *seed,
@@ -297,7 +283,6 @@ func main() {
 		MemBudget:             *budget,
 		Finalizer:             fin,
 		Workers:               *workers,
-		Phase2Kernel:          p2k,
 		Rng:                   rand.New(rand.NewSource(*seed)),
 		Metrics:               metrics,
 		PhaseTimeouts:         core.PhaseTimeouts{Phase3: *phaseTimeout},

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -318,6 +320,22 @@ func TestReadFromErrors(t *testing.T) {
 		if _, err := ReadFrom(bytes.NewReader([]byte(text))); err == nil {
 			t.Errorf("ReadFrom(%q) accepted", text)
 		}
+	}
+}
+
+// TestReadFromHugeHeader feeds a header that claims 500 million rows and
+// nothing else: ReadFrom must reject it after allocating in proportion to the
+// input, not to the header (a 12 GB row table would kill the process).
+func TestReadFromHugeHeader(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrom(strings.NewReader("compat 500000000"))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("header without rows accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Fatalf("ReadFrom allocated %d bytes for a 16-byte input", grew)
 	}
 }
 

@@ -54,7 +54,9 @@ func ReadFrom(r io.Reader) (*Matrix, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("compat: non-positive size %d", m)
 	}
-	dense := make([][]float64, m)
+	// Rows are appended as they are parsed, so memory stays proportional to
+	// the input: a header alone cannot claim an m-row table.
+	var dense [][]float64
 	for i := 0; i < m; i++ {
 		if !sc.Scan() {
 			return nil, fmt.Errorf("compat: truncated at row %d: %w", i, firstErr(sc.Err()))
@@ -63,14 +65,15 @@ func ReadFrom(r io.Reader) (*Matrix, error) {
 		if len(fields) != m {
 			return nil, fmt.Errorf("compat: row %d has %d fields, want %d", i, len(fields), m)
 		}
-		dense[i] = make([]float64, m)
+		row := make([]float64, m)
 		for j, f := range fields {
 			v, err := strconv.ParseFloat(f, 64)
 			if err != nil {
 				return nil, fmt.Errorf("compat: row %d col %d: %w", i, j, err)
 			}
-			dense[i][j] = v
+			row[j] = v
 		}
+		dense = append(dense, row)
 	}
 	return New(dense)
 }

@@ -63,7 +63,7 @@ type CheckpointPolicy struct {
 var ErrIncompatible = errors.New("core: checkpoint incompatible with this run")
 
 // configHash fingerprints every configuration field that shapes the mined
-// result (tuning knobs like Workers, Remote, Phase2Kernel, Phase2Engine and
+// result (tuning knobs like Workers, Remote, Phase2Engine and
 // Metrics are excluded — they change how the work is executed, never what
 // is mined). Call after setDefaults so zero values hash like their explicit
 // defaults.

@@ -93,8 +93,8 @@ const (
 	Phase2Auto Phase2Engine = iota
 	// Phase2Levelwise is the paper's breadth-first generate-and-test miner:
 	// each lattice level's candidates are generated from the previous
-	// level's survivors and valued in one batch (miner.Engine with the kernel
-	// selected by Phase2Kernel).
+	// level's survivors and valued in one batch (miner.Engine over the
+	// match.Incremental projection kernel).
 	Phase2Levelwise
 	// Phase2Growth is the depth-first pattern-growth engine: patterns grow
 	// by prefix extension over projected sample databases, with optimistic
@@ -103,8 +103,6 @@ const (
 	// count — while skipping the per-level candidate materialization. A
 	// level with more than MaxCandidatesPerLevel candidates hands the run
 	// back to Phase2Levelwise, whose truncation defines the result.
-	// Phase2Kernel still selects the valuation discipline: KernelIncremental
-	// walks projections, KernelNaive recompiles every candidate from scratch.
 	Phase2Growth
 )
 
@@ -142,36 +140,6 @@ func PickPhase2Engine(sample [][]pattern.Symbol, m int) Phase2Engine {
 		return Phase2Growth
 	}
 	return Phase2Levelwise
-}
-
-// Phase2Kernel selects how the candidate-driven Phase 2 scores each lattice
-// level against the in-memory sample.
-type Phase2Kernel int
-
-const (
-	// KernelIncremental (the default) extends the cached per-sequence window
-	// prefix products of the previous level — one row lookup and one multiply
-	// per surviving window per candidate — with the sample sharded across
-	// Config.Workers goroutines. See match.Incremental; per-sequence values
-	// are bit-identical to the naive kernel's, sample averages agree within
-	// float64 sum reassociation.
-	KernelIncremental Phase2Kernel = iota
-	// KernelNaive recompiles every candidate and rescans the whole sample at
-	// each level (miner.MatchSampleValuer) — the pre-kernel behavior, kept
-	// for verification and comparison benchmarks.
-	KernelNaive
-)
-
-// String names the kernel for experiment output.
-func (k Phase2Kernel) String() string {
-	switch k {
-	case KernelIncremental:
-		return "incremental"
-	case KernelNaive:
-		return "naive"
-	default:
-		return fmt.Sprintf("Phase2Kernel(%d)", int(k))
-	}
 }
 
 // PhaseTimeouts assigns each pipeline phase a wall-clock budget; zero means
@@ -232,11 +200,6 @@ type Config struct {
 	// the checkpoint config hash and a local run can resume a remote one and
 	// vice versa.
 	Remote *shardrpc.Pool
-	// Phase2Kernel selects the sample-scoring kernel for the
-	// candidate-driven Phase 2. Default KernelIncremental. A tuning knob:
-	// classifications agree between kernels, so it is excluded from the
-	// checkpoint config hash.
-	Phase2Kernel Phase2Kernel
 	// Phase2Engine selects the Phase 2 engine of the candidate-driven
 	// pipeline. Default Phase2Auto, which picks it from the sample
 	// (PickPhase2Engine); the explicit values are for tests and benchmarks.
@@ -244,9 +207,9 @@ type Config struct {
 	// checkpoint config hash. Result.Phase2Engine names the engine that ran.
 	Phase2Engine Phase2Engine
 	// Phase2CacheBudget bounds Phase 2's cache in bytes (negative =
-	// unlimited). For the level-wise incremental kernel it bounds the prefix
-	// cache (0 = match.DefaultCacheBudget, 256 MiB), and exceeding it falls
-	// back to compiled-matcher recomputation for the overflowing patterns.
+	// unlimited). For the level-wise engine it bounds the spine of parent
+	// projections (0 = match.DefaultCacheBudget, 256 MiB), and children of
+	// parents it cannot admit are valued by compiled matching instead.
 	// For the growth engine it bounds the projections cached across all
 	// workers (0 = growth.DefaultBudget, 32 MiB). Either way a smaller
 	// budget is slower, never wrong.
@@ -317,9 +280,6 @@ func (c *Config) validate() error {
 	}
 	if c.Finalizer < BorderCollapsing || c.Finalizer > BorderCollapsingImplicit {
 		return fmt.Errorf("core: unknown finalizer %d", c.Finalizer)
-	}
-	if c.Phase2Kernel < KernelIncremental || c.Phase2Kernel > KernelNaive {
-		return fmt.Errorf("core: unknown Phase 2 kernel %d", c.Phase2Kernel)
 	}
 	if c.Phase2Engine < Phase2Auto || c.Phase2Engine > Phase2Growth {
 		return fmt.Errorf("core: unknown Phase 2 engine %d", c.Phase2Engine)

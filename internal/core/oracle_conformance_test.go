@@ -14,9 +14,9 @@ import (
 
 func TestPipelineOracleConformance(t *testing.T) {
 	engines := []oracle.Engine{
-		oracle.MineEngine(core.BorderCollapsing, core.KernelIncremental, 2),
-		oracle.MineEngine(core.LevelWise, core.KernelNaive, 0),
-		oracle.MineEngine(core.BorderCollapsingImplicit, core.KernelIncremental, 0),
+		oracle.MineEngine(core.BorderCollapsing, 2),
+		oracle.MineEngine(core.LevelWise, 0),
+		oracle.MineEngine(core.BorderCollapsingImplicit, 0),
 		oracle.ExhaustiveEngine(),
 	}
 	for _, seed := range oracle.CommittedSeeds[:4] {

@@ -318,10 +318,9 @@ func phase2Candidates(ctx context.Context, c compat.Source, cfg *Config, symbolM
 	return phase2Levelwise(ctx, c, cfg, symbolMatch, sample)
 }
 
-// phase2Levelwise is the breadth-first Phase 2. By default each level is
-// scored by the incremental prefix-extension kernel, sharded across
-// cfg.Workers; the kernel's cache is released as soon as the level-wise run
-// returns.
+// phase2Levelwise is the breadth-first Phase 2: each level is scored by the
+// match.Incremental projection kernel across cfg.Workers; the kernel's cache
+// is released as soon as the level-wise run returns.
 func phase2Levelwise(ctx context.Context, c compat.Source, cfg *Config, symbolMatch []float64, sample [][]pattern.Symbol) (*miner.Result, error) {
 	opts := miner.Options{
 		MaxLen:                cfg.MaxLen,
@@ -329,16 +328,12 @@ func phase2Levelwise(ctx context.Context, c compat.Source, cfg *Config, symbolMa
 		MaxCandidatesPerLevel: cfg.MaxCandidatesPerLevel,
 		Metrics:               cfg.Metrics,
 	}
-	valuer := miner.MatchSampleValuer(c, sample)
-	if cfg.Phase2Kernel == KernelIncremental {
-		var inc *match.Incremental
-		valuer, inc = miner.IncrementalSampleValuer(c, sample, miner.IncrementalConfig{
-			Workers: cfg.Workers,
-			Budget:  cfg.Phase2CacheBudget,
-			Metrics: cfg.Metrics,
-		})
-		defer inc.Release()
-	}
+	valuer, inc := miner.IncrementalSampleValuer(c, sample, miner.IncrementalConfig{
+		Workers: cfg.Workers,
+		Budget:  cfg.Phase2CacheBudget,
+		Metrics: cfg.Metrics,
+	})
+	defer inc.Release()
 	return miner.SampleChernoffContext(ctx, c.Size(), valuer,
 		symbolMatch, cfg.MinMatch, cfg.Delta, len(sample), opts)
 }
@@ -346,9 +341,7 @@ func phase2Levelwise(ctx context.Context, c compat.Source, cfg *Config, symbolMa
 // phase2Growth is the depth-first pattern-growth Phase 2: same labels,
 // borders and level counts as phase2Levelwise (bit-identical for every
 // worker count), with candidates valued over projected sample databases and
-// bound-pruned subtrees never valued at all. KernelNaive maps to the
-// engine's scratch mode — per-candidate compiled matching, no projections —
-// mirroring the level-wise kernel split. A level over the candidate cap
+// bound-pruned subtrees never valued at all. A level over the candidate cap
 // returns a *growth.CapError.
 func phase2Growth(ctx context.Context, c compat.Source, cfg *Config, symbolMatch []float64, sample [][]pattern.Symbol) (*miner.Result, error) {
 	return growth.Mine(c, sample, growth.Config{
@@ -359,7 +352,6 @@ func phase2Growth(ctx context.Context, c compat.Source, cfg *Config, symbolMatch
 		MaxGap:                cfg.MaxGap,
 		Workers:               cfg.Workers,
 		Budget:                cfg.Phase2CacheBudget,
-		Scratch:               cfg.Phase2Kernel == KernelNaive,
 		Metrics:               cfg.Metrics,
 		Ctx:                   ctx,
 		MaxCandidatesPerLevel: cfg.MaxCandidatesPerLevel,

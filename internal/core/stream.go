@@ -52,7 +52,6 @@ func (cfg *StreamConfig) streamConfig(c compat.Source) stream.Config {
 		MaxCandidatesPerLevel: cfg.MaxCandidatesPerLevel,
 		MemBudget:             cfg.MemBudget,
 		Workers:               cfg.Workers,
-		Kernel:                stream.Kernel(cfg.Phase2Kernel),
 		CacheBudget:           cfg.Phase2CacheBudget,
 		Seed:                  cfg.Seed,
 		Window:                cfg.Window,
@@ -61,7 +60,7 @@ func (cfg *StreamConfig) streamConfig(c compat.Source) stream.Config {
 }
 
 // streamConfigHash fingerprints the fields that shape a streaming session's
-// results (like configHash, tuning knobs — Workers, Phase2Kernel, Metrics —
+// results (like configHash, tuning knobs — Workers, Metrics —
 // are excluded; Seed and Window are included because they shape the sample
 // and the mined window).
 func streamConfigHash(cfg *StreamConfig) uint64 {

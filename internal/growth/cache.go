@@ -32,14 +32,11 @@ func newProjCache(e *engine, cap int64) *projCache {
 	return &projCache{e: e, cap: cap, entries: make(map[string]*cacheEnt)}
 }
 
-// proj returns the projection for p — nil in scratch mode. It extends the
-// longest cached prefix of p (falling back to a fresh build of p's first
-// symbol), caching every intermediate prefix so sibling and child nodes pick
-// up the chain one extension from the end.
+// proj returns the projection for p. It extends the longest cached prefix
+// of p (falling back to a fresh build of p's first symbol), caching every
+// intermediate prefix so sibling and child nodes pick up the chain one
+// extension from the end.
 func (pc *projCache) proj(p pattern.Pattern) (*match.Projection, error) {
-	if pc.e.cfg.Scratch {
-		return nil, nil
-	}
 	// Concrete symbol positions: p's prefix patterns end at each of these.
 	var idx [16]int
 	pos := idx[:0]

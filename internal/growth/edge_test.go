@@ -12,8 +12,8 @@ import (
 	"repro/internal/seqdb"
 )
 
-// runBoth mines the same sample with both engines (incremental kernels) and
-// asserts full result equivalence.
+// runBoth mines the same sample with both engines and asserts full result
+// equivalence.
 func runBoth(t *testing.T, c compat.Source, sample [][]pattern.Symbol, minMatch, delta float64, maxLen, maxGap int) (*miner.Result, *miner.Result) {
 	t.Helper()
 	sm := symbolMatches(t, c, sample)

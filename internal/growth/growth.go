@@ -102,11 +102,6 @@ type Config struct {
 	// cached prefix or rebuilt from scratch, so the cache (and with it every
 	// recorded float) is invisible to the results.
 	Budget int64
-	// Scratch disables projections entirely: every candidate is valued by
-	// per-pattern compiled matching (the naive-kernel discipline, still
-	// shard-merged and therefore still bit-identical). Wired to
-	// core.KernelNaive for differential testing.
-	Scratch bool
 	// Metrics receives growth telemetry (nil disables collection).
 	Metrics *telemetry.Metrics
 	// Ctx, when non-nil, is checked at every node expansion.
@@ -397,7 +392,7 @@ func (e *engine) processNode(pc *projCache, p pattern.Pattern) error {
 		e.fail(err)
 		return err
 	}
-	var nodeValued, nodeScratch, nodePruned int64
+	var nodeValued, nodePruned int64
 	for gap := 0; gap <= e.cfg.MaxGap; gap++ {
 		qLen := p.Len() + gap + 1
 		if qLen > e.cfg.MaxLen {
@@ -431,22 +426,20 @@ func (e *engine) processNode(pc *projCache, p pattern.Pattern) error {
 			if e.cfg.SymbolMatch != nil && e.cfg.SymbolMatch[d] < sq {
 				sq = e.cfg.SymbolMatch[d]
 			}
-			if proj != nil {
-				// Bound-prune: an optimistic bound already infrequent at the
-				// child's (tighter) spread proves the raw label without
-				// valuing — Values gets no entry, Labels the same label the
-				// level-wise engine records. One profile walk per (node, gap)
-				// serves every sibling's bound and exact value.
-				if !haveProf {
-					prof = proj.Profile(qLen, &pc.prof)
-					haveProf = true
-				}
-				if e.cls.Classify(proj.Bound(prof.Clip(), e.pj.RowMax(d)), sq) == chernoff.Infrequent {
-					e.record(q, k+1, 0, false, sq, chernoff.Infrequent)
-					e.memoPut(q.Key(), memoEntry{label: chernoff.Infrequent, explored: true})
-					nodePruned++
-					continue
-				}
+			// Bound-prune: an optimistic bound already infrequent at the
+			// child's (tighter) spread proves the raw label without valuing —
+			// Values gets no entry, Labels the same label the level-wise
+			// engine records. One profile walk per (node, gap) serves every
+			// sibling's bound and exact value.
+			if !haveProf {
+				prof = proj.Profile(qLen, &pc.prof)
+				haveProf = true
+			}
+			if e.cls.Classify(proj.Bound(prof.Clip(), e.pj.RowMax(d)), sq) == chernoff.Infrequent {
+				e.record(q, k+1, 0, false, sq, chernoff.Infrequent)
+				e.memoPut(q.Key(), memoEntry{label: chernoff.Infrequent, explored: true})
+				nodePruned++
+				continue
 			}
 			kids = append(kids, kid{q, d, sq, minSub})
 			ds = append(ds, d)
@@ -454,22 +447,8 @@ func (e *engine) processNode(pc *projCache, p pattern.Pattern) error {
 		if len(kids) == 0 {
 			continue
 		}
-		var values []float64
-		if proj != nil {
-			values = prof.ValueKids(ds)
-			nodeValued += int64(len(kids))
-		} else {
-			values = make([]float64, len(kids))
-			for i, kd := range kids {
-				v, err := e.pj.Value(kd.q)
-				if err != nil {
-					e.fail(err)
-					return err
-				}
-				values[i] = v
-			}
-			nodeScratch += int64(len(kids))
-		}
+		values := prof.ValueKids(ds)
+		nodeValued += int64(len(kids))
 		for i, kd := range kids {
 			label := e.cls.Classify(values[i], kd.spread)
 			if label != chernoff.Infrequent && kd.minSub < label {
@@ -479,7 +458,7 @@ func (e *engine) processNode(pc *projCache, p pattern.Pattern) error {
 			e.memoPut(kd.q.Key(), memoEntry{label: label, explored: true})
 		}
 	}
-	e.cfg.Metrics.GrowthNode(nodeValued, nodeScratch, nodePruned)
+	e.cfg.Metrics.GrowthNode(nodeValued, nodePruned)
 	return nil
 }
 

@@ -18,8 +18,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// levelwise runs the breadth-first engine with the incremental kernel — the
-// reference the growth engine must replicate bit for bit.
+// levelwise runs the breadth-first engine — the reference the growth engine
+// must replicate bit for bit.
 func levelwise(t *testing.T, c compat.Source, sample [][]pattern.Symbol, symbolMatch []float64, minMatch, delta float64, maxLen, maxGap int) *miner.Result {
 	t.Helper()
 	valuer, inc := miner.IncrementalSampleValuer(c, sample, miner.IncrementalConfig{})
@@ -143,9 +143,8 @@ func TestGrowthMatchesLevelwise(t *testing.T) {
 }
 
 // TestGrowthWorkerBitIdentity demands the whole result — values included —
-// is reflect.DeepEqual across worker counts, and that scratch mode (the
-// naive-kernel mapping) only shrinks nothing: it values every candidate, so
-// its result carries the full Values map and everything else is unchanged.
+// is reflect.DeepEqual across worker counts, and equivalent to the level-wise
+// engine's.
 func TestGrowthWorkerBitIdentity(t *testing.T) {
 	for seed := int64(3); seed <= 11; seed += 2 {
 		cs := oracle.GenCase(seed)
@@ -173,18 +172,7 @@ func TestGrowthWorkerBitIdentity(t *testing.T) {
 				t.Fatalf("seed %d: workers=%d result differs from sequential", seed, workers)
 			}
 		}
-		scfg := cfg
-		scfg.Scratch = true
-		scfg.Workers = 3
-		scratch, err := growth.Mine(cs.C, cs.DB, scfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lw := levelwise(t, cs.C, cs.DB, sm, cs.MinMatch, cs.Delta, cs.MaxLen, cs.MaxGap)
-		assertEquivalent(t, lw, scratch)
-		if !reflect.DeepEqual(lw.Values, scratch.Values) {
-			t.Fatalf("seed %d: scratch-mode Values differ from levelwise's", seed)
-		}
+		assertEquivalent(t, levelwise(t, cs.C, cs.DB, sm, cs.MinMatch, cs.Delta, cs.MaxLen, cs.MaxGap), base)
 	}
 }
 

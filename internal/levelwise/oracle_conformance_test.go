@@ -1,6 +1,6 @@
 // Conformance slice for the level-wise Phase 3 finalizer, exercised through
-// the full pipeline under both Phase 2 kernels (external test package:
-// internal/oracle imports the packages levelwise builds on).
+// the full pipeline sequentially and with three workers (external test
+// package: internal/oracle imports the packages levelwise builds on).
 package levelwise_test
 
 import (
@@ -12,8 +12,8 @@ import (
 
 func TestLevelWiseOracleConformance(t *testing.T) {
 	engines := []oracle.Engine{
-		oracle.MineEngine(core.LevelWise, core.KernelIncremental, 0),
-		oracle.MineEngine(core.LevelWise, core.KernelNaive, 3),
+		oracle.MineEngine(core.LevelWise, 0),
+		oracle.MineEngine(core.LevelWise, 3),
 	}
 	for _, seed := range oracle.CommittedSeeds[:4] {
 		if d := oracle.CheckSeed(seed, engines); d != nil {

@@ -51,8 +51,8 @@ func (rc *rowCache) row(d pattern.Symbol) []float64 {
 // factor cannot beat the best so far, which covers every window whose first
 // observed symbol has zero compatibility with the pattern's first symbol —
 // the sparse-matrix fast path the paper alludes to for near-Θ(|S|) match
-// computation (§4.2). The incremental kernel's appendWindows keeps every
-// non-zero window, so it filters on the first symbol alone (firstOK).
+// computation (§4.2). Projection builds' appendWindows keep every non-zero
+// window, so they filter on the first symbol alone (firstOK).
 type Compiled struct {
 	length  int
 	offsets []int       // offsets of non-eternal positions within the window
@@ -155,7 +155,7 @@ windows:
 // appendWindows appends the start offset and full product of every window of
 // seq whose product is non-zero, and returns the updated slices plus the best
 // window product (the sequence's match). Unlike Match it applies no
-// best-so-far cutoff: the incremental kernel needs every surviving window's
+// best-so-far cutoff: a projection needs every surviving window's
 // exact product, because a right-extension can promote any of them to the new
 // maximum. Products are accumulated left to right over the non-eternal
 // positions, the same order Match and Sequence use, so the values are

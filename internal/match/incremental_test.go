@@ -78,11 +78,15 @@ func randomSample(n, minLen, maxLen, m int, rng *rand.Rand) [][]pattern.Symbol {
 // driveLattice mimics the engine's level-serial contract: level 1 is every
 // symbol, each later level right-extends a pseudo-random alive subset of the
 // previous level with gaps up to maxGap. Every level is fed to the kernel and
-// checked against the naive per-pattern kernel.
-func driveLattice(t *testing.T, c compat.Source, sample [][]pattern.Symbol, o IncrementalOptions, maxLevels, maxGap int, rng *rand.Rand) *Incremental {
+// every value checked == against Projector.Value (per-pattern compiled
+// matching under the same shard split) and within 1e-12 of the naive
+// per-sequence reference. After each level, inspect (when non-nil) sees the
+// kernel.
+func driveLattice(t *testing.T, c compat.Source, sample [][]pattern.Symbol, o IncrementalOptions, maxLevels, maxGap int, rng *rand.Rand, inspect func(k int, inc *Incremental)) *Incremental {
 	t.Helper()
 	m := c.Size()
 	meas := NewMatch(c)
+	pj := NewProjector(c, sample, o.ShardSize)
 	inc := NewIncremental(c, sample, o)
 	level := make([]pattern.Pattern, 0, m)
 	for d := 0; d < m; d++ {
@@ -98,14 +102,14 @@ func driveLattice(t *testing.T, c compat.Source, sample [][]pattern.Symbol, o In
 		}
 		var alive []pattern.Pattern
 		for i, p := range level {
-			want := Sample(meas, p, sample)
-			if math.Abs(vals[i]-want) > 1e-12 {
-				t.Fatalf("level %d pattern %s: incremental %v, naive %v", k, p, vals[i], want)
-			}
+			checkValue(t, pj, meas, sample, p, vals[i])
 			// Keep a deterministic subset alive so levels stay tractable.
 			if vals[i] > 0 && rng.Float64() < 0.4 {
 				alive = append(alive, p)
 			}
+		}
+		if inspect != nil {
+			inspect(k, inc)
 		}
 		// Never let the lattice die by coin flips alone: the tests assert
 		// that deeper levels were exercised, for any RNG seed.
@@ -133,11 +137,27 @@ func driveLattice(t *testing.T, c compat.Source, sample [][]pattern.Symbol, o In
 	return inc
 }
 
+// checkValue asserts the kernel's value v of p is Projector.Value's float
+// exactly and the naive reference's within 1e-12.
+func checkValue(t *testing.T, pj *Projector, meas Match, sample [][]pattern.Symbol, p pattern.Pattern, v float64) {
+	t.Helper()
+	want, err := pj.Value(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != want {
+		t.Fatalf("pattern %s: kernel %v, Projector.Value %v", p, v, want)
+	}
+	if naive := Sample(meas, p, sample); math.Abs(v-naive) > 1e-12 {
+		t.Fatalf("pattern %s: kernel %v, naive %v", p, v, naive)
+	}
+}
+
 func TestIncrementalMatchesNaiveDense(t *testing.T) {
 	rng := testutil.Rng(t)
 	c := randomDense(t, 12, 0, rng)
 	sample := randomSample(40, 5, 30, 12, rng)
-	inc := driveLattice(t, c, sample, IncrementalOptions{}, 5, 1, rng)
+	inc := driveLattice(t, c, sample, IncrementalOptions{}, 5, 1, rng, nil)
 	st := inc.Stats()
 	if st.Extended == 0 {
 		t.Fatalf("no pattern was served by extension: %+v", st)
@@ -158,9 +178,44 @@ func TestIncrementalMatchesNaiveSparseZeros(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sample := randomSample(50, 4, 24, tc.c.Size(), rng)
-			driveLattice(t, tc.c, sample, IncrementalOptions{Workers: 3, ShardSize: 7}, 6, 2, rng)
+			driveLattice(t, tc.c, sample, IncrementalOptions{Workers: 3, ShardSize: 7}, 6, 2, rng, nil)
 		})
 	}
+}
+
+// TestIncrementalSparseReuse drives a banded-sparse lattice over long
+// sequences, where short patterns keep many windows and longer ones few: from
+// level 4 on, the spine is built into arrays retired from shorter patterns,
+// so stale windows sit past every reused block's end. Values must not move,
+// and the test fails if no level reused an array larger than its block.
+func TestIncrementalSparseReuse(t *testing.T) {
+	rng := testutil.Rng(t)
+	c := randomSparse(t, 12)
+	sample := randomSample(70, 30, 90, 12, rng)
+	reusedLarger := false
+	inspect := func(k int, inc *Incremental) {
+		for _, pr := range inc.prev {
+			if held(pr) > pr.Bytes() {
+				reusedLarger = true
+			}
+		}
+	}
+	for _, workers := range []int{1, 3} {
+		driveLattice(t, c, sample, IncrementalOptions{Workers: workers, ShardSize: 16}, 7, 1, rng, inspect)
+	}
+	if !reusedLarger {
+		t.Fatal("no spine projection was built into a larger retired array")
+	}
+}
+
+// held is the capacity a projection's arrays hold, which exceeds its charge
+// (Bytes) only when a build reused a retired array larger than its block.
+func held(pr *Projection) int64 {
+	var n int64
+	for _, sw := range pr.shards {
+		n += int64(cap(sw.offs))*4 + int64(cap(sw.starts))*4 + int64(cap(sw.prods))*8
+	}
+	return n
 }
 
 func TestIncrementalEternalHeavy(t *testing.T) {
@@ -169,6 +224,7 @@ func TestIncrementalEternalHeavy(t *testing.T) {
 	c := randomDense(t, 8, 0.4, rng)
 	sample := randomSample(30, 10, 40, 8, rng)
 	meas := NewMatch(c)
+	pj := NewProjector(c, sample, 8)
 	inc := NewIncremental(c, sample, IncrementalOptions{Workers: 2, ShardSize: 8})
 
 	level := []pattern.Pattern{}
@@ -181,10 +237,7 @@ func TestIncrementalEternalHeavy(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, p := range level {
-			want := Sample(meas, p, sample)
-			if math.Abs(vals[i]-want) > 1e-12 {
-				t.Fatalf("pattern %s: incremental %v, naive %v", p, vals[i], want)
-			}
+			checkValue(t, pj, meas, sample, p, vals[i])
 		}
 		var next []pattern.Pattern
 		for _, p := range level[:min(len(level), 10)] {
@@ -200,7 +253,7 @@ func TestIncrementalBudgetFallback(t *testing.T) {
 	rng := testutil.Rng(t)
 	c := randomDense(t, 10, 0.3, rng)
 	sample := randomSample(35, 5, 25, 10, rng)
-	inc := driveLattice(t, c, sample, IncrementalOptions{Budget: 1, Workers: 2, ShardSize: 5}, 5, 1, rng)
+	inc := driveLattice(t, c, sample, IncrementalOptions{Budget: 1, Workers: 2, ShardSize: 5}, 5, 1, rng, nil)
 	st := inc.Stats()
 	if st.Fallbacks == 0 {
 		t.Fatalf("expected budget fallbacks, got %+v", st)
@@ -211,8 +264,9 @@ func TestIncrementalBudgetFallback(t *testing.T) {
 }
 
 func TestIncrementalWorkerCountInvariance(t *testing.T) {
-	// The same lattice must produce bit-identical values for any worker
-	// count: shard boundaries and merge order depend only on the sample.
+	// The same lattice must produce bit-identical values and level stats for
+	// any worker count: shard boundaries and merge order depend only on the
+	// sample, admission only on lengths and charges.
 	rng := testutil.Rng(t)
 	c := randomDense(t, 10, 0.2, rng)
 	sample := randomSample(60, 5, 25, 10, rng)
@@ -232,26 +286,49 @@ func TestIncrementalWorkerCountInvariance(t *testing.T) {
 		level = next
 	}
 
-	run := func(workers int) [][]float64 {
-		inc := NewIncremental(c, sample, IncrementalOptions{Workers: workers, ShardSize: 9})
+	run := func(workers int, budget int64) ([][]float64, []LevelStats) {
+		inc := NewIncremental(c, sample, IncrementalOptions{Workers: workers, ShardSize: 9, Budget: budget})
 		var out [][]float64
+		var stats []LevelStats
 		for _, lv := range levels {
-			vals, _, err := inc.ValueLevel(lv)
+			vals, ls, err := inc.ValueLevel(lv)
 			if err != nil {
 				t.Fatal(err)
 			}
 			out = append(out, vals)
+			stats = append(stats, ls)
 		}
-		return out
+		return out, stats
 	}
-	want := run(1)
-	for _, workers := range []int{2, 4, 7} {
-		got := run(workers)
-		for li := range want {
-			for i := range want[li] {
-				if got[li][i] != want[li][i] {
-					t.Fatalf("workers=%d level %d pattern %d: %v != %v",
-						workers, li, i, got[li][i], want[li][i])
+	// The default budget admits every parent; the tight one — room for a
+	// few one-symbol projections — denies parents on some level, and the
+	// charge of what it admitted feeds the next level's admission, so the
+	// split and every charged byte must not depend on scheduling either.
+	tight := 4*NewProjector(c, sample, 9).WindowBytesBound(1) + 1
+	for _, budget := range []int64{0, tight} {
+		want, wantStats := run(1, budget)
+		var evicted, extended int64
+		for _, ls := range wantStats {
+			evicted += ls.Evicted
+			extended += ls.Extended
+		}
+		if budget == tight && (evicted == 0 || extended == 0) {
+			t.Fatalf("tight budget should deny some parents and admit others: %+v", wantStats)
+		}
+		for _, workers := range []int{1, 2, 4, 7} {
+			for rep := 0; rep < 2; rep++ {
+				got, gotStats := run(workers, budget)
+				for li := range want {
+					for i := range want[li] {
+						if got[li][i] != want[li][i] {
+							t.Fatalf("budget=%d workers=%d level %d pattern %d: %v != %v",
+								budget, workers, li, i, got[li][i], want[li][i])
+						}
+					}
+					if gotStats[li] != wantStats[li] {
+						t.Fatalf("budget=%d workers=%d level %d: stats %+v, sequential %+v",
+							budget, workers, li, gotStats[li], wantStats[li])
+					}
 				}
 			}
 		}

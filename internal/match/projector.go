@@ -1,28 +1,32 @@
-// Projected sample databases for the depth-first pattern-growth Phase 2
-// engine (internal/growth). A Projection is one pattern's surviving window
-// products over the whole sample — the same per-sequence prefix-product
-// state the incremental level-wise kernel caches per parent (shardWindows),
-// lifted out of the level-serial spine so a DFS can hold one block per
-// lattice path instead of one spine per level.
+// Projected sample databases: Phase 2's one store of window products. A
+// Projection is one pattern's surviving window products over the whole
+// sample — per sequence, the product of every window that can still host a
+// right-extension. The level-wise kernel (Incremental) keeps the projections
+// of one lattice level's parents and extends them into the next level's; the
+// depth-first pattern-growth engine (internal/growth) holds one per lattice
+// path. Both value candidates through the same calls, so both produce the
+// same floats.
 //
-// Everything here replicates the incremental kernel's float discipline
-// exactly, which is what makes the growth engine's values bit-identical to
-// ValueLevel's:
+// The float discipline that makes every path bit-identical:
 //
 //   - window products are accumulated left to right (appendWindows /
 //     appendProds for scratch builds, parent product × one row factor for
 //     extensions), the association Compiled.Match and Sequence use;
 //   - zero-product windows are dropped in sparse mode, every window is kept
-//     in ramp mode (all-positive matrices), with the identical
-//     widened-window clipping (binary search on the ascending starts);
+//     in ramp mode (all-positive matrices), and a parent's windows are
+//     clipped to those still wide enough for the child (a count in ramp
+//     mode, a binary search on the ascending starts in sparse mode);
 //   - per-candidate sample sums are accumulated per fixed 32-sequence shard
 //     in ascending sequence order, shard partials are merged in ascending
 //     shard order, and the merged sum is divided by the sample size.
 //
+// Value (per-pattern compiled matching) and ValueKids (one projection walk
+// shared by siblings) follow the same discipline, so a candidate's value
+// does not depend on which of them scored it.
+//
 // A Projector is immutable after construction (rows are pre-expanded), so
 // any number of goroutines may Build, Extend, Value and walk projections
-// concurrently — the growth engine shards its DFS roots across workers with
-// no further coordination.
+// concurrently.
 package match
 
 import (
@@ -40,13 +44,15 @@ type Projector struct {
 	rc     *rowCache
 	ramp   bool // no zero cells: every window survives, starts are implicit
 	rowMax []float64
+	// windows[l] is the number of length-l windows over the sample.
+	windows []int64
 }
 
 // NewProjector builds a projector over a fixed in-memory sample. shardSize
-// overrides the sequences-per-shard split (<= 0 selects the incremental
-// kernel's default of 32; changing it reassociates the float64 merge, so it
-// is exposed mainly for tests). All matrix rows are expanded eagerly —
-// after construction the projector is safe for concurrent use.
+// overrides the sequences-per-shard split (<= 0 selects the default of 32;
+// changing it reassociates the float64 merge, so it is exposed mainly for
+// tests). All matrix rows are expanded eagerly — after construction the
+// projector is safe for concurrent use.
 func NewProjector(c compat.Source, sample [][]pattern.Symbol, shardSize int) *Projector {
 	if shardSize <= 0 {
 		shardSize = defaultShardSize
@@ -77,6 +83,22 @@ func NewProjector(c compat.Source, sample [][]pattern.Symbol, shardSize int) *Pr
 		}
 		pj.rowMax[d] = max
 	}
+	// A sequence of length L has L-l+1 windows of every length l <= L, so
+	// windows[l] = windows[l+1] + (sequences at least l long).
+	longest := 0
+	for _, seq := range sample {
+		longest = max(longest, len(seq))
+	}
+	count := make([]int64, longest+1)
+	for _, seq := range sample {
+		count[len(seq)]++
+	}
+	pj.windows = make([]int64, longest+2)
+	var atLeast int64
+	for l := longest; l >= 1; l-- {
+		atLeast += count[l]
+		pj.windows[l] = pj.windows[l+1] + atLeast
+	}
 	return pj
 }
 
@@ -87,30 +109,33 @@ func (pj *Projector) SampleSize() int { return len(pj.sample) }
 // the optimistic factor a one-symbol extension by d can contribute.
 func (pj *Projector) RowMax(d pattern.Symbol) float64 { return pj.rowMax[d] }
 
-// WindowBytesBound is the worst-case bytes a length-l projection can hold,
-// mirroring the incremental kernel's admission bound (spineBytesBound): the
-// growth engine admits a child projection against its DFS-path budget by
-// this bound, which depends only on the sample and l — never on worker
+// WindowBytesBound is the worst-case bytes a length-l projection is charged,
+// plus entryOverhead: the bound the level-wise kernel admits a parent's
+// projection by. It depends only on the sample and l — never on worker
 // scheduling — so the projected/scratch split is deterministic.
 func (pj *Projector) WindowBytesBound(l int) int64 {
+	var windows int64
+	if l >= 1 && l < len(pj.windows) {
+		windows = pj.windows[l]
+	}
+	return pj.charge(len(pj.sample)+len(pj.shards), windows) + entryOverhead
+}
+
+// charge is the bytes a block of offs offsets and windows reserved windows
+// is charged. Builds charge what they reserve — not the capacity of a
+// recycled array the block sits in — so the figure, and every admission
+// decision it feeds, never depends on which retired array a build drew.
+func (pj *Projector) charge(offs int, windows int64) int64 {
 	per := int64(8) // prods
 	if !pj.ramp {
 		per += 4 // starts
 	}
-	var windows int64
-	for _, seq := range pj.sample {
-		if w := len(seq) - l + 1; w > 0 {
-			windows += int64(w)
-		}
-	}
-	offs := int64(len(pj.sample)+len(pj.shards)) * 4
-	return windows*per + offs + entryOverhead
+	return int64(offs)*4 + windows*per
 }
 
 // Value scores one pattern from scratch: compiled matching per sequence,
-// summed per shard and merged in ascending shard order — exactly the
-// incremental kernel's scratch path, so the value is bit-identical to
-// ValueLevel's for the same pattern.
+// summed per shard and merged in ascending shard order — the same floats
+// ValueKids produces for the pattern as a child of its parent's projection.
 func (pj *Projector) Value(p pattern.Pattern) (float64, error) {
 	cp, err := compileWith(pj.rc, pj.m, p)
 	if err != nil {
@@ -130,18 +155,14 @@ func (pj *Projector) Value(p pattern.Pattern) (float64, error) {
 	return total, nil
 }
 
-// projShard is one shard's surviving windows, CSR-indexed like the
-// incremental kernel's shardWindows: sequence i of the shard owns
-// prods[offs[i]:offs[i+1]] (and the matching starts in sparse mode; in ramp
-// mode starts is nil and window starts are the implicit 0,1,2,… ramp).
+// projShard is one shard's surviving windows, CSR-indexed: sequence i of the
+// shard owns prods[offs[i]:offs[i+1]] (and the matching starts in sparse
+// mode; in ramp mode starts is nil and window starts are the implicit
+// 0,1,2,… ramp).
 type projShard struct {
 	offs   []int32
 	starts []int32
 	prods  []float64
-}
-
-func (sw *projShard) bytes() int64 {
-	return int64(cap(sw.offs))*4 + int64(cap(sw.starts))*4 + int64(cap(sw.prods))*8
 }
 
 // Projection is one pattern's window products over the whole sample — the
@@ -157,55 +178,95 @@ type Projection struct {
 // PatLen returns the projected pattern's total length.
 func (pr *Projection) PatLen() int { return pr.patLen }
 
-// Bytes returns the memory the projection's backing arrays hold (by
-// capacity), the quantity charged against the growth engine's path budget.
+// Bytes returns the memory the projection is charged (see charge), the
+// quantity the growth engine's path budget and the level-wise kernel's
+// spine budget count.
 func (pr *Projection) Bytes() int64 { return pr.bytes }
 
+// windows counts the projection's surviving windows.
+func (pr *Projection) windows() int64 {
+	var n int64
+	for s := range pr.shards {
+		n += int64(len(pr.shards[s].prods))
+	}
+	return n
+}
+
 // Build materializes p's projection from scratch (appendWindows /
-// appendProds per sequence — the incremental kernel's scratch build), so
-// the window products carry the canonical left-to-right association.
+// appendProds per sequence), so the window products carry the canonical
+// left-to-right association.
 func (pj *Projector) Build(p pattern.Pattern) (*Projection, error) {
+	return pj.buildInto(nil, p)
+}
+
+// buildInto is Build writing into dst, a retired projection of pj whose
+// arrays are reused where large enough (nil allocates a new one).
+func (pj *Projector) buildInto(dst *Projection, p pattern.Pattern) (*Projection, error) {
 	cp, err := compileWith(pj.rc, pj.m, p)
 	if err != nil {
 		return nil, err
 	}
-	pr := &Projection{pj: pj, patLen: len(p), shards: make([]projShard, len(pj.shards))}
+	pr := pj.reset(dst, len(p))
 	for s, sh := range pj.shards {
 		lo, hi := sh[0], sh[1]
 		sw := &pr.shards[s]
-		offs := make([]int32, hi-lo+1)
 		bound := pj.shardWindowBound(lo, hi, len(p))
+		kept := bound
 		if pj.ramp {
-			prods := make([]float64, 0, bound)
+			prods := reuse(sw.prods, bound)
 			for si := lo; si < hi; si++ {
 				prods, _ = cp.appendProds(pj.sample[si], prods)
-				offs[si-lo+1] = int32(len(prods))
+				sw.offs[si-lo+1] = int32(len(prods))
 			}
 			sw.prods = prods
 		} else {
-			starts := make([]int32, 0, bound)
-			prods := make([]float64, 0, bound)
+			starts, prods := reuse(sw.starts, bound), reuse(sw.prods, bound)
 			for si := lo; si < hi; si++ {
 				starts, prods, _ = cp.appendWindows(pj.sample[si], starts, prods)
-				offs[si-lo+1] = int32(len(prods))
+				sw.offs[si-lo+1] = int32(len(prods))
 			}
-			sw.starts, sw.prods = compactWindows(starts, prods, bound)
+			sw.starts, sw.prods, kept = compactWindows(starts, prods, bound)
 		}
-		sw.offs = offs
-		pr.bytes += sw.bytes()
+		pr.bytes += pj.charge(len(sw.offs), int64(kept))
 	}
 	return pr, nil
 }
 
-// compactWindows re-allocates a sparse block when fewer than half its
-// reserved windows survived, so the path budget is charged for what is held,
-// not the reservation — the incremental kernel's compaction rule.
-func compactWindows(starts []int32, prods []float64, bound int) ([]int32, []float64) {
+// reset readies dst — a retired projection of pj, or nil for a new one — to
+// hold a length-patLen projection. Its arrays stay for the build to reuse:
+// a build writes every offset and every window it keeps before reading it.
+func (pj *Projector) reset(dst *Projection, patLen int) *Projection {
+	if dst == nil {
+		dst = &Projection{pj: pj, shards: make([]projShard, len(pj.shards))}
+	}
+	dst.patLen, dst.bytes = patLen, 0
+	for s, sh := range pj.shards {
+		n := sh[1] - sh[0] + 1
+		sw := &dst.shards[s]
+		sw.offs = reuse(sw.offs, n)[:n]
+		sw.offs[0] = 0
+	}
+	return dst
+}
+
+// reuse returns buf emptied, or a new buffer when buf cannot hold n
+// elements.
+func reuse[T int32 | float64](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, n)
+	}
+	return buf[:0]
+}
+
+// compactWindows copies a sparse block into exact-size arrays when fewer
+// than half its reserved windows survived, so it is charged for what it
+// keeps, not the reservation. It returns the block and the windows charged.
+func compactWindows(starts []int32, prods []float64, bound int) ([]int32, []float64, int) {
 	if len(prods)*2 < bound {
 		return append(make([]int32, 0, len(starts)), starts...),
-			append(make([]float64, 0, len(prods)), prods...)
+			append(make([]float64, 0, len(prods)), prods...), len(prods)
 	}
-	return starts, prods
+	return starts, prods, bound
 }
 
 // shardWindowBound counts the windows a length-l pattern can have across
@@ -222,8 +283,7 @@ func (pj *Projector) shardWindowBound(lo, hi, l int) int {
 
 // clipShard bounds the windows of sequence si (shard-local index i) still
 // wide enough to host a child of total length qLen: ramp mode clips the
-// implicit ramp by count, sparse mode binary-searches the ascending starts —
-// the incremental kernel's widened-window clip.
+// implicit ramp by count, sparse mode binary-searches the ascending starts.
 func (pr *Projection) clipShard(sw *projShard, i int, seq []pattern.Symbol, qLen int) (int32, int32) {
 	wlo, whi := sw.offs[i], sw.offs[i+1]
 	if pr.pj.ramp {
@@ -298,10 +358,9 @@ func (pr *Projection) Bound(clip []float64, rowMax float64) float64 {
 
 // ValueKids scores every right-extension of the projected pattern to total
 // length qLen by the symbols ds — one walk of the projection shared by all
-// siblings, mirroring the incremental kernel's group valuation
-// (valueRampGroups / valueSparseGroups) bit for bit: per-sequence best over
-// fl(parent product × row factor), summed per shard, merged in ascending
-// shard order, divided by the sample size.
+// siblings: per-sequence best over fl(parent product × row factor), summed
+// per shard, merged in ascending shard order, divided by the sample size —
+// bit for bit the floats Value computes for each child.
 //
 // For wide sibling groups the per-sequence max is computed by observed-symbol
 // class instead of window by window: the windows a sequence offers a child
@@ -579,28 +638,32 @@ func (pf *Profile) ValueKids(ds []pattern.Symbol) []float64 {
 
 // Extend materializes the projection of the child extending the projected
 // pattern to total length qLen with the concrete symbol d: each surviving
-// parent window's product gains one row factor (the incremental kernel's
-// O(1)-per-window block extension), zero products are dropped in sparse
-// mode, and the block is compacted when sparse enough.
+// parent window's product gains one row factor (O(1) per window), zero
+// products are dropped in sparse mode, and the block is compacted when
+// sparse enough.
 func (pr *Projection) Extend(qLen int, d pattern.Symbol) *Projection {
+	return pr.extendInto(nil, qLen, d)
+}
+
+// extendInto is Extend writing into dst, a retired projection reused like
+// buildInto's. dst must not be pr: the child's windows are written while the
+// parent's are read.
+func (pr *Projection) extendInto(dst *Projection, qLen int, d pattern.Symbol) *Projection {
 	pj := pr.pj
 	row := pj.rc.row(d)
-	child := &Projection{pj: pj, patLen: qLen, shards: make([]projShard, len(pj.shards))}
+	child := pj.reset(dst, qLen)
 	off := qLen - 1
 	for s, sh := range pj.shards {
 		lo, hi := sh[0], sh[1]
 		sw := &pr.shards[s]
 		cw := &child.shards[s]
-		offs := make([]int32, hi-lo+1)
 		// Surviving windows are bounded both by the parent's block and by the
 		// child length's window count; reserving the smaller keeps Bytes()
 		// within WindowBytesBound(qLen), the budget admission bound.
-		bound := len(sw.prods)
-		if cb := pj.shardWindowBound(lo, hi, qLen); cb < bound {
-			bound = cb
-		}
+		bound := min(len(sw.prods), pj.shardWindowBound(lo, hi, qLen))
+		kept := bound
 		if pj.ramp {
-			dst := make([]float64, 0, bound)
+			dst := reuse(cw.prods, bound)
 			for si := lo; si < hi; si++ {
 				seq := pj.sample[si]
 				wlo, whi := pr.clipShard(sw, si-lo, seq, qLen)
@@ -611,12 +674,11 @@ func (pr *Projection) Extend(qLen int, d pattern.Symbol) *Projection {
 						dst = append(dst, p*row[obs[j]])
 					}
 				}
-				offs[si-lo+1] = int32(len(dst))
+				cw.offs[si-lo+1] = int32(len(dst))
 			}
 			cw.prods = dst
 		} else {
-			kst := make([]int32, 0, bound)
-			kpr := make([]float64, 0, bound)
+			kst, kpr := reuse(cw.starts, bound), reuse(cw.prods, bound)
 			for si := lo; si < hi; si++ {
 				seq := pj.sample[si]
 				wlo, whi := pr.clipShard(sw, si-lo, seq, qLen)
@@ -627,12 +689,11 @@ func (pr *Projection) Extend(qLen int, d pattern.Symbol) *Projection {
 						kpr = append(kpr, v)
 					}
 				}
-				offs[si-lo+1] = int32(len(kpr))
+				cw.offs[si-lo+1] = int32(len(kpr))
 			}
-			cw.starts, cw.prods = compactWindows(kst, kpr, bound)
+			cw.starts, cw.prods, kept = compactWindows(kst, kpr, bound)
 		}
-		cw.offs = offs
-		child.bytes += cw.bytes()
+		child.bytes += pj.charge(len(cw.offs), int64(kept))
 	}
 	return child
 }

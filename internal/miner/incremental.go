@@ -11,10 +11,10 @@ import (
 
 // IncrementalConfig tunes IncrementalSampleValuer.
 type IncrementalConfig struct {
-	// Workers shards the sample across this many goroutines per level
-	// (0 or 1 = sequential, negative = GOMAXPROCS). Values are bit-identical
-	// for every worker count — shard boundaries and the merge order are fixed
-	// by the sample alone.
+	// Workers builds and values each level on this many goroutines (0 or
+	// 1 = sequential, negative = GOMAXPROCS). Values are bit-identical for
+	// every worker count — shard boundaries and the merge order are fixed by
+	// the sample alone.
 	Workers int
 	// Budget bounds the prefix cache in bytes (0 = match.DefaultCacheBudget,
 	// negative = unlimited); exceeding it degrades speed, never correctness.
@@ -24,8 +24,8 @@ type IncrementalConfig struct {
 	Metrics *telemetry.Metrics
 }
 
-// IncrementalSampleValuer is the fast-path Phase 2 valuer: an incremental
-// prefix-extension kernel (match.Incremental) wrapped as a Valuer for
+// IncrementalSampleValuer is the Phase 2 sample valuer: the level-wise
+// projection kernel (match.Incremental) wrapped as a Valuer for
 // Engine.Run / SampleChernoffContext. Each lattice level is scored by
 // extending the cached per-sequence window products of the previous level —
 // one row lookup and one multiply per surviving window — instead of

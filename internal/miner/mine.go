@@ -12,7 +12,8 @@ import (
 
 // MatchSampleValuer evaluates candidates against an in-memory sample under
 // the match measure with the structure-of-arrays kernel, summing the sample
-// in order (the naive Phase 2 kernel).
+// in order: the naive reference the Phase 2 kernel (IncrementalSampleValuer)
+// is tested and benchmarked against.
 func MatchSampleValuer(c compat.Source, sample [][]pattern.Symbol) Valuer {
 	return func(ps []pattern.Pattern) ([]float64, error) {
 		set, err := match.CompileSoA(c, ps)

@@ -195,17 +195,17 @@ func caseRng(cs *Case) *rand.Rand {
 	return rand.New(rand.NewSource(cs.Seed ^ 0x5eed))
 }
 
-// MineEngine wraps the full three-phase pipeline with the given finalizer,
-// Phase 2 kernel, and worker count, its Phase 2 engine picked from the case
+// MineEngine wraps the full three-phase pipeline with the given finalizer
+// and worker count, its Phase 2 engine picked from the case
 // as in production. For the implicit finalizer — whose
 // frequent set is the downward closure of its border and may legitimately
 // contain gapped patterns outside the truncated candidate space — every
 // member is first verified frequent by the oracle, then the set is
 // restricted to the case's space for the equality comparison.
-func MineEngine(fin core.Finalizer, kernel core.Phase2Kernel, workers int) Engine {
-	name := fmt.Sprintf("core.Mine/%s/%s/workers=%d", fin, kernel, workers)
+func MineEngine(fin core.Finalizer, workers int) Engine {
+	name := fmt.Sprintf("core.Mine/%s/workers=%d", fin, workers)
 	return Engine{Name: name, Ref: RefMatch, Mine: func(cs *Case) (*pattern.Set, error) {
-		return mineCase(cs, seqdb.NewMemDB(cs.DB), core.Config{Finalizer: fin, Workers: workers, Phase2Kernel: kernel})
+		return mineCase(cs, seqdb.NewMemDB(cs.DB), core.Config{Finalizer: fin, Workers: workers})
 	}}
 }
 
@@ -213,11 +213,11 @@ func MineEngine(fin core.Finalizer, kernel core.Phase2Kernel, workers int) Engin
 // view shards (seqdb.ShardScanner), so Phase 3 probes scan shard by shard.
 // The mined frequent set must be identical to every other engine's: the
 // shard layout only changes how probe scans execute.
-func MineEngineSharded(fin core.Finalizer, kernel core.Phase2Kernel, workers, shards int) Engine {
-	name := fmt.Sprintf("%s/shards=%d", MineEngine(fin, kernel, workers).Name, shards)
+func MineEngineSharded(fin core.Finalizer, workers, shards int) Engine {
+	name := fmt.Sprintf("%s/shards=%d", MineEngine(fin, workers).Name, shards)
 	return Engine{Name: name, Ref: RefMatch, Mine: func(cs *Case) (*pattern.Set, error) {
 		db := seqdb.ShardScanner(seqdb.NewMemDB(cs.DB), shards)
-		return mineCase(cs, db, core.Config{Finalizer: fin, Workers: workers, Phase2Kernel: kernel})
+		return mineCase(cs, db, core.Config{Finalizer: fin, Workers: workers})
 	}}
 }
 
@@ -225,11 +225,11 @@ func MineEngineSharded(fin core.Finalizer, kernel core.Phase2Kernel, workers, sh
 // of the one core.PickPhase2Engine picks for the case (MineEngine's). The
 // engines must agree exactly — growth replicates the level-wise labels
 // bit-for-bit — so the frequent set must equal every other engine's.
-func MinePhase2Engine(e core.Phase2Engine, fin core.Finalizer, kernel core.Phase2Kernel, workers int) Engine {
-	name := fmt.Sprintf("core.Mine/%s/%s/%s/workers=%d", e, fin, kernel, workers)
+func MinePhase2Engine(e core.Phase2Engine, fin core.Finalizer, workers int) Engine {
+	name := fmt.Sprintf("core.Mine/%s/%s/workers=%d", e, fin, workers)
 	return Engine{Name: name, Ref: RefMatch, Mine: func(cs *Case) (*pattern.Set, error) {
 		return mineCase(cs, seqdb.NewMemDB(cs.DB), core.Config{
-			Finalizer: fin, Workers: workers, Phase2Kernel: kernel, Phase2Engine: e,
+			Finalizer: fin, Workers: workers, Phase2Engine: e,
 		})
 	}}
 }
@@ -241,13 +241,13 @@ func MinePhase2Engine(e core.Phase2Engine, fin core.Finalizer, kernel core.Phase
 // sums marshaled back). Distribution is purely an execution layout — the
 // frequent set must equal every other engine's, which also pins the
 // protocol's float64 round-trip to bit-exactness.
-func RemoteShardEngine(fin core.Finalizer, kernel core.Phase2Kernel, nodes int) Engine {
-	name := fmt.Sprintf("core.Mine/%s/%s/remote nodes=%d", fin, kernel, nodes)
+func RemoteShardEngine(fin core.Finalizer, nodes int) Engine {
+	name := fmt.Sprintf("core.Mine/%s/remote nodes=%d", fin, nodes)
 	return Engine{Name: name, Ref: RefMatch, Mine: func(cs *Case) (*pattern.Set, error) {
 		h := shardrpc.NewHarness(nodes, "battery-token", func() (seqdb.Scanner, error) {
 			return seqdb.NewMemDB(cs.DB), nil
 		})
-		cfg := core.Config{Finalizer: fin, Phase2Kernel: kernel, Remote: h.Pool(shardrpc.RetryPolicy{})}
+		cfg := core.Config{Finalizer: fin, Remote: h.Pool(shardrpc.RetryPolicy{})}
 		return mineCase(cs, seqdb.NewMemDB(cs.DB), cfg)
 	}}
 }
@@ -272,14 +272,10 @@ func mineCase(cs *Case, db seqdb.Scanner, cfg core.Config) (*pattern.Set, error)
 // pipeline in batch-sequence batches over an append-only log, advancing the
 // stream after each batch, and returns the final frequent set. With the
 // case's full-window sample the stream's final result must equal the batch
-// pipeline's — and hence the oracle's — for every batch size, worker count
-// and kernel: replay is purely an execution layout.
-func StreamEngine(kernel stream.Kernel, workers, batch int) Engine {
-	kname := "incremental"
-	if kernel == stream.KernelNaive {
-		kname = "naive"
-	}
-	name := fmt.Sprintf("stream.Advance/%s/workers=%d/batch=%d", kname, workers, batch)
+// pipeline's — and hence the oracle's — for every batch size and worker
+// count: replay is purely an execution layout.
+func StreamEngine(workers, batch int) Engine {
+	name := fmt.Sprintf("stream.Advance/workers=%d/batch=%d", workers, batch)
 	return Engine{Name: name, Ref: RefMatch, Mine: func(cs *Case) (*pattern.Set, error) {
 		dir, err := os.MkdirTemp("", "lspstream")
 		if err != nil {
@@ -300,7 +296,6 @@ func StreamEngine(kernel stream.Kernel, workers, batch int) Engine {
 			MaxGap:     cs.MaxGap,
 			MemBudget:  cs.MemBudget,
 			Workers:    workers,
-			Kernel:     kernel,
 			Seed:       cs.Seed,
 		})
 		if err != nil {
@@ -388,29 +383,29 @@ func SupportExhaustiveEngine() Engine {
 }
 
 // Battery returns the standard cross-check battery: the full pipeline with
-// its Phase 2 engine picked from the case and forced onto each engine, under
-// both Phase 2 kernels, several worker counts, sharded and remote-worker
-// Phase 3 probe scans, all three resolving finalizers, the exhaustive
-// miner, Max-Miner, and both support miners.
+// its Phase 2 engine picked from the case and forced onto each engine,
+// several worker counts, sharded and remote-worker Phase 3 probe scans, all
+// three resolving finalizers, the streaming pipeline, the exhaustive miner,
+// Max-Miner, and both support miners.
 func Battery() []Engine {
 	return []Engine{
-		MineEngine(core.BorderCollapsing, core.KernelIncremental, 0),
-		MineEngine(core.BorderCollapsing, core.KernelIncremental, 3),
-		MineEngine(core.BorderCollapsing, core.KernelNaive, 2),
-		MineEngine(core.LevelWise, core.KernelIncremental, 2),
-		MineEngine(core.BorderCollapsingImplicit, core.KernelNaive, 0),
-		MineEngineSharded(core.BorderCollapsing, core.KernelIncremental, 0, 4),
-		MineEngineSharded(core.BorderCollapsing, core.KernelIncremental, 2, 3),
-		MineEngineSharded(core.BorderCollapsingImplicit, core.KernelIncremental, 0, 2),
-		MinePhase2Engine(core.Phase2Levelwise, core.BorderCollapsing, core.KernelIncremental, 2),
-		MinePhase2Engine(core.Phase2Growth, core.BorderCollapsing, core.KernelIncremental, 0),
-		MinePhase2Engine(core.Phase2Growth, core.BorderCollapsing, core.KernelIncremental, 3),
-		MinePhase2Engine(core.Phase2Growth, core.BorderCollapsing, core.KernelNaive, 2),
-		MinePhase2Engine(core.Phase2Growth, core.LevelWise, core.KernelIncremental, 2),
-		RemoteShardEngine(core.BorderCollapsing, core.KernelIncremental, 3),
-		StreamEngine(stream.KernelIncremental, 0, 1),
-		StreamEngine(stream.KernelIncremental, 3, 4),
-		StreamEngine(stream.KernelNaive, 2, 3),
+		MineEngine(core.BorderCollapsing, 0),
+		MineEngine(core.BorderCollapsing, 3),
+		MineEngine(core.BorderCollapsing, 2),
+		MineEngine(core.LevelWise, 2),
+		MineEngine(core.BorderCollapsingImplicit, 0),
+		MineEngineSharded(core.BorderCollapsing, 0, 4),
+		MineEngineSharded(core.BorderCollapsing, 2, 3),
+		MineEngineSharded(core.BorderCollapsingImplicit, 0, 2),
+		MinePhase2Engine(core.Phase2Levelwise, core.BorderCollapsing, 2),
+		MinePhase2Engine(core.Phase2Growth, core.BorderCollapsing, 0),
+		MinePhase2Engine(core.Phase2Growth, core.BorderCollapsing, 3),
+		MinePhase2Engine(core.Phase2Growth, core.BorderCollapsing, 2),
+		MinePhase2Engine(core.Phase2Growth, core.LevelWise, 2),
+		RemoteShardEngine(core.BorderCollapsing, 3),
+		StreamEngine(0, 1),
+		StreamEngine(3, 4),
+		StreamEngine(2, 3),
 		ExhaustiveEngine(),
 		MaxMinerEngine(),
 		SupportSweepEngine(),

@@ -124,8 +124,9 @@ func (p Pattern) Key() string {
 }
 
 // ParseKey reverses Key: it rebuilds the pattern from its canonical
-// representation. The result is not validated (Key round-trips any pattern,
-// valid or not); call Validate if needed.
+// representation. Only "*" stands for the eternal symbol; every negative
+// number is rejected. The result is not otherwise validated; call Validate
+// if needed.
 func ParseKey(key string) (Pattern, error) {
 	if key == "" {
 		return nil, fmt.Errorf("pattern: empty key")
@@ -140,6 +141,11 @@ func ParseKey(key string) (Pattern, error) {
 		v, err := strconv.ParseInt(part, 10, 32)
 		if err != nil {
 			return nil, fmt.Errorf("pattern: bad key %q: %w", key, err)
+		}
+		if v < 0 {
+			// Only "*" spells the eternal symbol; a negative number would
+			// parse to a symbol Key renders as "*" and not round-trip.
+			return nil, fmt.Errorf("pattern: bad key %q: negative symbol %d", key, v)
 		}
 		p[i] = Symbol(v)
 	}

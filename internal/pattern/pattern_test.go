@@ -193,6 +193,13 @@ func TestParseKeyRoundTrip(t *testing.T) {
 	if _, err := ParseKey("1,x"); err == nil {
 		t.Error("garbage key accepted")
 	}
+	// Key renders every negative symbol as "*", so a negative number in a
+	// key could never come back out of Key.
+	for _, key := range []string{"-10", "-1,0", "3,-2", "0,*,-1"} {
+		if p, err := ParseKey(key); err == nil {
+			t.Errorf("ParseKey(%q) accepted as %v", key, p)
+		}
+	}
 }
 
 func TestStringRendering(t *testing.T) {

@@ -35,11 +35,14 @@
 // window-relative index, the rebuilt state is identical to a fresh stream
 // over a database holding only the live window.
 //
-// Equivalence: with SampleSize >= the window size and the naive Phase 2
-// kernel, every Advance yields results bit-identical to core.Mine over the
-// consumed window. With the incremental kernel, values agree within float64
-// sum reassociation (the kernels' documented relationship) and labels agree
-// away from exact Chernoff boundaries.
+// Equivalence: with SampleSize >= the window size, a re-mine values the
+// sample core.Mine draws over the consumed window with the same Phase 2
+// kernel, so its values are core.Mine's bit for bit. Values refreshed from
+// the maintained sums are straight in-order sums: bit-identical to the
+// kernel's shard-merged sums while the sample fits in one 32-sequence shard
+// (every Advance then yields results bit-identical to core.Mine), and within
+// float64 sum reassociation beyond that, where labels agree away from exact
+// Chernoff boundaries.
 package stream
 
 import (
@@ -56,19 +59,6 @@ import (
 	"repro/internal/pattern"
 	"repro/internal/seqdb"
 	"repro/internal/telemetry"
-)
-
-// Kernel selects the sample-scoring kernel for the scoped re-mine, mirroring
-// core.Phase2Kernel.
-type Kernel int
-
-const (
-	// KernelIncremental scores re-mine levels with the prefix-extension
-	// kernel sharded across Workers (the default, matching core.Mine's).
-	KernelIncremental Kernel = iota
-	// KernelNaive recompiles every candidate against the whole sample —
-	// slower, and the bit-exactness reference for the maintained sums.
-	KernelNaive
 )
 
 // Config parameterizes a stream. The mining parameters carry the same
@@ -95,12 +85,10 @@ type Config struct {
 	// MemBudget is the number of pattern counters a probe round may hold.
 	// Default 10000.
 	MemBudget int
-	// Workers shards the re-mine's incremental kernel (0/1 sequential,
+	// Workers parallelizes the re-mine's projection kernel (0/1 sequential,
 	// negative = GOMAXPROCS).
 	Workers int
-	// Kernel selects the re-mine kernel. Default KernelIncremental.
-	Kernel Kernel
-	// CacheBudget bounds the incremental kernel's prefix cache in bytes
+	// CacheBudget bounds the re-mine's projection cache in bytes
 	// (0 = match.DefaultCacheBudget).
 	CacheBudget int64
 	// Seed drives the stateless reservoir draws (required for
@@ -146,9 +134,6 @@ func (c *Config) validate() error {
 	}
 	if c.MemBudget < 1 {
 		return fmt.Errorf("stream: MemBudget %d < 1", c.MemBudget)
-	}
-	if c.Kernel < KernelIncremental || c.Kernel > KernelNaive {
-		return fmt.Errorf("stream: unknown kernel %d", c.Kernel)
 	}
 	return nil
 }
@@ -650,16 +635,12 @@ func (s *Stream) remine(ctx context.Context) error {
 		MaxCandidatesPerLevel: s.cfg.MaxCandidatesPerLevel,
 		Metrics:               s.cfg.Metrics,
 	}
-	valuer := miner.MatchSampleValuer(s.cfg.C, s.sample)
-	if s.cfg.Kernel == KernelIncremental {
-		var inc *match.Incremental
-		valuer, inc = miner.IncrementalSampleValuer(s.cfg.C, s.sample, miner.IncrementalConfig{
-			Workers: s.cfg.Workers,
-			Budget:  s.cfg.CacheBudget,
-			Metrics: s.cfg.Metrics,
-		})
-		defer inc.Release()
-	}
+	valuer, inc := miner.IncrementalSampleValuer(s.cfg.C, s.sample, miner.IncrementalConfig{
+		Workers: s.cfg.Workers,
+		Budget:  s.cfg.CacheBudget,
+		Metrics: s.cfg.Metrics,
+	})
+	defer inc.Release()
 	r, err := miner.SampleChernoffContext(ctx, s.cfg.C.Size(), valuer,
 		s.symbolMatch, s.cfg.MinMatch, s.cfg.Delta, len(s.sample), opts)
 	if err != nil {
@@ -675,7 +656,7 @@ func (s *Stream) remine(ctx context.Context) error {
 	}
 	// The sample sums are rebuilt with one straight in-order pass over these
 	// members, so they (and every label derived from them later) do not
-	// depend on the re-mine kernel.
+	// depend on how the re-mine summed them.
 	s.mined = &mineView{
 		sample:      append([][]pattern.Symbol(nil), s.sample...),
 		symbolMatch: append([]float64(nil), s.symbolMatch...),

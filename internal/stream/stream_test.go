@@ -96,7 +96,7 @@ func genCase(t *testing.T, seed int64) *testCase {
 	}
 }
 
-func (tc *testCase) streamConfig(kernel stream.Kernel, workers, sampleSize int) stream.Config {
+func (tc *testCase) streamConfig(workers, sampleSize int) stream.Config {
 	return stream.Config{
 		C:          tc.c,
 		MinMatch:   tc.minMatch,
@@ -106,25 +106,23 @@ func (tc *testCase) streamConfig(kernel stream.Kernel, workers, sampleSize int) 
 		MaxGap:     tc.maxGap,
 		MemBudget:  3, // small: forces multi-round border collapsing
 		Workers:    workers,
-		Kernel:     kernel,
 		Seed:       42,
 	}
 }
 
 // batchMine runs the from-scratch pipeline over db with a full-window sample
-// and the given kernel — the reference every streamed prefix must match.
-func batchMine(t *testing.T, tc *testCase, db [][]pattern.Symbol, kernel core.Phase2Kernel, workers, sampleSize int) *core.Result {
+// — the reference every streamed prefix must match.
+func batchMine(t *testing.T, tc *testCase, db [][]pattern.Symbol, workers, sampleSize int) *core.Result {
 	t.Helper()
 	res, err := core.Mine(seqdb.NewMemDB(db), tc.c, core.Config{
-		MinMatch:     tc.minMatch,
-		Delta:        tc.delta,
-		SampleSize:   sampleSize,
-		MaxLen:       tc.maxLen,
-		MaxGap:       tc.maxGap,
-		MemBudget:    3,
-		Workers:      workers,
-		Phase2Kernel: kernel,
-		Rng:          rand.New(rand.NewSource(1)),
+		MinMatch:   tc.minMatch,
+		Delta:      tc.delta,
+		SampleSize: sampleSize,
+		MaxLen:     tc.maxLen,
+		MaxGap:     tc.maxGap,
+		MemBudget:  3,
+		Workers:    workers,
+		Rng:        rand.New(rand.NewSource(1)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,16 +158,18 @@ func setKeys(s *pattern.Set) []string {
 	return keys
 }
 
-// TestReplayMatchesBatchNaive is the strict differential: feeding the
-// database in K-sequence batches with the naive kernel must reproduce the
-// from-scratch pipeline bit-identically after every batch — frequent set,
-// border, symbol matches, and every sample value.
-func TestReplayMatchesBatchNaive(t *testing.T) {
+// TestReplayMatchesBatchBitwise is the strict differential: feeding the
+// database in K-sequence batches must reproduce the from-scratch pipeline
+// bit-identically after every batch — frequent set, border, symbol matches,
+// and every sample value. Every case's database fits in one 32-sequence
+// shard of the Phase 2 kernel, whose sums are then the straight in-order
+// sums the stream maintains.
+func TestReplayMatchesBatchBitwise(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		tc := genCase(t, seed)
 		for _, k := range []int{1, 2, 3, 5, len(tc.db)} {
 			log := newLog(t)
-			s, err := stream.New(log, tc.streamConfig(stream.KernelNaive, 0, len(tc.db)))
+			s, err := stream.New(log, tc.streamConfig(0, len(tc.db)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +183,7 @@ func TestReplayMatchesBatchNaive(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d k %d batch [%d,%d): %v", seed, k, lo, hi, err)
 				}
-				ref := batchMine(t, tc, tc.db[:hi], core.KernelNaive, 0, len(tc.db))
+				ref := batchMine(t, tc, tc.db[:hi], 0, len(tc.db))
 				if got, want := setKeys(res.Frequent), setKeys(ref.Frequent); !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d k %d prefix %d: frequent %v, batch mine %v", seed, k, hi, got, want)
 				}
@@ -208,17 +208,16 @@ func TestReplayMatchesBatchNaive(t *testing.T) {
 	}
 }
 
-// TestReplayMatchesBatchIncremental runs the same replay under the default
-// incremental kernel and several worker counts. stream.Kernel sums are
-// shard-reassociated, so values are compared at set level (the kernels'
-// documented contract: classifications agree).
-func TestReplayMatchesBatchIncremental(t *testing.T) {
+// TestReplayMatchesBatchAcrossWorkers runs the same replay at several worker
+// counts and batch sizes and compares the final frequent set and border with
+// a batch mine at the same worker count.
+func TestReplayMatchesBatchAcrossWorkers(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		tc := genCase(t, seed)
 		for _, workers := range []int{0, 3} {
 			for _, k := range []int{2, 4} {
 				log := newLog(t)
-				s, err := stream.New(log, tc.streamConfig(stream.KernelIncremental, workers, len(tc.db)))
+				s, err := stream.New(log, tc.streamConfig(workers, len(tc.db)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -233,7 +232,7 @@ func TestReplayMatchesBatchIncremental(t *testing.T) {
 						t.Fatalf("seed %d workers %d k %d: %v", seed, workers, k, err)
 					}
 				}
-				ref := batchMine(t, tc, tc.db, core.KernelIncremental, workers, len(tc.db))
+				ref := batchMine(t, tc, tc.db, workers, len(tc.db))
 				if got, want := setKeys(res.Frequent), setKeys(ref.Frequent); !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d workers %d k %d: frequent %v, batch mine %v", seed, workers, k, got, want)
 				}
@@ -267,7 +266,7 @@ func TestStationarySkipsRemineAndServesCache(t *testing.T) {
 		tc.db = append(tc.db, a, b)
 	}
 	log := newLog(t)
-	s, err := stream.New(log, tc.streamConfig(stream.KernelNaive, 0, len(tc.db)))
+	s, err := stream.New(log, tc.streamConfig(0, len(tc.db)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +277,7 @@ func TestStationarySkipsRemineAndServesCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := batchMine(t, tc, tc.db[:lo+perBatch], core.KernelNaive, 0, len(tc.db))
+		ref := batchMine(t, tc, tc.db[:lo+perBatch], 0, len(tc.db))
 		if got, want := setKeys(res.Frequent), setKeys(ref.Frequent); !reflect.DeepEqual(got, want) {
 			t.Fatalf("prefix %d: frequent %v, batch mine %v", lo+perBatch, got, want)
 		}
@@ -312,7 +311,7 @@ func TestStationarySkipsRemineAndServesCache(t *testing.T) {
 func TestIdleAdvance(t *testing.T) {
 	tc := genCase(t, 5)
 	log := newLog(t)
-	s, err := stream.New(log, tc.streamConfig(stream.KernelNaive, 0, len(tc.db)))
+	s, err := stream.New(log, tc.streamConfig(0, len(tc.db)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +340,7 @@ func TestIdleAdvance(t *testing.T) {
 func TestEmptyLog(t *testing.T) {
 	tc := genCase(t, 2)
 	log := newLog(t)
-	s, err := stream.New(log, tc.streamConfig(stream.KernelNaive, 0, 4))
+	s, err := stream.New(log, tc.streamConfig(0, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +361,7 @@ func TestWindowExpiryMatchesFreshWindow(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		tc := genCase(t, seed)
 		const window = 5
-		cfg := tc.streamConfig(stream.KernelNaive, 0, len(tc.db))
+		cfg := tc.streamConfig(0, len(tc.db))
 		cfg.Window = window
 		log := newLog(t)
 		s, err := stream.New(log, cfg)
@@ -387,7 +386,7 @@ func TestWindowExpiryMatchesFreshWindow(t *testing.T) {
 			if res.Total-res.Appended > hi || log.Start() != start {
 				t.Fatalf("seed %d: window start %d, want %d", seed, log.Start(), start)
 			}
-			ref := batchMine(t, tc, live, core.KernelNaive, 0, len(tc.db))
+			ref := batchMine(t, tc, live, 0, len(tc.db))
 			if got, want := setKeys(res.Frequent), setKeys(ref.Frequent); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d window [%d,%d): frequent %v, batch mine of window %v", seed, start, hi, got, want)
 			}
@@ -427,7 +426,7 @@ func TestWindowExpiryMatchesFreshWindow(t *testing.T) {
 // draws make the sample a pure function of the window contents.
 func TestWindowExpirySubsampled(t *testing.T) {
 	tc := genCase(t, 7)
-	cfg := tc.streamConfig(stream.KernelIncremental, 2, 3) // reservoir of 3 under a window of 6
+	cfg := tc.streamConfig(2, 3) // reservoir of 3 under a window of 6
 	cfg.Window = 6
 	log := newLog(t)
 	s, err := stream.New(log, cfg)
@@ -507,7 +506,7 @@ func cloneMine(r *miner.Result) *miner.Result {
 func TestRestoreContinuesIdentically(t *testing.T) {
 	tc := genCase(t, 6)
 	log := newLog(t)
-	cfg := tc.streamConfig(stream.KernelNaive, 0, len(tc.db))
+	cfg := tc.streamConfig(0, len(tc.db))
 	s, err := stream.New(log, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -558,7 +557,7 @@ func TestRestoreContinuesIdentically(t *testing.T) {
 func TestRestoreRejectsInconsistentState(t *testing.T) {
 	tc := genCase(t, 1)
 	log := newLog(t)
-	cfg := tc.streamConfig(stream.KernelNaive, 0, len(tc.db))
+	cfg := tc.streamConfig(0, len(tc.db))
 	s, err := stream.New(log, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -583,7 +582,7 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 func TestConfigValidate(t *testing.T) {
 	tc := genCase(t, 1)
 	log := newLog(t)
-	good := tc.streamConfig(stream.KernelNaive, 0, 4)
+	good := tc.streamConfig(0, 4)
 	bad := []func(*stream.Config){
 		func(c *stream.Config) { c.C = nil },
 		func(c *stream.Config) { c.MinMatch = 0 },
@@ -592,7 +591,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *stream.Config) { c.SampleSize = 0 },
 		func(c *stream.Config) { c.MaxLen = 0 },
 		func(c *stream.Config) { c.Window = -1 },
-		func(c *stream.Config) { c.Kernel = stream.Kernel(9) },
 	}
 	for i, mutate := range bad {
 		cfg := good
@@ -620,7 +618,7 @@ func TestReadOnlyFollowerSeesWriterExpiry(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer follower.Close()
-		s, err := stream.New(follower, tc.streamConfig(stream.KernelNaive, 0, len(tc.db)))
+		s, err := stream.New(follower, tc.streamConfig(0, len(tc.db)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -641,7 +639,7 @@ func TestReadOnlyFollowerSeesWriterExpiry(t *testing.T) {
 				t.Fatalf("seed %d: follower consumed [%d, %d), the log's live window is [%d, %d)",
 					seed, st.WindowStart, st.Cursor, writer.Start(), writer.Total())
 			}
-			ref := batchMine(t, tc, tc.db[writer.Start():hi], core.KernelNaive, 0, len(tc.db))
+			ref := batchMine(t, tc, tc.db[writer.Start():hi], 0, len(tc.db))
 			if got, want := setKeys(res.Frequent), setKeys(ref.Frequent); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d window [%d,%d): frequent %v, batch mine %v", seed, writer.Start(), hi, got, want)
 			}
@@ -687,7 +685,7 @@ func TestDeferredSampleSumsMatchEagerBuild(t *testing.T) {
 // returns which batches shifted the border.
 func compareDeferred(t *testing.T, tc *testCase, batches []int, sampleSize int) []bool {
 	t.Helper()
-	cfg := tc.streamConfig(stream.KernelNaive, 0, sampleSize)
+	cfg := tc.streamConfig(0, sampleSize)
 	logA, logB := newLog(t), newLog(t)
 	eager, err := stream.New(logA, cfg)
 	if err != nil {

@@ -213,7 +213,6 @@ type Metrics struct {
 	growthProjBuilt    Counter // projections built from scratch
 	growthProjReused   Counter // projections extended from a parent projection
 	growthProjValued   Counter // candidate valuations served by a projection walk
-	growthScratch      Counter // candidate valuations recomputed from scratch
 	growthPrunes       Counter // candidates discarded by the optimistic bound
 	growthDenied       Counter // projections too large for a worker's share of the cache budget
 	growthPeakBytes    Gauge   // peak projection bytes cached across all workers
@@ -423,16 +422,14 @@ func (m *Metrics) KernelLevel(extended, scratch, windows, bytes, evicted int64, 
 }
 
 // GrowthNode records one expanded DFS node of the pattern-growth Phase 2
-// engine: how many of its children were valued over the projection, how many
-// fell back to scratch valuation, and how many were discarded by the
-// optimistic bound before valuing.
-func (m *Metrics) GrowthNode(valued, scratch, pruned int64) {
+// engine: how many of its children were valued over the projection and how
+// many were discarded by the optimistic bound before valuing.
+func (m *Metrics) GrowthNode(valued, pruned int64) {
 	if m == nil {
 		return
 	}
 	m.growthNodes.Inc()
 	m.growthProjValued.Add(valued)
-	m.growthScratch.Add(scratch)
 	m.growthPrunes.Add(pruned)
 }
 
@@ -577,7 +574,6 @@ type Snapshot struct {
 	GrowthProjBuilt  int64 `json:"growth_proj_built,omitempty"`
 	GrowthProjReused int64 `json:"growth_proj_reused,omitempty"`
 	GrowthProjValued int64 `json:"growth_proj_valued,omitempty"`
-	GrowthScratch    int64 `json:"growth_scratch,omitempty"`
 	GrowthPrunes     int64 `json:"growth_prunes,omitempty"`
 	GrowthDenied     int64 `json:"growth_denied,omitempty"`
 	GrowthPeakBytes  int64 `json:"growth_peak_bytes,omitempty"`
@@ -659,7 +655,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	s.GrowthProjBuilt = m.growthProjBuilt.Load()
 	s.GrowthProjReused = m.growthProjReused.Load()
 	s.GrowthProjValued = m.growthProjValued.Load()
-	s.GrowthScratch = m.growthScratch.Load()
 	s.GrowthPrunes = m.growthPrunes.Load()
 	s.GrowthDenied = m.growthDenied.Load()
 	s.GrowthPeakBytes = m.growthPeakBytes.Load()
@@ -731,9 +726,9 @@ func (s Snapshot) WriteText(w io.Writer) error {
 			s.KernelExtended, s.KernelScratch, s.KernelWindows, s.KernelPeakBytes, s.KernelEvicted, s.KernelFallbacks)
 	}
 	if s.GrowthNodes > 0 {
-		p("  phase-2 growth: %d nodes, %d projections (%d built / %d reused, %d denied, peak %d bytes cached), %d proj-valued / %d scratch, %d bound-pruned\n",
+		p("  phase-2 growth: %d nodes, %d projections (%d built / %d reused, %d denied, peak %d bytes cached), %d proj-valued, %d bound-pruned\n",
 			s.GrowthNodes, s.GrowthProjBuilt+s.GrowthProjReused, s.GrowthProjBuilt, s.GrowthProjReused,
-			s.GrowthDenied, s.GrowthPeakBytes, s.GrowthProjValued, s.GrowthScratch, s.GrowthPrunes)
+			s.GrowthDenied, s.GrowthPeakBytes, s.GrowthProjValued, s.GrowthPrunes)
 	}
 	if s.GrowthCapFallbacks > 0 {
 		p("  phase-2 growth: %d runs handed back to the level-wise engine at the candidate cap\n", s.GrowthCapFallbacks)

@@ -214,7 +214,10 @@ serve_mode() {
   curl -sf "$base/v1/jobs/$b1/result" >"$dir/resumed1.json"
   curl -sf "$base/v1/jobs/$b2/result" >"$dir/resumed2.json"
   if [ "${interrupted:-0}" -ge 1 ]; then
-    curl -sf "$base/v1/jobs" | grep -q '"resumed":' ||
+    # Read the whole listing before matching: grep -q exits at its first
+    # match, and a curl still writing into the pipe would then fail it.
+    listing=$(curl -sf "$base/v1/jobs")
+    grep -q '"resumed":' <<<"$listing" ||
       { echo "no job reports a resume after the kill" >&2; exit 1; }
   fi
   serve_stop
