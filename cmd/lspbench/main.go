@@ -23,6 +23,12 @@
 // A final serve cell drives the base workload through an in-process
 // lspserve (internal/jobs behind its HTTP handler) and reports submission
 // throughput and submit→complete latency percentiles.
+//
+// lspbench is also a correctness gate: after writing the report it exits 1,
+// naming each failing cell, when a workload's engines or naive reference
+// classified differently (labels_identical, growth_labels_identical), an
+// engine-sweep row's engines did, or the stream's final frequent set differs
+// from the batch mine's (final_sets_agree).
 package main
 
 import (
@@ -271,8 +277,9 @@ type streamResult struct {
 	ScratchScans int64 `json:"scratch_scans"`
 
 	// FinalSetsAgree compares the last batch's frequent set against the
-	// final from-scratch mine (informational: the two draw different Phase 1
-	// samples, so agreement is expected, not guaranteed).
+	// final from-scratch mine. The two draw different Phase 1 samples from
+	// fixed seeds, so the outcome is deterministic for a seed; lspbench
+	// fails when they disagree.
 	FinalSetsAgree bool `json:"final_sets_agree"`
 }
 
@@ -422,6 +429,37 @@ func main() {
 	if *out != "-" {
 		fmt.Fprintf(os.Stderr, "lspbench: wrote %s\n", *out)
 	}
+	if failed := rep.disagreements(); len(failed) > 0 {
+		for _, cell := range failed {
+			fmt.Fprintln(os.Stderr, "lspbench: engines disagree:", cell)
+		}
+		os.Exit(1)
+	}
+}
+
+// disagreements names every cell whose correctness check failed: the
+// engines or the reference classified differently, or the stream's final
+// frequent set differs from a batch mine's.
+func (r *report) disagreements() []string {
+	var failed []string
+	for _, w := range r.Workloads {
+		if !w.LabelsIdentical {
+			failed = append(failed, w.Name+" labels_identical")
+		}
+		if !w.GrowthLabelsIdentical {
+			failed = append(failed, w.Name+" growth_labels_identical")
+		}
+	}
+	for _, row := range r.Sweep {
+		if !row.LabelsIdentical {
+			failed = append(failed, fmt.Sprintf("engine_sweep m=%d mean length %d banded %v labels_identical",
+				row.Alphabet, row.MeanLen, row.Banded))
+		}
+	}
+	if r.Stream != nil && !r.Stream.FinalSetsAgree {
+		failed = append(failed, "stream final_sets_agree")
+	}
+	return failed
 }
 
 // mineFunc mines a workload once with the given telemetry collector,

@@ -172,7 +172,7 @@ func FinalizeState(cfg Config, st *State, pick PickFunc) (*Result, error) {
 		st.Probed += len(batch)
 		cfg.Metrics.ProbeScan(len(batch))
 		for i, p := range batch {
-			cfg.Metrics.ProbeLayer(p.K())
+			cfg.Metrics.Observe(telemetry.ProbeLayers, int64(p.K()))
 			st.Exact[p.Key()] = values[i]
 			st.Pending.Remove(p)
 			idx.remove(p)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/pattern"
+	"repro/internal/telemetry"
 )
 
 // CollapseImplicit is the paper-verbatim form of Algorithm 4.3: the
@@ -132,7 +133,7 @@ func CollapseImplicit(cfg Config, lower, upper *pattern.Set) (*Result, error) {
 		res.Probed += len(batch)
 		cfg.Metrics.ProbeScan(len(batch))
 		for i, p := range batch {
-			cfg.Metrics.ProbeLayer(p.K())
+			cfg.Metrics.Observe(telemetry.ProbeLayers, int64(p.K()))
 			res.Exact[p.Key()] = values[i]
 			if values[i] >= cfg.MinMatch {
 				confirmed.Add(p)

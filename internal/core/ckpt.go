@@ -250,10 +250,7 @@ func phase2FromSnapshot(ps *checkpoint.Phase2State) (*miner.Result, error) {
 			p2.Ambiguous.Add(p)
 		}
 	}
-	p2.FQT = pattern.Border(p2.Frequent)
-	combined := p2.Frequent.Clone()
-	combined.Union(p2.Ambiguous)
-	p2.Ceiling = pattern.Border(combined)
+	p2.SetBorders()
 	return p2, nil
 }
 

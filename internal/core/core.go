@@ -125,12 +125,15 @@ func (e Phase2Engine) String() string {
 // alphabet size (DESIGN "Pattern-growth Phase 2" holds the table behind it).
 const GrowthLengthRatio = 3
 
-// PickPhase2Engine is Phase2Auto's rule. Growth values a child at
-// O(alphabet) per sequence where the level-wise kernel pays O(windows), so
-// it wins once sequences are long relative to the alphabet: it is picked
-// when the sample's mean length is at least GrowthLengthRatio × m. The
-// choice depends only on the sample and the alphabet size, so a resumed run
-// picks the engine the interrupted run picked.
+// PickPhase2Engine is Phase2Auto's rule: growth when the sample's mean
+// length is at least GrowthLengthRatio × m, level-wise otherwise. Both
+// engines value a sibling group with one class-profile walk, so growth wins
+// only where the level-wise kernel's spine of parent projections outgrows
+// its budget and denied parents' children are valued from scratch (the
+// engine sweep's mean-length-185 rows); below that it is the slower engine,
+// including rows this rule gives it (DESIGN "Rule evidence"). The choice
+// depends only on the sample and the alphabet size, so a resumed run picks
+// the engine the interrupted run picked.
 func PickPhase2Engine(sample [][]pattern.Symbol, m int) Phase2Engine {
 	total := 0
 	for _, seq := range sample {
@@ -206,14 +209,6 @@ type Config struct {
 	// Results are identical for every value, so it is excluded from the
 	// checkpoint config hash. Result.Phase2Engine names the engine that ran.
 	Phase2Engine Phase2Engine
-	// Phase2CacheBudget bounds Phase 2's cache in bytes (negative =
-	// unlimited). For the level-wise engine it bounds the spine of parent
-	// projections (0 = match.DefaultCacheBudget, 256 MiB), and children of
-	// parents it cannot admit are valued by compiled matching instead.
-	// For the growth engine it bounds the projections cached across all
-	// workers (0 = growth.DefaultBudget, 32 MiB). Either way a smaller
-	// budget is slower, never wrong.
-	Phase2CacheBudget int64
 	// Rng drives the sampling; required for reproducibility.
 	Rng *rand.Rand
 	// Metrics, when non-nil, collects pipeline telemetry: per-phase scan

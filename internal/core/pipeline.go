@@ -95,7 +95,7 @@ func mineContext(ctx context.Context, db seqdb.Scanner, c compat.Source, cfg Con
 	}
 	res.SymbolMatch = symbolMatch
 	res.SampleSize = len(sample)
-	cfg.Metrics.SampleDrawn(len(sample))
+	cfg.Metrics.Set(telemetry.SampleSize, int64(len(sample)))
 	res.Scans = 1
 	res.Phase1Time = time.Since(start)
 	cfg.Metrics.PhaseTime(1, res.Phase1Time)
@@ -313,7 +313,7 @@ func phase2Candidates(ctx context.Context, c compat.Source, cfg *Config, symbolM
 		if !errors.As(err, &capped) {
 			return p2, err
 		}
-		cfg.Metrics.GrowthCapFallback()
+		cfg.Metrics.Add(telemetry.GrowthCapFallbacks, 1)
 	}
 	return phase2Levelwise(ctx, c, cfg, symbolMatch, sample)
 }
@@ -330,7 +330,6 @@ func phase2Levelwise(ctx context.Context, c compat.Source, cfg *Config, symbolMa
 	}
 	valuer, inc := miner.IncrementalSampleValuer(c, sample, miner.IncrementalConfig{
 		Workers: cfg.Workers,
-		Budget:  cfg.Phase2CacheBudget,
 		Metrics: cfg.Metrics,
 	})
 	defer inc.Release()
@@ -351,7 +350,6 @@ func phase2Growth(ctx context.Context, c compat.Source, cfg *Config, symbolMatch
 		MaxLen:                cfg.MaxLen,
 		MaxGap:                cfg.MaxGap,
 		Workers:               cfg.Workers,
-		Budget:                cfg.Phase2CacheBudget,
 		Metrics:               cfg.Metrics,
 		Ctx:                   ctx,
 		MaxCandidatesPerLevel: cfg.MaxCandidatesPerLevel,

@@ -52,7 +52,6 @@ func (cfg *StreamConfig) streamConfig(c compat.Source) stream.Config {
 		MaxCandidatesPerLevel: cfg.MaxCandidatesPerLevel,
 		MemBudget:             cfg.MemBudget,
 		Workers:               cfg.Workers,
-		CacheBudget:           cfg.Phase2CacheBudget,
 		Seed:                  cfg.Seed,
 		Window:                cfg.Window,
 		Metrics:               cfg.Metrics,

@@ -10,6 +10,7 @@ import (
 	"repro/internal/miner"
 	"repro/internal/pattern"
 	"repro/internal/seqdb"
+	"repro/internal/telemetry"
 )
 
 // MineSweep is the window-sweep variant of the three-phase algorithm,
@@ -83,7 +84,7 @@ func phase2Sweep(ctx context.Context, c compat.Source, cfg *Config, symbolMatch 
 		} else {
 			p2.Labels[key] = chernoff.Infrequent
 		}
-		cfg.Metrics.Classified(int(p2.Labels[key]))
+		cfg.Metrics.Add(telemetry.Classified(int(p2.Labels[key])), 1)
 	}
 	p2.CandidatesPerLevel = append(p2.CandidatesPerLevel, c.Size())
 	cfg.Metrics.LevelEvaluated(c.Size())
@@ -128,13 +129,10 @@ func phase2Sweep(ctx context.Context, c compat.Source, cfg *Config, symbolMatch 
 				p2.Ambiguous.Add(p)
 				alive++
 			}
-			cfg.Metrics.Classified(int(p2.Labels[key]))
+			cfg.Metrics.Add(telemetry.Classified(int(p2.Labels[key])), 1)
 		}
 		p2.AlivePerLevel = append(p2.AlivePerLevel, alive)
 	}
-	p2.FQT = pattern.Border(p2.Frequent)
-	combined := p2.Frequent.Clone()
-	combined.Union(p2.Ambiguous)
-	p2.Ceiling = pattern.Border(combined)
+	p2.SetBorders()
 	return p2, nil
 }

@@ -3,6 +3,7 @@ package growth
 import (
 	"repro/internal/match"
 	"repro/internal/pattern"
+	"repro/internal/telemetry"
 )
 
 // projCache is one worker's private LRU of prefix projections, byte-capped
@@ -62,10 +63,10 @@ func (pc *projCache) proj(p pattern.Pattern) (*match.Projection, error) {
 				return nil, err
 			}
 			cur = built
-			pc.e.cfg.Metrics.GrowthProjection(false)
+			pc.e.cfg.Metrics.Add(telemetry.GrowthProjBuilt, 1)
 		} else {
 			cur = cur.Extend(pos[j]+1, p[pos[j]])
-			pc.e.cfg.Metrics.GrowthProjection(true)
+			pc.e.cfg.Metrics.Add(telemetry.GrowthProjReused, 1)
 		}
 		pc.put(prefix.Key(), cur)
 	}
@@ -92,7 +93,7 @@ func (pc *projCache) put(key string, pr *match.Projection) {
 	}
 	b := pr.Bytes()
 	if pc.cap >= 0 && b > pc.cap {
-		pc.e.cfg.Metrics.GrowthProjectionDenied()
+		pc.e.cfg.Metrics.Add(telemetry.GrowthDenied, 1)
 		return
 	}
 	if pc.cap >= 0 {

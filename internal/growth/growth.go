@@ -84,8 +84,8 @@ type Config struct {
 	// probability (both forwarded to chernoff.NewClassifier).
 	MinMatch, Delta float64
 	// MaxLen bounds total pattern length (>= 1); MaxGap bounds runs of
-	// eternal symbols; MaxK caps the lattice level (0 = no cap).
-	MaxLen, MaxGap, MaxK int
+	// eternal symbols.
+	MaxLen, MaxGap int
 	// MaxCandidatesPerLevel, when > 0, is the level-wise engine's per-level
 	// candidate cap: as soon as a level's candidate count exceeds it, Mine
 	// stops with a *CapError (the level-wise engine would truncate that
@@ -173,7 +173,7 @@ func Mine(c compat.Source, sample [][]pattern.Symbol, cfg Config) (*miner.Result
 	if cfg.MaxLen < 1 {
 		return nil, fmt.Errorf("growth: MaxLen %d < 1", cfg.MaxLen)
 	}
-	if cfg.MaxGap < 0 || cfg.MaxK < 0 || cfg.MaxCandidatesPerLevel < 0 {
+	if cfg.MaxGap < 0 || cfg.MaxCandidatesPerLevel < 0 {
 		return nil, fmt.Errorf("growth: negative cap")
 	}
 	cls, err := chernoff.NewClassifier(cfg.MinMatch, cfg.Delta, len(sample))
@@ -235,7 +235,7 @@ func Mine(c compat.Source, sample [][]pattern.Symbol, cfg Config) (*miner.Result
 	// atomic cursor and explore each subtree depth first. Node processing is
 	// deduplicated globally through the done registry, so demand-driven
 	// resolution from other subtrees never repeats work.
-	if len(roots) > 0 && cfg.MaxLen >= 2 && (cfg.MaxK == 0 || cfg.MaxK >= 2) {
+	if len(roots) > 0 && cfg.MaxLen >= 2 {
 		workers := cfg.Workers
 		if workers < 0 {
 			workers = runtime.GOMAXPROCS(0)
@@ -277,19 +277,16 @@ func Mine(c compat.Source, sample [][]pattern.Symbol, cfg Config) (*miner.Result
 
 	e.res.CandidatesPerLevel = e.cand
 	e.res.AlivePerLevel = e.alive
-	e.res.FQT = pattern.Border(e.res.Frequent)
-	combined := e.res.Frequent.Clone()
-	combined.Union(e.res.Ambiguous)
-	e.res.Ceiling = pattern.Border(combined)
+	e.res.SetBorders()
 	// Lattice telemetry is recorded only for a completed run, so a run that
 	// hands a capped level back to the level-wise engine is not counted twice.
 	for _, n := range e.cand {
 		cfg.Metrics.LevelEvaluated(n)
 	}
 	for _, label := range e.res.Labels {
-		cfg.Metrics.Classified(int(label))
+		cfg.Metrics.Add(telemetry.Classified(int(label)), 1)
 	}
-	cfg.Metrics.GrowthPeakBytes(e.peak.Load())
+	cfg.Metrics.Max(telemetry.GrowthPeakBytes, e.peak.Load())
 	return e.res, nil
 }
 
@@ -325,10 +322,6 @@ func (e *engine) walk(pc *projCache, p pattern.Pattern) error {
 	if err := e.processNode(pc, p); err != nil {
 		return err
 	}
-	k := p.K()
-	if e.cfg.MaxK > 0 && k+1 > e.cfg.MaxK {
-		return nil
-	}
 	for gap := 0; gap <= e.cfg.MaxGap; gap++ {
 		qLen := p.Len() + gap + 1
 		if qLen > e.cfg.MaxLen {
@@ -356,13 +349,10 @@ func (e *engine) walk(pc *projCache, p pattern.Pattern) error {
 // waits-on relation is acyclic. Children that fail admission are memoized as
 // unexplored so demand resolution never re-derives them.
 func (e *engine) processNode(pc *projCache, p pattern.Pattern) error {
-	k := p.K()
-	if e.cfg.MaxK > 0 && k+1 > e.cfg.MaxK {
-		return nil
-	}
 	if p.Len()+1 > e.cfg.MaxLen {
 		return nil
 	}
+	k := p.K()
 	if e.cfg.Ctx != nil {
 		if err := e.cfg.Ctx.Err(); err != nil {
 			return err
@@ -468,7 +458,7 @@ func (e *engine) processNode(pc *projCache, p pattern.Pattern) error {
 func (e *engine) subsAlive(pc *projCache, q pattern.Pattern) (chernoff.Label, bool, error) {
 	minSub := chernoff.Frequent
 	for _, sub := range q.ImmediateSubpatterns() {
-		if maxGapRun(sub) > e.cfg.MaxGap {
+		if sub.MaxGapRun() > e.cfg.MaxGap {
 			continue // outside the explored space, never enumerated
 		}
 		label, explored, err := e.resolve(pc, sub)
@@ -498,7 +488,7 @@ func (e *engine) resolve(pc *projCache, p pattern.Pattern) (chernoff.Label, bool
 		return ent.label, ent.explored, nil
 	}
 	// 1-patterns are pre-seeded, so p has at least two concrete symbols.
-	if p.Len() > e.cfg.MaxLen || (e.cfg.MaxK > 0 && p.K() > e.cfg.MaxK) {
+	if p.Len() > e.cfg.MaxLen {
 		e.memoPut(key, memoEntry{})
 		return 0, false, nil
 	}
@@ -572,20 +562,4 @@ func (e *engine) record(q pattern.Pattern, k int, v float64, hasValue bool, spre
 		e.alive[k-1]++
 	}
 	e.mu.Unlock()
-}
-
-// maxGapRun returns the longest run of eternal symbols in p.
-func maxGapRun(p pattern.Pattern) int {
-	run, max := 0, 0
-	for _, s := range p {
-		if s.IsEternal() {
-			run++
-			if run > max {
-				max = run
-			}
-		} else {
-			run = 0
-		}
-	}
-	return max
 }

@@ -214,33 +214,6 @@ func TestGrowthTightBudget(t *testing.T) {
 	}
 }
 
-// TestGrowthMaxK checks the level cap matches the level-wise engine's.
-func TestGrowthMaxK(t *testing.T) {
-	cs := oracle.GenCase(2)
-	sm := symbolMatches(t, cs.C, cs.DB)
-	valuer, inc := miner.IncrementalSampleValuer(cs.C, cs.DB, miner.IncrementalConfig{})
-	defer inc.Release()
-	for maxK := 1; maxK <= 3; maxK++ {
-		want, err := miner.SampleChernoff(cs.C.Size(), valuer, sm, cs.MinMatch, cs.Delta, len(cs.DB),
-			miner.Options{MaxLen: cs.MaxLen, MaxGap: cs.MaxGap, MaxK: maxK})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := growth.Mine(cs.C, cs.DB, growth.Config{
-			SymbolMatch: sm,
-			MinMatch:    cs.MinMatch,
-			Delta:       cs.Delta,
-			MaxLen:      cs.MaxLen,
-			MaxGap:      cs.MaxGap,
-			MaxK:        maxK,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertEquivalent(t, want, got)
-	}
-}
-
 // TestGrowthValidation covers the constructor errors.
 func TestGrowthValidation(t *testing.T) {
 	c := compat.Identity(3)
@@ -254,7 +227,6 @@ func TestGrowthValidation(t *testing.T) {
 		{"empty sample", nil, func(*growth.Config) {}},
 		{"zero MaxLen", sample, func(c *growth.Config) { c.MaxLen = 0 }},
 		{"negative MaxGap", sample, func(c *growth.Config) { c.MaxGap = -1 }},
-		{"negative MaxK", sample, func(c *growth.Config) { c.MaxK = -1 }},
 		{"bad delta", sample, func(c *growth.Config) { c.Delta = 1.5 }},
 	}
 	for _, tc := range cases {

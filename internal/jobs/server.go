@@ -8,8 +8,6 @@ import (
 	"net/http"
 	"strconv"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 // TenantHeader is the authenticated-tenant header the deployment's front
@@ -254,9 +252,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write([]byte("ok\n"))
 }
 
-// handleMetrics renders the manager counters plus the live per-job telemetry
-// aggregate in Prometheus text exposition format (stdlib-only; no client
-// library in this repo).
+// handleMetrics renders the manager counters plus the telemetry aggregate
+// over every job the server has run in Prometheus text exposition format
+// (stdlib-only; no client library in this repo).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	c := s.Manager.Counters()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -308,22 +306,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p("lspserve_append_log_live %d\n", al.DB.Len())
 	}
 	if reg := s.Manager.opts.Registry; reg != nil {
-		writeTelemetryMetrics(w, reg.Aggregate())
+		_ = reg.Aggregate().WritePrometheus(w, "lspserve") // a failed write means the scraper left
 	}
-}
-
-func writeTelemetryMetrics(w http.ResponseWriter, agg telemetry.Snapshot) {
-	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
-	p("# HELP lspserve_scans_total Database passes across running jobs.\n")
-	p("# TYPE lspserve_scans_total counter\n")
-	p("lspserve_scans_total %d\n", agg.TotalScans)
-	p("# HELP lspserve_scan_sequences_total Sequences delivered across running jobs.\n")
-	p("# TYPE lspserve_scan_sequences_total counter\n")
-	p("lspserve_scan_sequences_total %d\n", agg.TotalSequences)
-	p("# HELP lspserve_checkpoint_writes_total Checkpoint files written by running jobs.\n")
-	p("# TYPE lspserve_checkpoint_writes_total counter\n")
-	p("lspserve_checkpoint_writes_total %d\n", agg.CheckpointWrites)
-	p("# HELP lspserve_checkpoint_bytes_total Checkpoint bytes written by running jobs.\n")
-	p("# TYPE lspserve_checkpoint_bytes_total counter\n")
-	p("lspserve_checkpoint_bytes_total %d\n", agg.CheckpointBytes)
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -137,6 +138,45 @@ func TestServerSubmitPollResult(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz: status %d", resp.StatusCode)
+	}
+}
+
+// TestServerMetricsCountFinishedJobs runs two jobs one after the other and
+// checks /metrics still counts the first job's scans after its collector
+// left the registry: every _total series only rises.
+func TestServerMetricsCountFinishedJobs(t *testing.T) {
+	dbPath, matrixPath := testWorld(t, testutil.Seed(t), 40, 0.2)
+	m, srv := startTestServer(t, Options{Registry: telemetry.NewRegistry()})
+	var want int64
+	for seed := int64(2); seed <= 3; seed++ {
+		spec := testSpec(dbPath, matrixPath)
+		spec.Seed = seed
+		st, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := waitDone(t, m, st.ID)
+		if final.State != StateDone || final.Telemetry == nil {
+			t.Fatalf("job %s: state %s, telemetry %v", st.ID, final.State, final.Telemetry)
+		}
+		want += final.Telemetry.TotalScans
+	}
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got int64 = -1
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), "lspserve_scans_total "); ok {
+			if got, err = strconv.ParseInt(v, 10, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if want == 0 || got != want {
+		t.Errorf("lspserve_scans_total = %d, want the jobs' total_scans summed (%d)", got, want)
 	}
 }
 

@@ -215,7 +215,7 @@ func (r *run) generate() []pattern.Pattern {
 
 func (r *run) subpatternsFrequent(q pattern.Pattern) bool {
 	for _, sub := range q.ImmediateSubpatterns() {
-		if gapRun(sub) > r.opts.MaxGap {
+		if sub.MaxGapRun() > r.opts.MaxGap {
 			continue
 		}
 		if !r.labels[sub.Key()] {
@@ -305,19 +305,4 @@ func generatingParent(p pattern.Pattern) pattern.Pattern {
 		}
 	}
 	return pattern.Trim(q)
-}
-
-func gapRun(p pattern.Pattern) int {
-	run, max := 0, 0
-	for _, s := range p {
-		if s.IsEternal() {
-			run++
-			if run > max {
-				max = run
-			}
-		} else {
-			run = 0
-		}
-	}
-	return max
 }

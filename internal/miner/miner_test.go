@@ -172,7 +172,7 @@ func TestSpaceBoundsRespected(t *testing.T) {
 			if p.Len() > opts.MaxLen {
 				t.Errorf("%v exceeds MaxLen", p)
 			}
-			if maxGapRun(p) > opts.MaxGap {
+			if p.MaxGapRun() > opts.MaxGap {
 				t.Errorf("%v exceeds MaxGap", p)
 			}
 		}
@@ -338,7 +338,7 @@ func TestSampleChernoffLabelMonotonicity(t *testing.T) {
 		}
 		p := mustParseKey(t, key)
 		for _, sub := range p.ImmediateSubpatterns() {
-			if maxGapRun(sub) > opts.MaxGap {
+			if sub.MaxGapRun() > opts.MaxGap {
 				continue
 			}
 			subLabel, ok := res.Labels[sub.Key()]
@@ -374,8 +374,8 @@ func TestMaxGapRun(t *testing.T) {
 		{pattern.MustNew(d1, et, et, d2, et, d3), 2},
 	}
 	for _, c := range cases {
-		if got := maxGapRun(c.p); got != c.want {
-			t.Errorf("maxGapRun(%v)=%d, want %d", c.p, got, c.want)
+		if got := c.p.MaxGapRun(); got != c.want {
+			t.Errorf("MaxGapRun(%v)=%d, want %d", c.p, got, c.want)
 		}
 	}
 }

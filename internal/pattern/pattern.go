@@ -249,6 +249,20 @@ func (p Pattern) IsProperSubpatternOf(q Pattern) bool {
 	return !p.Equal(q) && p.IsSubpatternOf(q)
 }
 
+// MaxGapRun returns the longest run of eternal symbols in p.
+func (p Pattern) MaxGapRun() int {
+	run, longest := 0, 0
+	for _, s := range p {
+		if s.IsEternal() {
+			run++
+			longest = max(longest, run)
+		} else {
+			run = 0
+		}
+	}
+	return longest
+}
+
 // ImmediateSubpatterns returns the patterns obtained by replacing exactly one
 // non-eternal position of p with * and trimming the result (Definition 3.3's
 // covering relation, one lattice level down). Results are deduplicated; a

@@ -108,7 +108,7 @@ func (p *Pool) pickNode(shard int) int {
 	}
 	for i := 1; i < n; i++ {
 		if c := (pref + i) % n; !p.down[c] {
-			p.Metrics.RemoteReassigned()
+			p.Metrics.Add(telemetry.RemoteReassigned, 1)
 			return c
 		}
 	}
@@ -175,11 +175,11 @@ func (p *Pool) Probe(ctx context.Context, req *ProbeRequest) (*ProbeResponse, er
 		p.setDown(node, true)
 		lastErr = err
 		if attempt >= policy.MaxAttempts {
-			p.Metrics.RemoteShardLost()
+			p.Metrics.Add(telemetry.RemoteShardsLost, 1)
 			return nil, fmt.Errorf("shardrpc: shard %d unreachable after %d attempts: %w (last error: %v)",
 				req.Shard, attempt, ErrShardLost, lastErr)
 		}
-		p.Metrics.RemoteRetry()
+		p.Metrics.Add(telemetry.RemoteRetries, 1)
 		if err := p.sleep(ctx, p.jitter(delay)); err != nil {
 			return nil, err
 		}
@@ -231,7 +231,7 @@ func (p *Pool) probeOnce(ctx context.Context, node int, req *ProbeRequest) (*Pro
 			pending--
 			if r.err == nil {
 				if r.hedge {
-					p.Metrics.RemoteHedgeWon()
+					p.Metrics.Add(telemetry.RemoteHedgesWon, 1)
 				}
 				return r.resp, nil
 			}
@@ -248,7 +248,7 @@ func (p *Pool) probeOnce(ctx context.Context, node int, req *ProbeRequest) (*Pro
 			if !hedged {
 				hedged = true
 				pending++
-				p.Metrics.RemoteHedge()
+				p.Metrics.Add(telemetry.RemoteHedges, 1)
 				go func() {
 					r, err := p.do(hctx, alt, req)
 					ch <- result{r, err, true}

@@ -88,9 +88,6 @@ type Config struct {
 	// Workers parallelizes the re-mine's projection kernel (0/1 sequential,
 	// negative = GOMAXPROCS).
 	Workers int
-	// CacheBudget bounds the re-mine's projection cache in bytes
-	// (0 = match.DefaultCacheBudget).
-	CacheBudget int64
 	// Seed drives the stateless reservoir draws (required for
 	// reproducibility; any fixed value works).
 	Seed int64
@@ -438,7 +435,7 @@ func (s *Stream) Advance(ctx context.Context) (*Result, error) {
 		res.Scans = scans0
 	}
 	s.cfg.Metrics.StreamBatch(res.Appended, res.Expired, res.BorderShifted, res.Remined)
-	s.cfg.Metrics.StreamReprobesAvoided(res.ReprobesAvoided)
+	s.cfg.Metrics.Add(telemetry.StreamReprobesSaved, int64(res.ReprobesAvoided))
 	return res, nil
 }
 
@@ -637,7 +634,6 @@ func (s *Stream) remine(ctx context.Context) error {
 	}
 	valuer, inc := miner.IncrementalSampleValuer(s.cfg.C, s.sample, miner.IncrementalConfig{
 		Workers: s.cfg.Workers,
-		Budget:  s.cfg.CacheBudget,
 		Metrics: s.cfg.Metrics,
 	})
 	defer inc.Release()

@@ -14,8 +14,9 @@ import (
 // and the other methods are no-ops — so code can thread an optional registry
 // without conditionals, mirroring the nil-safe Metrics discipline.
 type Registry struct {
-	mu sync.RWMutex
-	m  map[string]*Metrics
+	mu      sync.RWMutex
+	m       map[string]*Metrics
+	retired Snapshot // counters and timers of the collectors removed so far
 }
 
 // NewRegistry returns an empty registry.
@@ -48,15 +49,21 @@ func (r *Registry) Lookup(name string) *Metrics {
 	return r.m[name]
 }
 
-// Remove drops the named Metrics. Snapshots taken before removal stay valid;
-// the collector itself is simply no longer reachable through the registry.
+// Remove drops the named Metrics, folding its counters and timers into the
+// registry's retired totals so Aggregate never goes backwards. Call it once
+// the collector records nothing more. Snapshots taken before removal stay
+// valid; the collector itself is no longer reachable through the registry.
 func (r *Registry) Remove(name string) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	delete(r.m, name)
+	if m, ok := r.m[name]; ok {
+		s := m.Snapshot()
+		r.retired.add(&s)
+		delete(r.m, name)
+	}
 }
 
 // Names returns the registered names, sorted.
@@ -74,38 +81,24 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// Each calls fn for every registered collector in sorted name order. fn runs
-// outside the registry lock, so it may call back into the registry.
-func (r *Registry) Each(fn func(name string, m *Metrics)) {
-	if r == nil {
-		return
-	}
-	for _, n := range r.Names() {
-		if m := r.Lookup(n); m != nil {
-			fn(n, m)
-		}
-	}
-}
-
-// Aggregate sums the headline scan-traffic counters across every registered
-// collector — the operator's one-line view of a busy server. Per-phase
-// attribution is left to the per-job snapshots.
+// Aggregate sums every counter and timer over the registered collectors and
+// the removed ones — the operator's one-line view of a busy server, which
+// only rises over the registry's lifetime. Gauges, histograms and per-phase
+// attribution are left to the per-job snapshots.
 func (r *Registry) Aggregate() Snapshot {
-	var total Snapshot
-	r.Each(func(_ string, m *Metrics) {
+	if r == nil {
+		return Snapshot{}
+	}
+	r.mu.RLock()
+	total := r.retired
+	live := make([]*Metrics, 0, len(r.m))
+	for _, m := range r.m {
+		live = append(live, m)
+	}
+	r.mu.RUnlock()
+	for _, m := range live {
 		s := m.Snapshot()
-		total.TotalScans += s.TotalScans
-		total.TotalSequences += s.TotalSequences
-		total.TotalSymbols += s.TotalSymbols
-		total.TotalBytes += s.TotalBytes
-		total.TotalMillis += s.TotalMillis
-		total.CheckpointWrites += s.CheckpointWrites
-		total.CheckpointBytes += s.CheckpointBytes
-		total.Probed += s.Probed
-		total.ProbeScans += s.ProbeScans
-	})
-	if total.TotalMillis > 0 {
-		total.SequencesPerSec = float64(total.TotalSequences) / (total.TotalMillis / 1000)
+		total.add(&s)
 	}
 	return total
 }

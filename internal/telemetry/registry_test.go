@@ -83,6 +83,58 @@ func TestRegistryAggregate(t *testing.T) {
 	if agg.CheckpointWrites != 2 || agg.CheckpointBytes != 100 {
 		t.Errorf("aggregate checkpoints = (%d, %d), want (2, 100)", agg.CheckpointWrites, agg.CheckpointBytes)
 	}
+
+	// A removed collector's counters stay in the aggregate, so a finished
+	// job's scans never drop out of a _total series.
+	reg.Remove("job-0")
+	reg.Remove("job-0")
+	if got := reg.Aggregate(); got.TotalScans != 5 || got.CheckpointBytes != 100 {
+		t.Errorf("after Remove: aggregate scans %d, checkpoint bytes %d, want 5, 100", got.TotalScans, got.CheckpointBytes)
+	}
+	reg.Get("job-0").ProbeScan(4)
+	if got := reg.Aggregate(); got.TotalScans != 5 || got.Probed != 4 || got.ProbeScans != 1 {
+		t.Errorf("after re-Get: aggregate scans %d, probed %d in %d scans, want 5, 4 in 1", got.TotalScans, got.Probed, got.ProbeScans)
+	}
+}
+
+// TestRegistryAggregateNeverDecreases records and removes collectors from
+// several goroutines while the test goroutine aggregates: a collector is
+// counted either live or retired, never twice or not at all, so the total
+// only rises.
+func TestRegistryAggregateNeverDecreases(t *testing.T) {
+	const jobs, scans = 8, 50
+	reg := telemetry.NewRegistry()
+	var wg sync.WaitGroup
+	for i := 0; i < jobs; i++ {
+		wg.Add(1)
+		go func(name string) {
+			defer wg.Done()
+			m := reg.Get(name)
+			m.SetPhase(1)
+			for s := 0; s < scans; s++ {
+				m.ScanDone(10, false)
+			}
+			reg.Remove(name)
+		}(fmt.Sprintf("job-%d", i))
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	var last int64
+	for {
+		select {
+		case <-done:
+			if got := reg.Aggregate().TotalScans; got != jobs*scans {
+				t.Errorf("final aggregate = %d scans, want %d", got, jobs*scans)
+			}
+			return
+		default:
+		}
+		got := reg.Aggregate().TotalScans
+		if got < last {
+			t.Fatalf("aggregate went backwards: %d scans after %d", got, last)
+		}
+		last = got
+	}
 }
 
 // noisyWorld builds an in-memory noisy protein database and matrix.
@@ -178,8 +230,8 @@ func TestConcurrentMineSharedRegistryAndDB(t *testing.T) {
 	}
 
 	var sumScans, sumCkptWrites int64
-	reg.Each(func(name string, m *telemetry.Metrics) {
-		s := m.Snapshot()
+	for _, name := range reg.Names() {
+		s := reg.Lookup(name).Snapshot()
 		if s.TotalScans < 1 {
 			t.Errorf("%s recorded no scans", name)
 		}
@@ -188,7 +240,7 @@ func TestConcurrentMineSharedRegistryAndDB(t *testing.T) {
 		}
 		sumScans += s.TotalScans
 		sumCkptWrites += s.CheckpointWrites
-	})
+	}
 	agg := reg.Aggregate()
 	if agg.TotalScans != sumScans || agg.CheckpointWrites != sumCkptWrites {
 		t.Errorf("aggregate (scans %d, ckpt %d) != sum of parts (%d, %d)",

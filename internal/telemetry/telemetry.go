@@ -1,13 +1,20 @@
 // Package telemetry is the mining pipeline's lightweight metrics layer:
-// atomic counters, monotonic timers and power-of-two histograms — stdlib
-// only, allocation-free on the hot path — threaded through the three-phase
-// algorithm so the paper's headline cost quantities (full database scans,
-// per-phase wall time, probe batch shapes, §4.3's layer choices) are
-// observable on every run.
+// atomic counters, gauges, monotonic timers and power-of-two histograms —
+// stdlib only, allocation-free on the hot path — threaded through the
+// three-phase algorithm so the paper's headline cost quantities (full
+// database scans, per-phase wall time, probe batch shapes, §4.3's layer
+// choices) are observable on every run.
 //
-// All recording goes through nil-safe methods on *Metrics: a nil receiver
+// Every metric is one entry of a table: its JSON name, kind, unit, help text
+// and the Snapshot field it fills. Snapshot, WriteText, WritePrometheus and
+// Registry.Aggregate are loops over the table, so a new metric is an ID, its
+// entry and its Snapshot field.
+//
+// Recording goes through nil-safe methods on *Metrics: Add, Set, Max and
+// Observe take a metric ID, and a few recorders (Sequence, ScanDone,
+// PhaseTime, ...) log a bundle of metrics in one call. A nil receiver
 // records nothing, so instrumented code needs no conditionals and an
-// uninstrumented run pays only a nil check. Counters are atomics; the
+// uninstrumented run pays only a nil check. Values are atomics; the
 // per-sequence path takes no locks.
 package telemetry
 
@@ -22,46 +29,15 @@ import (
 	"repro/internal/seqdb"
 )
 
-// Counter is an atomic monotone counter.
-type Counter struct{ v atomic.Int64 }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Load returns the current value.
-func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Gauge is an atomic last/max-value register.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores n.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// SetMax raises the gauge to n if n exceeds the current value.
-func (g *Gauge) SetMax(n int64) {
+// setMax raises g to n if n exceeds its value.
+func setMax(g *atomic.Int64, n int64) {
 	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
+		cur := g.Load()
+		if n <= cur || g.CompareAndSwap(cur, n) {
 			return
 		}
 	}
 }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
-// Timer accumulates elapsed wall time. Durations come from time.Since, which
-// uses the monotonic clock.
-type Timer struct{ ns atomic.Int64 }
-
-// Add accumulates one measured duration.
-func (t *Timer) Add(d time.Duration) { t.ns.Add(int64(d)) }
-
-// Elapsed returns the total accumulated duration.
-func (t *Timer) Elapsed() time.Duration { return time.Duration(t.ns.Load()) }
 
 // histBuckets bounds the histogram resolution: bucket i counts values v with
 // bits.Len64(v) == i, i.e. v in [2^(i-1), 2^i); the last bucket absorbs
@@ -84,12 +60,7 @@ func (h *Histogram) Observe(v int64) {
 	}
 	h.count.Add(1)
 	h.sum.Add(v)
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
-		}
-	}
+	setMax(&h.max, v)
 	b := bits.Len64(uint64(v))
 	if b >= histBuckets {
 		b = histBuckets - 1
@@ -131,92 +102,50 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Label mirrors chernoff.Label's ordering for classification accounting
-// without importing the classifier.
-const (
-	LabelInfrequent = 0
-	LabelAmbiguous  = 1
-	LabelFrequent   = 2
-)
-
-// phaseScan counts the scan traffic one pipeline phase generated.
-type phaseScan struct {
-	sequences Counter // sequences delivered (including retried attempts)
-	symbols   Counter // symbols delivered
-	bytes     Counter // bytes read from the backing store (estimated for in-memory stores)
-	scans     Counter // completed full passes
-	time      Timer
-}
-
 // Metrics aggregates one mining run's telemetry. The zero value is ready to
 // use; all methods are safe on a nil receiver (and record nothing).
 type Metrics struct {
-	phase atomic.Int32 // current pipeline phase 1..3; 0 = outside the pipeline
+	phase  atomic.Int32               // current pipeline phase 1..3; 0 = outside the pipeline
+	phases [4][numPhased]atomic.Int64 // scan traffic by phase; row 0 is out-of-pipeline traffic
+	v      [firstHist]atomic.Int64    // every other scalar metric, by ID
+	h      [numIDs - firstHist]Histogram
+}
 
-	phases         [4]phaseScan // indexed by phase; 0 collects out-of-pipeline traffic
-	bytesEstimated atomic.Bool  // true when bytes were estimated from symbol counts
+// slot returns scalar metric id's register: scan traffic goes to the
+// current phase's row.
+func (m *Metrics) slot(id ID) *atomic.Int64 {
+	if id < numPhased {
+		return &m.phases[m.phase.Load()][id]
+	}
+	return &m.v[id]
+}
 
-	sampleSize Gauge // sequences actually drawn in Phase 1
+// Add adds n to counter id, or n nanoseconds to timer id.
+func (m *Metrics) Add(id ID, n int64) {
+	if m != nil {
+		m.slot(id).Add(n)
+	}
+}
 
-	// Phase 2 lattice accounting.
-	levels         Counter // lattice levels evaluated
-	candidates     Counter // candidates valued
-	peakCandidates Gauge   // widest single level
-	labels         [3]Counter
+// Set stores n in gauge id.
+func (m *Metrics) Set(id ID, n int64) {
+	if m != nil {
+		m.slot(id).Store(n)
+	}
+}
 
-	// Phase 3 probe accounting.
-	probed      Counter   // patterns counted against the database
-	probeBatch  Histogram // patterns probed per scan
-	probeLayers Histogram // lattice level (K) of each probed pattern — §4.3's layer choices
+// Max raises max gauge id to n if n exceeds its value.
+func (m *Metrics) Max(id ID, n int64) {
+	if m != nil {
+		setMax(m.slot(id), n)
+	}
+}
 
-	// Phase 3 scatter-gather accounting (sharded probe path).
-	shardScans Counter   // per-shard scans completed
-	shardUs    Histogram // per-shard scan wall time, microseconds
-	shardSeqs  Counter   // sequences delivered by shard scans
-	shardBytes Counter   // real bytes read by shard scans (only shards that report I/O)
-
-	// Phase 3 remote-probe accounting (distributed scatter path).
-	remoteProbes     Counter   // shard probe RPCs issued (including hedges and retries)
-	remoteFailures   Counter   // probe RPCs that failed
-	remoteUs         Histogram // per-probe round-trip wall time, microseconds
-	remoteRetries    Counter   // probe attempts retried after a node failure
-	remoteReassigned Counter   // probes routed away from a down preferred node
-	remoteHedges     Counter   // hedge probes launched against a second node
-	remoteHedgesWon  Counter   // hedge probes that answered before the primary
-	remoteShardsLost Counter   // shards given up on after exhausting the pool
-
-	// Checkpoint/resume accounting.
-	ckptWrites   Counter // snapshots persisted
-	ckptBytes    Counter // bytes written across all snapshots
-	ckptTime     Timer   // wall time spent writing snapshots
-	resumedPhase Gauge   // phase the run resumed from (0 = fresh run)
-	scansAvoided Gauge   // full scans skipped by resuming
-
-	// Phase 2 incremental-kernel accounting (prefix-extension cache).
-	kernelExtended  Counter // pattern evaluations served by prefix extension
-	kernelScratch   Counter // pattern evaluations recomputed from scratch
-	kernelWindows   Counter // surviving windows cached across all levels
-	kernelPeakBytes Gauge   // high-water mark of prefix-cache memory
-	kernelEvicted   Counter // cache entries dropped by the memory budget
-	kernelFallbacks Counter // levels where the budget forced fallback scoring
-
-	// Streaming accounting (internal/stream batch advances).
-	streamBatches       Counter // batches advanced through the streaming pipeline
-	streamAppended      Counter // sequences appended across all batches
-	streamExpired       Counter // sequences expired out of the sliding window
-	streamReprobesSaved Counter // probe valuations served from cached exact sums (no scan)
-	streamBorderShifts  Counter // batches whose raw-label border shifted
-	streamRemines       Counter // scoped Phase 2 re-mines (border shift, sample churn, rebuild)
-
-	// Phase 2 growth-engine accounting (depth-first prefix projection).
-	growthNodes        Counter // DFS nodes expanded (patterns whose children were enumerated)
-	growthProjBuilt    Counter // projections built from scratch
-	growthProjReused   Counter // projections extended from a parent projection
-	growthProjValued   Counter // candidate valuations served by a projection walk
-	growthPrunes       Counter // candidates discarded by the optimistic bound
-	growthDenied       Counter // projections too large for a worker's share of the cache budget
-	growthPeakBytes    Gauge   // peak projection bytes cached across all workers
-	growthCapFallbacks Counter // growth runs handed back to the level-wise engine at the candidate cap
+// Observe records v in histogram id.
+func (m *Metrics) Observe(id ID, v int64) {
+	if m != nil {
+		m.h[id-firstHist].Observe(v)
+	}
 }
 
 // SetPhase marks the pipeline phase subsequent scan traffic is attributed to.
@@ -230,25 +159,14 @@ func (m *Metrics) SetPhase(p int) {
 	m.phase.Store(int32(p))
 }
 
-// Phase returns the currently-attributed phase (0 outside the pipeline).
-func (m *Metrics) Phase() int {
-	if m == nil {
-		return 0
-	}
-	return int(m.phase.Load())
-}
-
-// cur returns the phaseScan of the current phase.
-func (m *Metrics) cur() *phaseScan { return &m.phases[m.phase.Load()] }
-
 // Sequence records one delivered sequence of the given symbol count.
 func (m *Metrics) Sequence(symbols int) {
 	if m == nil {
 		return
 	}
-	ps := m.cur()
-	ps.sequences.Inc()
-	ps.symbols.Add(int64(symbols))
+	row := &m.phases[m.phase.Load()]
+	row[TotalSequences].Add(1)
+	row[TotalSymbols].Add(int64(symbols))
 }
 
 // ScanDone records one completed full database pass with the bytes it read
@@ -257,11 +175,11 @@ func (m *Metrics) ScanDone(bytes int64, estimated bool) {
 	if m == nil {
 		return
 	}
-	ps := m.cur()
-	ps.scans.Inc()
-	ps.bytes.Add(bytes)
+	row := &m.phases[m.phase.Load()]
+	row[TotalScans].Add(1)
+	row[TotalBytes].Add(bytes)
 	if estimated {
-		m.bytesEstimated.Store(true)
+		m.v[BytesEstimated].Store(1)
 	}
 }
 
@@ -270,53 +188,22 @@ func (m *Metrics) PhaseTime(p int, d time.Duration) {
 	if m == nil || p < 0 || p > 3 {
 		return
 	}
-	m.phases[p].time.Add(d)
-}
-
-// SampleDrawn records Phase 1's realized sample size.
-func (m *Metrics) SampleDrawn(n int) {
-	if m == nil {
-		return
-	}
-	m.sampleSize.Set(int64(n))
+	m.phases[p][TotalMillis].Add(int64(d))
 }
 
 // LevelEvaluated records one lattice level (or candidate batch) of the given
 // width being valued.
 func (m *Metrics) LevelEvaluated(candidates int) {
-	if m == nil {
-		return
-	}
-	m.levels.Inc()
-	m.candidates.Add(int64(candidates))
-	m.peakCandidates.SetMax(int64(candidates))
-}
-
-// Classified tallies one pattern's label (LabelInfrequent/Ambiguous/Frequent;
-// pass int(chernoff.Label)).
-func (m *Metrics) Classified(label int) {
-	if m == nil || label < 0 || label > 2 {
-		return
-	}
-	m.labels[label].Inc()
+	m.Add(Levels, 1)
+	m.Add(Candidates, int64(candidates))
+	m.Max(PeakCandidates, int64(candidates))
 }
 
 // ProbeScan records one Phase 3 probe scan counting batch patterns.
 func (m *Metrics) ProbeScan(batch int) {
-	if m == nil {
-		return
-	}
-	m.probed.Add(int64(batch))
-	m.probeBatch.Observe(int64(batch))
-}
-
-// ProbeLayer records the lattice level of one probed pattern — the layer
-// choice the collapsing schedule made for it.
-func (m *Metrics) ProbeLayer(k int) {
-	if m == nil {
-		return
-	}
-	m.probeLayers.Observe(int64(k))
+	m.Add(ProbeScans, 1)
+	m.Add(Probed, int64(batch))
+	m.Observe(ProbeBatch, int64(batch))
 }
 
 // ShardScan records one shard's completed probe scan: its wall time, the
@@ -324,100 +211,45 @@ func (m *Metrics) ProbeLayer(k int) {
 // (pass -1 when the shard cannot report real I/O — memory-backed shards —
 // and the byte counter is left untouched).
 func (m *Metrics) ShardScan(d time.Duration, sequences, bytes int64) {
-	if m == nil {
-		return
-	}
-	m.shardScans.Inc()
-	m.shardUs.Observe(d.Microseconds())
-	m.shardSeqs.Add(sequences)
+	m.Add(ShardScans, 1)
+	m.Observe(ShardScanUs, d.Microseconds())
+	m.Add(ShardSequences, sequences)
 	if bytes >= 0 {
-		m.shardBytes.Add(bytes)
+		m.Add(ShardBytes, bytes)
 	}
 }
 
 // RemoteProbe records one shard probe RPC round trip and whether it
 // succeeded.
 func (m *Metrics) RemoteProbe(d time.Duration, ok bool) {
-	if m == nil {
-		return
-	}
-	m.remoteProbes.Inc()
-	m.remoteUs.Observe(d.Microseconds())
+	m.Add(RemoteProbes, 1)
+	m.Observe(RemoteProbeUs, d.Microseconds())
 	if !ok {
-		m.remoteFailures.Inc()
+		m.Add(RemoteFailures, 1)
 	}
-}
-
-// RemoteRetry records one probe attempt retried after a node failure.
-func (m *Metrics) RemoteRetry() {
-	if m == nil {
-		return
-	}
-	m.remoteRetries.Inc()
-}
-
-// RemoteReassigned records one probe routed to a different node because its
-// preferred node was marked down.
-func (m *Metrics) RemoteReassigned() {
-	if m == nil {
-		return
-	}
-	m.remoteReassigned.Inc()
-}
-
-// RemoteHedge records one hedge probe launched against a second node.
-func (m *Metrics) RemoteHedge() {
-	if m == nil {
-		return
-	}
-	m.remoteHedges.Inc()
-}
-
-// RemoteHedgeWon records one hedge probe that answered before its primary.
-func (m *Metrics) RemoteHedgeWon() {
-	if m == nil {
-		return
-	}
-	m.remoteHedgesWon.Inc()
-}
-
-// RemoteShardLost records one shard abandoned after every node failed it
-// within the retry budget.
-func (m *Metrics) RemoteShardLost() {
-	if m == nil {
-		return
-	}
-	m.remoteShardsLost.Inc()
 }
 
 // CheckpointWrite records one persisted snapshot of the given size and the
 // wall time its write took.
 func (m *Metrics) CheckpointWrite(bytes int64, d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.ckptWrites.Inc()
-	m.ckptBytes.Add(bytes)
-	m.ckptTime.Add(d)
+	m.Add(CheckpointWrites, 1)
+	m.Add(CheckpointBytes, bytes)
+	m.Add(CheckpointMillis, int64(d))
 }
 
-// KernelLevel records one Phase 2 lattice level scored by the incremental
-// prefix-extension kernel: how many pattern evaluations were served by
-// extending a cached parent vs recomputed from scratch, the surviving windows
-// cached for the next level, the bytes held by the cache when the level
-// closed, the entries the memory budget evicted, and whether the budget
-// forced fallback scoring at this level.
+// KernelLevel records one Phase 2 lattice level scored by the level-wise
+// kernel: how many pattern evaluations were served by extending a cached
+// parent projection vs recomputed from scratch, the surviving windows cached
+// for the next level, the bytes held by the cache when the level closed, the
+// parents the memory budget denied, and whether it denied any.
 func (m *Metrics) KernelLevel(extended, scratch, windows, bytes, evicted int64, fallback bool) {
-	if m == nil {
-		return
-	}
-	m.kernelExtended.Add(extended)
-	m.kernelScratch.Add(scratch)
-	m.kernelWindows.Add(windows)
-	m.kernelPeakBytes.SetMax(bytes)
-	m.kernelEvicted.Add(evicted)
+	m.Add(KernelExtended, extended)
+	m.Add(KernelScratch, scratch)
+	m.Add(KernelWindows, windows)
+	m.Max(KernelPeakBytes, bytes)
+	m.Add(KernelEvicted, evicted)
 	if fallback {
-		m.kernelFallbacks.Inc()
+		m.Add(KernelFallbacks, 1)
 	}
 }
 
@@ -425,91 +257,31 @@ func (m *Metrics) KernelLevel(extended, scratch, windows, bytes, evicted int64, 
 // engine: how many of its children were valued over the projection and how
 // many were discarded by the optimistic bound before valuing.
 func (m *Metrics) GrowthNode(valued, pruned int64) {
-	if m == nil {
-		return
-	}
-	m.growthNodes.Inc()
-	m.growthProjValued.Add(valued)
-	m.growthPrunes.Add(pruned)
-}
-
-// GrowthProjection records one projection materialized by the growth engine —
-// extended from a cached prefix projection (reused == true) or built from
-// scratch.
-func (m *Metrics) GrowthProjection(reused bool) {
-	if m == nil {
-		return
-	}
-	if reused {
-		m.growthProjReused.Inc()
-	} else {
-		m.growthProjBuilt.Inc()
-	}
-}
-
-// GrowthProjectionDenied records a projection too large for a worker's share
-// of the cache budget; it served its node transiently and is rebuilt on the
-// next visit.
-func (m *Metrics) GrowthProjectionDenied() {
-	if m == nil {
-		return
-	}
-	m.growthDenied.Inc()
-}
-
-// GrowthPeakBytes raises the high-water mark of projection bytes cached
-// across all of the growth engine's workers — the figure its budget bounds.
-func (m *Metrics) GrowthPeakBytes(n int64) {
-	if m == nil {
-		return
-	}
-	m.growthPeakBytes.SetMax(n)
-}
-
-// GrowthCapFallback records a growth run stopped at a level over the
-// candidate cap, whose Phase 2 was re-run by the level-wise engine.
-func (m *Metrics) GrowthCapFallback() {
-	if m == nil {
-		return
-	}
-	m.growthCapFallbacks.Inc()
+	m.Add(GrowthNodes, 1)
+	m.Add(GrowthProjValued, valued)
+	m.Add(GrowthPrunes, pruned)
 }
 
 // StreamBatch records one streaming Advance: the sequences it appended, the
 // sequences the sliding window expired, whether the raw-label border shifted,
 // and whether the batch fell back to a scoped re-mine.
 func (m *Metrics) StreamBatch(appended, expired int, borderShift, remine bool) {
-	if m == nil {
-		return
-	}
-	m.streamBatches.Inc()
-	m.streamAppended.Add(int64(appended))
-	m.streamExpired.Add(int64(expired))
+	m.Add(StreamBatches, 1)
+	m.Add(StreamAppended, int64(appended))
+	m.Add(StreamExpired, int64(expired))
 	if borderShift {
-		m.streamBorderShifts.Inc()
+		m.Add(StreamBorderShifts, 1)
 	}
 	if remine {
-		m.streamRemines.Inc()
+		m.Add(StreamRemines, 1)
 	}
-}
-
-// StreamReprobesAvoided records probe valuations served from the stream's
-// cached exact sums instead of a fresh database scan.
-func (m *Metrics) StreamReprobesAvoided(n int) {
-	if m == nil {
-		return
-	}
-	m.streamReprobesSaved.Add(int64(n))
 }
 
 // ResumeHit records that the run resumed from a checkpoint recorded at the
 // given phase, skipping scansSkipped full database scans.
 func (m *Metrics) ResumeHit(phase, scansSkipped int) {
-	if m == nil {
-		return
-	}
-	m.resumedPhase.Set(int64(phase))
-	m.scansAvoided.Set(int64(scansSkipped))
+	m.Set(ResumedPhase, int64(phase))
+	m.Set(ScansAvoided, int64(scansSkipped))
 }
 
 // PhaseSnapshot is one phase's scan traffic and timing.
@@ -605,92 +377,67 @@ type Snapshot struct {
 	Degraded bool `json:"degraded,omitempty"`
 }
 
+// millis converts nanoseconds to milliseconds at microsecond resolution.
+func millis(ns int64) float64 { return float64(time.Duration(ns).Microseconds()) / 1000 }
+
 // Snapshot copies the current state. Safe to call concurrently with
-// recording; each counter is read atomically (the set is not one atomic
-// cut, which is fine for progress reporting).
+// recording; each value is read atomically (the set is not one atomic cut,
+// which is fine for progress reporting). Out-of-pipeline scan traffic
+// (phase 0) is not reported.
 func (m *Metrics) Snapshot() Snapshot {
-	if m == nil {
-		return Snapshot{}
-	}
 	var s Snapshot
+	if m == nil {
+		return s
+	}
 	for p := 1; p <= 3; p++ {
-		ps := &m.phases[p]
-		d := ps.time.Elapsed()
-		snap := PhaseSnapshot{
+		row := &m.phases[p]
+		ns := row[TotalMillis].Load()
+		ps := PhaseSnapshot{
 			Phase:     p,
-			Sequences: ps.sequences.Load(),
-			Symbols:   ps.symbols.Load(),
-			Bytes:     ps.bytes.Load(),
-			Scans:     ps.scans.Load(),
-			Millis:    float64(d.Microseconds()) / 1000,
+			Sequences: row[TotalSequences].Load(),
+			Symbols:   row[TotalSymbols].Load(),
+			Bytes:     row[TotalBytes].Load(),
+			Scans:     row[TotalScans].Load(),
+			Millis:    millis(ns),
 		}
-		if d > 0 {
-			snap.SequencesPerSec = float64(snap.Sequences) / d.Seconds()
+		if ns > 0 {
+			ps.SequencesPerSec = float64(ps.Sequences) / time.Duration(ns).Seconds()
 		}
-		s.Phases = append(s.Phases, snap)
-		s.TotalScans += snap.Scans
-		s.TotalSequences += snap.Sequences
-		s.TotalSymbols += snap.Symbols
-		s.TotalBytes += snap.Bytes
-		s.TotalMillis += snap.Millis
+		s.Phases = append(s.Phases, ps)
+		s.TotalScans += ps.Scans
+		s.TotalSequences += ps.Sequences
+		s.TotalSymbols += ps.Symbols
+		s.TotalBytes += ps.Bytes
+		s.TotalMillis += ps.Millis
 	}
 	if s.TotalMillis > 0 {
 		s.SequencesPerSec = float64(s.TotalSequences) / (s.TotalMillis / 1000)
 	}
-	s.BytesEstimated = m.bytesEstimated.Load()
-	s.SampleSize = m.sampleSize.Load()
-	s.Levels = m.levels.Load()
-	s.Candidates = m.candidates.Load()
-	s.PeakCandidates = m.peakCandidates.Load()
-	s.Infrequent = m.labels[LabelInfrequent].Load()
-	s.Ambiguous = m.labels[LabelAmbiguous].Load()
-	s.Frequent = m.labels[LabelFrequent].Load()
-	s.KernelExtended = m.kernelExtended.Load()
-	s.KernelScratch = m.kernelScratch.Load()
-	s.KernelWindows = m.kernelWindows.Load()
-	s.KernelPeakBytes = m.kernelPeakBytes.Load()
-	s.KernelEvicted = m.kernelEvicted.Load()
-	s.KernelFallbacks = m.kernelFallbacks.Load()
-	s.GrowthNodes = m.growthNodes.Load()
-	s.GrowthProjBuilt = m.growthProjBuilt.Load()
-	s.GrowthProjReused = m.growthProjReused.Load()
-	s.GrowthProjValued = m.growthProjValued.Load()
-	s.GrowthPrunes = m.growthPrunes.Load()
-	s.GrowthDenied = m.growthDenied.Load()
-	s.GrowthPeakBytes = m.growthPeakBytes.Load()
-	s.GrowthCapFallbacks = m.growthCapFallbacks.Load()
-	s.Probed = m.probed.Load()
-	s.ProbeBatch = m.probeBatch.Snapshot()
-	s.ProbeScans = s.ProbeBatch.Count
-	s.ProbeLayers = m.probeLayers.Snapshot()
-	s.ShardScans = m.shardScans.Load()
-	if s.ShardScans > 0 {
-		s.ShardScanUs = m.shardUs.Snapshot()
+	for id := numPhased; id < numIDs; id++ {
+		switch f := table[id].field(&s).(type) {
+		case *int64:
+			*f = m.v[id].Load()
+		case *bool:
+			*f = m.v[id].Load() != 0
+		case *float64:
+			*f = millis(m.v[id].Load())
+		case *HistogramSnapshot:
+			*f = m.h[id-firstHist].Snapshot()
+		}
 	}
-	s.ShardSequences = m.shardSeqs.Load()
-	s.ShardBytes = m.shardBytes.Load()
-	s.RemoteProbes = m.remoteProbes.Load()
-	if s.RemoteProbes > 0 {
-		s.RemoteProbeUs = m.remoteUs.Snapshot()
-	}
-	s.RemoteFailures = m.remoteFailures.Load()
-	s.RemoteRetries = m.remoteRetries.Load()
-	s.RemoteReassigned = m.remoteReassigned.Load()
-	s.RemoteHedges = m.remoteHedges.Load()
-	s.RemoteHedgesWon = m.remoteHedgesWon.Load()
-	s.RemoteShardsLost = m.remoteShardsLost.Load()
-	s.StreamBatches = m.streamBatches.Load()
-	s.StreamAppended = m.streamAppended.Load()
-	s.StreamExpired = m.streamExpired.Load()
-	s.StreamReprobesSaved = m.streamReprobesSaved.Load()
-	s.StreamBorderShifts = m.streamBorderShifts.Load()
-	s.StreamRemines = m.streamRemines.Load()
-	s.CheckpointWrites = m.ckptWrites.Load()
-	s.CheckpointBytes = m.ckptBytes.Load()
-	s.CheckpointMillis = float64(m.ckptTime.Elapsed().Microseconds()) / 1000
-	s.ResumedPhase = m.resumedPhase.Load()
-	s.ScansAvoided = m.scansAvoided.Load()
 	return s
+}
+
+// add sums o's counters and timers into s.
+func (s *Snapshot) add(o *Snapshot) {
+	for _, e := range &table {
+		switch e.kind {
+		case counter:
+			*e.field(s).(*int64) += *e.field(o).(*int64)
+		case timer:
+			*e.field(s).(*float64) += *e.field(o).(*float64)
+		}
+	}
 }
 
 // WriteJSON writes the snapshot as indented JSON.
@@ -700,7 +447,8 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// WriteText renders the snapshot for humans.
+// WriteText renders the snapshot for humans: each phase's scan traffic, then
+// every metric that is not zero, in table order.
 func (s Snapshot) WriteText(w io.Writer) error {
 	var err error
 	p := func(format string, args ...any) {
@@ -708,56 +456,29 @@ func (s Snapshot) WriteText(w io.Writer) error {
 			_, err = fmt.Fprintf(w, format, args...)
 		}
 	}
-	p("telemetry:\n")
-	p("  total: %d scans, %d sequences (%.0f seq/s), %d symbols, %d bytes read",
-		s.TotalScans, s.TotalSequences, s.SequencesPerSec, s.TotalSymbols, s.TotalBytes)
-	if s.BytesEstimated {
-		p(" (estimated)")
-	}
-	p(", %.1f ms\n", s.TotalMillis)
+	p("telemetry: %.0f sequences/s\n", s.SequencesPerSec)
 	for _, ph := range s.Phases {
-		p("  phase %d: %d scans, %d sequences, %.1f ms\n", ph.Phase, ph.Scans, ph.Sequences, ph.Millis)
+		p("  phase %d: %d scans, %d sequences, %d bytes, %.1f ms\n", ph.Phase, ph.Scans, ph.Sequences, ph.Bytes, ph.Millis)
 	}
-	p("  sample: %d sequences\n", s.SampleSize)
-	p("  lattice: %d levels, %d candidates (peak level %d); labels %d frequent / %d ambiguous / %d infrequent\n",
-		s.Levels, s.Candidates, s.PeakCandidates, s.Frequent, s.Ambiguous, s.Infrequent)
-	if s.KernelExtended > 0 || s.KernelScratch > 0 {
-		p("  phase-2 kernel: %d extended / %d scratch, %d windows cached (peak %d bytes), %d evicted, %d fallback levels\n",
-			s.KernelExtended, s.KernelScratch, s.KernelWindows, s.KernelPeakBytes, s.KernelEvicted, s.KernelFallbacks)
-	}
-	if s.GrowthNodes > 0 {
-		p("  phase-2 growth: %d nodes, %d projections (%d built / %d reused, %d denied, peak %d bytes cached), %d proj-valued, %d bound-pruned\n",
-			s.GrowthNodes, s.GrowthProjBuilt+s.GrowthProjReused, s.GrowthProjBuilt, s.GrowthProjReused,
-			s.GrowthDenied, s.GrowthPeakBytes, s.GrowthProjValued, s.GrowthPrunes)
-	}
-	if s.GrowthCapFallbacks > 0 {
-		p("  phase-2 growth: %d runs handed back to the level-wise engine at the candidate cap\n", s.GrowthCapFallbacks)
-	}
-	p("  probes: %d patterns in %d scans (batch mean %.1f, max %d)\n",
-		s.Probed, s.ProbeScans, s.ProbeBatch.Mean, s.ProbeBatch.Max)
-	if s.ProbeLayers.Count > 0 {
-		p("  layers: mean K %.1f, max K %d\n", s.ProbeLayers.Mean, s.ProbeLayers.Max)
-	}
-	if s.ShardScans > 0 {
-		p("  phase-3 shards: %d shard scans (mean %.1f us, max %d us), %d sequences, %d real bytes\n",
-			s.ShardScans, s.ShardScanUs.Mean, s.ShardScanUs.Max, s.ShardSequences, s.ShardBytes)
-	}
-	if s.RemoteProbes > 0 {
-		p("  phase-3 remote: %d probes (%d failed, mean %.1f us, max %d us), %d retries, %d reassigned, %d hedges (%d won), %d shards lost\n",
-			s.RemoteProbes, s.RemoteFailures, s.RemoteProbeUs.Mean, s.RemoteProbeUs.Max,
-			s.RemoteRetries, s.RemoteReassigned, s.RemoteHedges, s.RemoteHedgesWon, s.RemoteShardsLost)
-	}
-	if s.StreamBatches > 0 {
-		p("  streaming: %d batches, %d appended, %d expired, %d re-probes avoided, %d border shifts, %d re-mines\n",
-			s.StreamBatches, s.StreamAppended, s.StreamExpired,
-			s.StreamReprobesSaved, s.StreamBorderShifts, s.StreamRemines)
-	}
-	if s.CheckpointWrites > 0 {
-		p("  checkpoints: %d writes, %d bytes, %.1f ms\n",
-			s.CheckpointWrites, s.CheckpointBytes, s.CheckpointMillis)
-	}
-	if s.ResumedPhase > 0 {
-		p("  resume: from phase %d, %d scans avoided\n", s.ResumedPhase, s.ScansAvoided)
+	for _, e := range &table {
+		switch f := e.field(&s).(type) {
+		case *int64:
+			if *f != 0 {
+				p("  %-26s %d %s\n", e.name, *f, e.unit)
+			}
+		case *bool:
+			if *f {
+				p("  %-26s true\n", e.name)
+			}
+		case *float64:
+			if *f != 0 {
+				p("  %-26s %.1f %s\n", e.name, *f, e.unit)
+			}
+		case *HistogramSnapshot:
+			if f.Count > 0 {
+				p("  %-26s %d observed, mean %.1f, max %d %s\n", e.name, f.Count, f.Mean, f.Max, e.unit)
+			}
+		}
 	}
 	if s.Retry.Attempts > 0 {
 		p("  retries: %d attempts, %d retried, %d transient, %d permanent\n",
@@ -767,4 +488,24 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		p("  degraded: true (phase 3 budget expired; result is the confirmed set)\n")
 	}
 	return err
+}
+
+// WritePrometheus writes every counter in Prometheus text exposition format
+// as <prefix>_<name>_total, with its HELP and TYPE lines.
+func (s Snapshot) WritePrometheus(w io.Writer, prefix string) error {
+	for _, e := range &table {
+		if e.kind != counter {
+			continue
+		}
+		stem := e.name
+		if e.prom != "" {
+			stem = e.prom
+		}
+		name := prefix + "_" + stem + "_total"
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
+			name, e.help, name, name, *e.field(&s).(*int64)); err != nil {
+			return err
+		}
+	}
+	return nil
 }

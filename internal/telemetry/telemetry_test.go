@@ -3,7 +3,6 @@ package telemetry
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -19,14 +18,12 @@ func TestNilMetricsIsSafe(t *testing.T) {
 	m.Sequence(10)
 	m.ScanDone(100, true)
 	m.PhaseTime(1, time.Second)
-	m.SampleDrawn(5)
+	m.Set(SampleSize, 5)
 	m.LevelEvaluated(7)
-	m.Classified(LabelFrequent)
+	m.Add(Classified(2), 1)
+	m.Max(KernelPeakBytes, 9)
 	m.ProbeScan(3)
-	m.ProbeLayer(4)
-	if m.Phase() != 0 {
-		t.Errorf("nil Phase() = %d", m.Phase())
-	}
+	m.Observe(ProbeLayers, 4)
 	s := m.Snapshot()
 	if s.TotalSequences != 0 || s.TotalScans != 0 {
 		t.Errorf("nil snapshot not zero: %+v", s)
@@ -59,15 +56,17 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestGaugeSetMax(t *testing.T) {
-	var g Gauge
-	g.SetMax(5)
-	g.SetMax(3)
-	if g.Load() != 5 {
-		t.Errorf("gauge = %d", g.Load())
+	m := &Metrics{}
+	m.Max(GrowthPeakBytes, 5)
+	m.Max(GrowthPeakBytes, 3)
+	if got := m.Snapshot().GrowthPeakBytes; got != 5 {
+		t.Errorf("max gauge = %d", got)
 	}
-	g.SetMax(9)
-	if g.Load() != 9 {
-		t.Errorf("gauge = %d", g.Load())
+	m.Max(GrowthPeakBytes, 9)
+	m.Set(SampleSize, 7)
+	m.Set(SampleSize, 4)
+	if s := m.Snapshot(); s.GrowthPeakBytes != 9 || s.SampleSize != 4 {
+		t.Errorf("max gauge = %d, set gauge = %d", s.GrowthPeakBytes, s.SampleSize)
 	}
 }
 
@@ -227,9 +226,9 @@ func TestSnapshotConcurrentWithRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				m.Sequence(10)
-				m.Classified(i % 3)
+				m.Add(Classified(i%3), 1)
 				m.ProbeScan(1 + i%50)
-				m.ProbeLayer(i % 8)
+				m.Observe(ProbeLayers, int64(i%8))
 				m.LevelEvaluated(i % 100)
 			}
 		}()
@@ -251,12 +250,12 @@ func TestSnapshotRendering(t *testing.T) {
 	m.Sequence(5)
 	m.ScanDone(20, true)
 	m.PhaseTime(1, time.Millisecond)
-	m.SampleDrawn(1)
+	m.Set(SampleSize, 1)
 	m.LevelEvaluated(3)
-	m.Classified(LabelAmbiguous)
+	m.Add(Classified(1), 1)
 	m.SetPhase(3)
 	m.ProbeScan(3)
-	m.ProbeLayer(2)
+	m.Observe(ProbeLayers, 2)
 	s := m.Snapshot()
 
 	var jsonBuf, textBuf strings.Builder
@@ -271,9 +270,12 @@ func TestSnapshotRendering(t *testing.T) {
 	if err := s.WriteText(&textBuf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(textBuf.String(), "telemetry:") {
-		t.Errorf("text rendering: %s", textBuf.String())
+	for _, want := range []string{"telemetry:", "phase 1: 1 scans", "classified_ambiguous", "probe_layers"} {
+		if !strings.Contains(textBuf.String(), want) {
+			t.Errorf("text rendering missing %q:\n%s", want, textBuf.String())
+		}
+	}
+	if strings.Contains(textBuf.String(), "classified_frequent") {
+		t.Errorf("text rendering shows a zero metric:\n%s", textBuf.String())
 	}
 }
-
-var _ = fmt.Sprintf // keep fmt for debug edits
