@@ -137,7 +137,7 @@ func (s *Spec) Normalize() error {
 	case s.MaxCandidates == 0:
 		s.MaxCandidates = 50000
 	case s.MaxCandidates < 0:
-		s.MaxCandidates = 0 // explicit "unlimited"
+		s.MaxCandidates = -1 // explicit "unlimited", kept so the echo resubmits as it runs
 	}
 	if s.MemBudget == 0 {
 		s.MemBudget = 10000

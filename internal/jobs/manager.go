@@ -549,7 +549,7 @@ func (m *Manager) mine(ctx context.Context, j *job, workers int) (*core.Result, 
 		SampleSize:            spec.Sample,
 		MaxLen:                spec.MaxLen,
 		MaxGap:                spec.MaxGap,
-		MaxCandidatesPerLevel: spec.MaxCandidates,
+		MaxCandidatesPerLevel: max(spec.MaxCandidates, 0), // -1, and 0 in older journals: unlimited
 		MemBudget:             spec.MemBudget,
 		Finalizer:             fin,
 		Workers:               workers,

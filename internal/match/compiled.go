@@ -91,9 +91,9 @@ func (cp *Compiled) Match(seq []pattern.Symbol) float64 {
 	return windowMax(seq, cp.length, cp.offsets, cp.rows)
 }
 
-// windowMax is one pattern's match against seq, shared by Compiled.Match and
-// SoASet.Observe: the best product over its l-windows. It scores the windows
-// in blocks of four consecutive ones. A block's four first factors are loaded
+// windowMax is Compiled.Match's loop, one pattern's match against seq: the
+// best product over its l-windows. It scores the windows in blocks of four
+// consecutive ones. A block's four first factors are loaded
 // and the block is skipped when none beats the best so far, which also skips
 // every window whose first symbol is incompatible with the pattern's.
 // Otherwise the four products are extended position by position as four

@@ -5,57 +5,60 @@ import (
 	"repro/internal/pattern"
 )
 
-// SoASet is a pattern batch compiled into a structure-of-arrays layout:
-// window lengths, non-eternal offsets and matrix rows live in flat parallel
-// arrays, so the batch is matched against a sequence in one pass over
-// contiguous memory. It is immutable after CompileSoA and safe to share
-// between goroutines that accumulate into distinct sums. Per-sequence values
-// come from the same window loop as Compiled.Match, so they are
-// bit-identical to it.
+// SoASet is a probe batch compiled into its prefix tree (prefixTree) for
+// matching against many sequences: sequences are scored in runs, and a
+// prefix the patterns share is multiplied out once per run. It is immutable
+// after CompileSoA and safe to share between goroutines that accumulate into
+// distinct sums; its values are bit-identical to each pattern's
+// Compiled.Match.
 type SoASet struct {
-	n        int
-	winLen   []int32     // pattern i's window length
-	offStart []int32     // pattern i's offs/rows span [offStart[i], offStart[i+1])
-	offs     []int       // flat non-eternal position offsets within the window
-	rows     [][]float64 // matrix row per flat offset (shared via the row cache)
+	n    int
+	tree *prefixTree
 }
 
-// CompileSoA compiles a probe batch into the flat layout. All patterns share
-// one row cache, so the batch holds one matrix row per distinct pattern
-// symbol.
+// CompileSoA compiles a probe batch. All patterns share one row cache, so
+// the batch holds one matrix row per distinct pattern symbol.
 func CompileSoA(c compat.Source, ps []pattern.Pattern) (*SoASet, error) {
-	rc := newRowCache(c)
-	s := &SoASet{
-		n:        len(ps),
-		winLen:   make([]int32, len(ps)),
-		offStart: make([]int32, len(ps)+1),
-	}
-	for i, p := range ps {
+	for _, p := range ps {
 		if err := p.Validate(); err != nil {
 			return nil, err
 		}
-		s.winLen[i] = int32(len(p))
-		for off, d := range p {
-			if d.IsEternal() {
-				continue
-			}
-			s.offs = append(s.offs, off)
-			s.rows = append(s.rows, rc.row(d))
-		}
-		s.offStart[i+1] = int32(len(s.offs))
 	}
-	return s, nil
+	return &SoASet{n: len(ps), tree: buildTree(newRowCache(c), ps)}, nil
 }
 
 // Len returns the number of compiled patterns.
 func (s *SoASet) Len() int { return s.n }
 
-// Observe accumulates one sequence's match into sums[i] for every pattern i.
-// len(sums) must be Len(). Safe for concurrent use with distinct sums.
-func (s *SoASet) Observe(sums []float64, seq []pattern.Symbol) {
-	for p := 0; p < s.n; p++ {
-		a, b := s.offStart[p], s.offStart[p+1]
-		sums[p] += windowMax(seq, int(s.winLen[p]), s.offs[a:b], s.rows[a:b])
+// Accumulate adds every sequence's match to sums[i] for each pattern i, in
+// sequence order. len(sums) must be Len(). Safe for concurrent use with
+// distinct sums.
+func (s *SoASet) Accumulate(sums []float64, seqs [][]pattern.Symbol) {
+	var a accumulator
+	for _, seq := range seqs {
+		a.get().add(s.tree, sums, seq)
+	}
+	a.flush(s)
+}
+
+// accumulator holds a pooled run while sequences are queued on it.
+type accumulator struct {
+	r *run
+}
+
+func (a *accumulator) get() *run {
+	if a.r == nil {
+		a.r = runs.Get().(*run)
+	}
+	return a.r
+}
+
+// flush scores what is queued and returns the run to the pool.
+func (a *accumulator) flush(s *SoASet) {
+	if a.r != nil {
+		a.r.flush(s.tree)
+		runs.Put(a.r)
+		a.r = nil
 	}
 }
 
@@ -76,6 +79,8 @@ type Blocks struct {
 	size  int
 	pos   int
 	parts []Partial
+	acc   accumulator
+	dsts  [][]float64 // ObserveAll's per-sequence sums
 }
 
 // NewBlocks starts a per-block accumulation whose first sequence sits at
@@ -84,17 +89,40 @@ func (s *SoASet) NewBlocks(size, start int) *Blocks {
 	return &Blocks{set: s, size: size, pos: start}
 }
 
-// Observe adds the sequence at the next position to its block's partial.
-func (b *Blocks) Observe(seq []pattern.Symbol) {
+// next counts a sequence at the next position and returns its block's sums.
+func (b *Blocks) next() []float64 {
 	if len(b.parts) == 0 || b.pos%b.size == 0 {
 		b.parts = append(b.parts, Partial{Sums: make([]float64, b.set.n)})
 	}
 	p := &b.parts[len(b.parts)-1]
-	b.set.Observe(p.Sums, seq)
 	p.N++
 	b.pos++
+	return p.Sums
 }
 
-// Partials returns the partials of the blocks observed so far, in ascending
-// block order.
-func (b *Blocks) Partials() []Partial { return b.parts }
+// Observe adds the sequence at the next position to its block's partial. The
+// sequence is copied if it is kept, so its buffer may be reused at once.
+func (b *Blocks) Observe(seq []pattern.Symbol) {
+	b.acc.get().add(b.set.tree, b.next(), seq)
+}
+
+// ObserveAll adds the sequences arena[ends[i-1]:ends[i]] (the first starting
+// at 0) at the next positions. It scores them in place, without copying,
+// before it returns.
+func (b *Blocks) ObserveAll(arena []pattern.Symbol, ends []int) {
+	r := b.acc.get()
+	r.flush(b.set.tree)
+	b.dsts = b.dsts[:0]
+	for range ends {
+		b.dsts = append(b.dsts, b.next())
+	}
+	r.scoreAll(b.set.tree, arena, ends, b.dsts)
+	clear(b.dsts)
+}
+
+// Partials scores what is still queued and returns the partials of the
+// blocks observed so far, in ascending block order.
+func (b *Blocks) Partials() []Partial {
+	b.acc.flush(b.set)
+	return b.parts
+}

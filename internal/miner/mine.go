@@ -11,18 +11,22 @@ import (
 )
 
 // MatchSampleValuer evaluates candidates against an in-memory sample under
-// the match measure with the structure-of-arrays kernel, summing the sample
-// in order: the naive reference the Phase 2 kernel (IncrementalSampleValuer)
-// is tested and benchmarked against.
+// the match measure, one compiled pattern at a time (Compiled.Match),
+// summing the sample in order: the naive reference the Phase 2 kernel
+// (IncrementalSampleValuer) is tested and benchmarked against. It shares no
+// code with the batch kernel the probe passes run, so it stays a check on
+// both.
 func MatchSampleValuer(c compat.Source, sample [][]pattern.Symbol) Valuer {
 	return func(ps []pattern.Pattern) ([]float64, error) {
-		set, err := match.CompileSoA(c, ps)
-		if err != nil {
-			return nil, err
-		}
 		sums := make([]float64, len(ps))
-		for _, seq := range sample {
-			set.Observe(sums, seq)
+		for i, p := range ps {
+			cp, err := match.Compile(c, p)
+			if err != nil {
+				return nil, err
+			}
+			for _, seq := range sample {
+				sums[i] += cp.Match(seq)
+			}
 		}
 		return mean(sums, len(sample)), nil
 	}

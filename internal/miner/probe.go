@@ -191,21 +191,19 @@ func scan(ctx context.Context, shard seqdb.Scanner, start, block int, set *match
 	return parts, symbols, nil
 }
 
-// A pipeline chunk holds at most chunkSeqs sequences and chunkSymbols
-// symbols (a longer sequence is a chunk of its own); the pool holds
-// chunksPerWorker chunks per worker, however long the database.
-const (
-	chunkSeqs       = 256
-	chunkSymbols    = 1 << 16
-	chunksPerWorker = 4
-)
+// A pipeline chunk is one run of the batch kernel, at most match.RunSeqs
+// sequences and match.RunSymbols symbols (a longer sequence is a chunk of its
+// own); the pool holds chunksPerWorker chunks per worker, however long the
+// database: up to 1,024 sequences or 64 Ki symbols, 256 KiB of arena.
+const chunksPerWorker = 16
 
 // pipeline matches probe blocks on workers goroutines while a pass that
 // starts on a block boundary, as every shard does, reads on. observe copies
 // each sequence into a pooled chunk, waiting for one if the pool is empty;
 // every chunk of block k goes to worker k mod workers over that worker's FIFO
-// queue, so each block has one writer summing it in position order. finish
-// waits for the workers and returns the partials in block order.
+// queue, so each block has one writer summing it in position order, and the
+// worker scores the chunk where it lies. finish waits for the workers and
+// returns the partials in block order.
 func pipeline(set *match.SoASet, size, workers int) (observe func([]pattern.Symbol), finish func() []match.Partial) {
 	type chunk struct {
 		arena []pattern.Symbol
@@ -225,11 +223,7 @@ func pipeline(set *match.SoASet, size, workers int) (observe func([]pattern.Symb
 			defer wg.Done()
 			b := set.NewBlocks(size, 0) // the worker's blocks, each size long but the last
 			for ch := range queues[w] {
-				off := 0
-				for _, end := range ch.ends {
-					b.Observe(ch.arena[off:end:end])
-					off = end
-				}
+				b.ObserveAll(ch.arena, ch.ends)
 				ch.arena, ch.ends = ch.arena[:0], ch.ends[:0]
 				pool <- ch
 			}
@@ -239,7 +233,7 @@ func pipeline(set *match.SoASet, size, workers int) (observe func([]pattern.Symb
 	var cur *chunk
 	n := 0 // sequences observed
 	observe = func(seq []pattern.Symbol) {
-		if cur == nil || n%size == 0 || len(cur.ends) == chunkSeqs || len(cur.arena)+len(seq) > chunkSymbols {
+		if cur == nil || n%size == 0 || len(cur.ends) == match.RunSeqs || len(cur.arena)+len(seq) > match.RunSymbols {
 			if cur != nil {
 				queues[(n-1)/size%workers] <- cur
 			}

@@ -352,14 +352,16 @@ func (s *synthDB) Scans() int  { return s.scans }
 func (s *synthDB) ResetScans() { s.scans = 0 }
 
 // TestGatherChunkedBlocks: probe blocks longer than one pipeline chunk — by
-// sequence count, and by symbol count for long sequences — are still summed
-// by one writer in position order, bit-identical to the inline pass.
+// sequence count, by symbol count, and with sequences longer than a chunk —
+// are still summed by one writer in position order, bit-identical to the
+// inline pass.
 func TestGatherChunkedBlocks(t *testing.T) {
 	_, c, ps := randomWorkload(t, 18, 1, 1)
 	ps = ps[:5]
 	for _, db := range []*synthDB{
-		{n: 2 * 256 * chunkSeqs, length: 6},  // 2 chunks per block
-		{n: 100, length: chunkSymbols/3 + 1}, // 3 sequences per chunk
+		{n: 2 * 256 * match.RunSeqs, length: 6},   // 2 chunks per block
+		{n: 100, length: match.RunSymbols / 3},    // 3 sequences per chunk
+		{n: 40, length: match.RunSymbols*2 + 100}, // each sequence cut into pieces
 	} {
 		want, err := MatchDBValuer(db, c)(ps)
 		if err != nil {
@@ -401,9 +403,10 @@ func TestGatherMemoryBounded(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	// From 256*chunkSeqs sequences on, a probe block fills whole chunks.
-	small, large := alloc(256*chunkSeqs), alloc(8*256*chunkSeqs)
-	t.Logf("one pass allocates %d bytes at %d sequences, %d at %d", small, 256*chunkSeqs, large, 8*256*chunkSeqs)
+	// From 256*match.RunSeqs sequences on, a probe block fills whole chunks.
+	n := 256 * match.RunSeqs
+	small, large := alloc(n), alloc(8*n)
+	t.Logf("one pass allocates %d bytes at %d sequences, %d at %d", small, n, large, 8*n)
 	if large > 2*small+1<<20 {
 		t.Fatalf("one pass over 8x the sequences allocates %d bytes against %d: the copies grow with the database", large, small)
 	}

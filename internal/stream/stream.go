@@ -549,9 +549,7 @@ func accumulate(sums map[string]float64, set *match.SoASet, ps []pattern.Pattern
 	for i, p := range ps {
 		buf[i] = sums[p.Key()]
 	}
-	for _, seq := range seqs {
-		set.Observe(buf, seq)
-	}
+	set.Accumulate(buf, seqs)
 	for i, p := range ps {
 		sums[p.Key()] = buf[i]
 	}
@@ -702,14 +700,20 @@ func (s *Stream) hybridProbe(ctx context.Context, res *Result, scans *int) miner
 		}
 		// Scan exactly the consumed prefix [windowStart, cursor): sequences
 		// appended after ingest belong to the next batch. The sums run in
-		// sequence order, so later batches extend them exactly.
-		sums := make([]float64, len(miss))
-		err = s.db.ScanRangeContext(ctx, 0, s.cursor-s.windowStart, func(id int, seq []pattern.Symbol) error {
-			set.Observe(sums, seq)
+		// sequence order, as one probe block, so later batches extend them
+		// exactly.
+		window := s.cursor - s.windowStart
+		acc := set.NewBlocks(max(window, 1), 0)
+		err = s.db.ScanRangeContext(ctx, 0, window, func(id int, seq []pattern.Symbol) error {
+			acc.Observe(seq)
 			return nil
 		})
 		if err != nil {
 			return nil, err
+		}
+		sums := make([]float64, len(miss))
+		if parts := acc.Partials(); len(parts) > 0 {
+			sums = parts[0].Sums
 		}
 		*scans++
 		for j, i := range missIdx {
