@@ -42,6 +42,9 @@ type Matrix struct {
 
 // New validates and builds a matrix from dense[true][observed] rows. The
 // matrix must be square and every column must sum to 1 within SumTolerance.
+// A -0 cell is stored as +0, so +0 is the only zero a match kernel sees:
+// the kernels order non-negative products by their bit patterns, where -0
+// would rank above every positive value.
 func New(dense [][]float64) (*Matrix, error) {
 	m := len(dense)
 	if m == 0 {
@@ -69,7 +72,12 @@ func New(dense [][]float64) (*Matrix, error) {
 	mat := &Matrix{m: m, dense: make([][]float64, m)}
 	for i := range dense {
 		row := make([]float64, m)
-		copy(row, dense[i])
+		for j, v := range dense[i] {
+			if v == 0 {
+				v = 0 // a -0 cell becomes +0
+			}
+			row[j] = v
+		}
 		mat.dense[i] = row
 	}
 	mat.buildSparse()

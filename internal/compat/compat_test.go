@@ -339,6 +339,34 @@ func TestReadFromHugeHeader(t *testing.T) {
 	}
 }
 
+// TestNegativeZeroCellsStoredPositive: a -0 cell, given to New or written
+// as "-0" in ReadFrom text, is stored as +0. The match kernels order
+// products by their bit patterns, where -0 would rank above every positive
+// value.
+func TestNegativeZeroCellsStoredPositive(t *testing.T) {
+	nz := math.Copysign(0, -1)
+	dense, err := New([][]float64{{1, nz, 0.5}, {nz, 1, 0.5}, {0, nz, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := ReadFrom(strings.NewReader("compat 3\n1 -0 0.5\n-0 1 0.5\n0 -0 0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*Matrix{"New": dense, "ReadFrom": text} {
+		for i := 0; i < c.Size(); i++ {
+			for j, v := range c.Row(pattern.Symbol(i)) {
+				if math.Signbit(v) {
+					t.Errorf("%s: cell (%d,%d) is -0", name, i, j)
+				}
+			}
+		}
+		if n := len(c.TrueGiven(1)); n != 1 {
+			t.Errorf("%s: observed column 1 lists %d non-zero cells, want 1", name, n)
+		}
+	}
+}
+
 func TestDenseIsACopy(t *testing.T) {
 	c := Fig2()
 	d := c.Dense()

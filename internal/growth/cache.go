@@ -1,6 +1,8 @@
 package growth
 
 import (
+	"slices"
+
 	"repro/internal/match"
 	"repro/internal/pattern"
 	"repro/internal/telemetry"
@@ -13,6 +15,16 @@ import (
 // whether the chain starts from a cached prefix or from a fresh 1-symbol
 // build, so cache hits and evictions are invisible to every recorded float.
 // No locks — each worker owns one.
+//
+// Projections the worker no longer uses are recycled: an evicted entry and
+// a transient projection (one the cap denied) join a free list of at most
+// maxFree, and the next build or extension writes into its arrays instead
+// of allocating. A projection is handed out again only once nothing reads
+// it. The one reader that outlives a cache entry is processNode, whose
+// node's projection stays in use across the subsAlive → resolve →
+// processNode recursion, and that recursion can evict it. So processNode
+// pins its projection: an evicted pinned projection is not freed, and the
+// node frees it when it is done.
 type projCache struct {
 	e       *engine
 	cap     int64 // byte cap; negative = unlimited
@@ -21,7 +33,14 @@ type projCache struct {
 	head    *cacheEnt // most recently used
 	tail    *cacheEnt
 	prof    match.ProfileScratch // per-worker profile buffers
+	free    []*match.Projection  // retired projections, at most maxFree
+	pins    []*match.Projection  // the projections of the nodes being processed, innermost last
 }
+
+// maxFree bounds a worker's free list. A node takes one projection for
+// its extension and its insertion evicts about as many, so a short list
+// keeps up; what it cannot hold is left to the collector.
+const maxFree = 4
 
 type cacheEnt struct {
 	key        string
@@ -55,22 +74,62 @@ func (pc *projCache) proj(p pattern.Pattern) (*match.Projection, error) {
 			break
 		}
 	}
+	cached := true // whether cur is in the cache; a denied prefix is freed once extended
 	for j := t + 1; j < len(pos); j++ {
 		prefix := p[:pos[j]+1]
 		if cur == nil {
-			built, err := pc.e.pj.Build(prefix)
+			built, err := pc.e.pj.BuildInto(pc.take(), prefix)
 			if err != nil {
 				return nil, err
 			}
 			cur = built
 			pc.e.cfg.Metrics.Add(telemetry.GrowthProjBuilt, 1)
 		} else {
-			cur = cur.Extend(pos[j]+1, p[pos[j]])
+			next := cur.ExtendInto(pc.take(), pos[j]+1, p[pos[j]])
+			if !cached {
+				pc.release(cur)
+			}
+			cur = next
 			pc.e.cfg.Metrics.Add(telemetry.GrowthProjReused, 1)
 		}
-		pc.put(prefix.Key(), cur)
+		cached = pc.put(prefix.Key(), cur)
 	}
 	return cur, nil
+}
+
+// pin marks pr, the projection of the node the worker starts processing,
+// as in use.
+func (pc *projCache) pin(pr *match.Projection) {
+	pc.pins = append(pc.pins, pr)
+}
+
+// unpin ends the innermost pin, that of the node keyed key, and frees its
+// projection unless the cache still holds it: the cap denied it, or the
+// node's recursion evicted it.
+func (pc *projCache) unpin(key string) {
+	pr := pc.pins[len(pc.pins)-1]
+	pc.pins = pc.pins[:len(pc.pins)-1]
+	if ce, ok := pc.entries[key]; !ok || ce.pr != pr {
+		pc.release(pr)
+	}
+}
+
+// take returns a retired projection to build into, or nil.
+func (pc *projCache) take() *match.Projection {
+	n := len(pc.free)
+	if n == 0 {
+		return nil
+	}
+	pr := pc.free[n-1]
+	pc.free = pc.free[:n-1]
+	return pr
+}
+
+// release frees pr, which nothing reads any more, into the free list.
+func (pc *projCache) release(pr *match.Projection) {
+	if len(pc.free) < maxFree {
+		pc.free = append(pc.free, pr)
+	}
 }
 
 // get returns the cached projection for key, promoting it to most recently
@@ -85,16 +144,17 @@ func (pc *projCache) get(key string) *match.Projection {
 }
 
 // put caches pr under key, evicting least-recently-used entries until it
-// fits. A projection larger than the whole cap is not cached (counted as
-// denied) — it still served its caller; the next visit rebuilds it.
-func (pc *projCache) put(key string, pr *match.Projection) {
+// fits, and reports whether pr is cached. A projection larger than the whole
+// cap is not cached (counted as denied) — it still served its caller; the
+// next visit rebuilds it.
+func (pc *projCache) put(key string, pr *match.Projection) bool {
 	if _, ok := pc.entries[key]; ok {
-		return
+		return false
 	}
 	b := pr.Bytes()
 	if pc.cap >= 0 && b > pc.cap {
 		pc.e.cfg.Metrics.Add(telemetry.GrowthDenied, 1)
-		return
+		return false
 	}
 	if pc.cap >= 0 {
 		for pc.bytes+b > pc.cap && pc.tail != nil {
@@ -113,6 +173,7 @@ func (pc *projCache) put(key string, pr *match.Projection) {
 	}
 	pc.bytes += b
 	pc.e.cacheGrew(b)
+	return true
 }
 
 func (pc *projCache) touch(ce *cacheEnt) {
@@ -154,6 +215,11 @@ func (pc *projCache) evict(ce *cacheEnt) {
 	b := ce.pr.Bytes()
 	pc.bytes -= b
 	pc.e.cached.Add(-b)
+	if slices.Contains(pc.pins, ce.pr) {
+		pc.e.pinnedEvictions.Add(1) // its node frees it
+		return
+	}
+	pc.release(ce.pr)
 }
 
 // cacheGrew adds b bytes to the engine-wide cached total and raises its

@@ -158,6 +158,9 @@ type engine struct {
 	err    atomic.Pointer[error]
 	cached atomic.Int64 // projection bytes cached across all workers
 	peak   atomic.Int64 // high-water mark of cached
+	// pinnedEvictions counts cache evictions of a projection whose node was
+	// still being processed, which the pin kept from reuse (read by tests).
+	pinnedEvictions atomic.Int64
 }
 
 // Mine runs the growth engine over the sample. The result is interchangeable
@@ -166,6 +169,15 @@ type engine struct {
 // always false: where the level-wise engine would truncate, Mine returns a
 // *CapError instead.
 func Mine(c compat.Source, sample [][]pattern.Symbol, cfg Config) (*miner.Result, error) {
+	e, err := newEngine(c, sample, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return e.mine()
+}
+
+// newEngine validates cfg and readies an engine over the sample.
+func newEngine(c compat.Source, sample [][]pattern.Symbol, cfg Config) (*engine, error) {
 	m := c.Size()
 	if m < 1 {
 		return nil, fmt.Errorf("growth: alphabet size %d < 1", m)
@@ -199,6 +211,12 @@ func Mine(c compat.Source, sample [][]pattern.Symbol, cfg Config) (*miner.Result
 			Labels:    make(map[string]chernoff.Label),
 		},
 	}
+	return e, nil
+}
+
+// mine runs the engine: level 1, then the DFS over the alive symbols.
+func (e *engine) mine() (*miner.Result, error) {
+	cfg, m, cls := e.cfg, e.m, e.cls
 
 	// Level 1: value and label every symbol exactly like the level-wise
 	// engine's first iteration. Alive symbols, in ascending order, are both
@@ -382,6 +400,10 @@ func (e *engine) processNode(pc *projCache, p pattern.Pattern) error {
 		e.fail(err)
 		return err
 	}
+	// The recursion through subsAlive below may evict proj from the cache;
+	// the pin keeps its arrays from being reused until this node is done.
+	pc.pin(proj)
+	defer pc.unpin(key)
 	var nodeValued, nodePruned int64
 	for gap := 0; gap <= e.cfg.MaxGap; gap++ {
 		qLen := p.Len() + gap + 1

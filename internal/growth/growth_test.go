@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -377,5 +378,66 @@ func TestGrowthCandidateCap(t *testing.T) {
 		if snap := m.Snapshot(); snap.Candidates != 0 || snap.Frequent+snap.Ambiguous+snap.Infrequent != 0 {
 			t.Errorf("workers=%d: a capped run recorded lattice telemetry: %+v", workers, snap)
 		}
+	}
+}
+
+// TestGrowthPinnedEviction pins the recycling contract. Under a budget that
+// binds, the subsAlive → resolve → processNode recursion evicts the
+// projection of a node still being processed; the pin must keep that
+// projection's arrays from being reused until the node is done. Labels and
+// values must equal an unlimited-budget run's at every worker count, run
+// after run, and the single-worker run, whose order is fixed, must have
+// evicted a pinned projection, so the path is taken.
+func TestGrowthPinnedEviction(t *testing.T) {
+	c, sample := longSample(t)
+	cfg := growth.Config{MinMatch: 0.3, Delta: 0.05, MaxLen: 6, MaxGap: 1, Budget: -1}
+	want, err := growth.Mine(c, sample, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Budget = 128 << 10
+	for _, workers := range []int{1, 2, 4} {
+		cfg.Workers = workers
+		var pins int64
+		for run := 0; run < 3; run++ {
+			got, n, err := growth.MineCountingPins(c, sample, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want.Labels, got.Labels) || !reflect.DeepEqual(want.Values, got.Values) {
+				t.Fatalf("workers=%d run %d: result differs from the unlimited-budget run", workers, run)
+			}
+			pins += n
+		}
+		t.Logf("workers=%d: %d pinned projections evicted over 3 runs", workers, pins)
+		if workers == 1 && pins == 0 {
+			t.Fatal("no pinned projection was evicted: the budget does not exercise the pin")
+		}
+	}
+}
+
+// TestGrowthRecyclesProjections: with recycling, a mine under a binding
+// budget allocates well under what an unlimited-budget mine does. The
+// unlimited mine allocates every projection it builds exactly once and
+// keeps it; a budgeted mine builds more (evicted projections are rebuilt),
+// but into the arrays of the ones it retired. Without recycling the
+// budgeted mine allocated 1.6× the unlimited one's bytes on this fixture.
+func TestGrowthRecyclesProjections(t *testing.T) {
+	c, sample := longSample(t)
+	alloc := func(budget int64) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := growth.Mine(c, sample, growth.Config{MinMatch: 0.3, Delta: 0.05, MaxLen: 6, MaxGap: 1, Budget: budget, Workers: 1})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	unlimited, budgeted := alloc(-1), alloc(64<<10)
+	t.Logf("allocated %d KiB unlimited, %d KiB under a 64 KiB budget", unlimited>>10, budgeted>>10)
+	if budgeted*2 > unlimited {
+		t.Fatalf("a 64 KiB-budget mine allocated %d bytes, more than half the unlimited mine's %d", budgeted, unlimited)
 	}
 }

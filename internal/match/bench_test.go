@@ -1,6 +1,7 @@
 package match
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -60,7 +61,7 @@ func BenchmarkCompiledMatch(b *testing.B) {
 // only timing of matrices with zeros.
 func BenchmarkSoAObserve(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
-	seqs, motifs := plantedSample(b, 256, 20, rng)
+	seqs, motifs := plantedSample(b, 256, 30, 50, 20, rng)
 	batch := gappedBatch(motifs, 32, 20, rng)
 	_, children := benchLevels(16)
 	cases := []struct {
@@ -91,11 +92,12 @@ func BenchmarkSoAObserve(b *testing.B) {
 	}
 }
 
-// plantedSample draws n sequences of length 30–50 over m symbols carrying two
-// planted 8-symbol motifs (each with probability 0.5) under 5% uniform noise.
-func plantedSample(b testing.TB, n, m int, rng *rand.Rand) ([][]pattern.Symbol, []pattern.Pattern) {
+// plantedSample draws n sequences of length minLen–maxLen over m symbols
+// carrying two planted 8-symbol motifs (each with probability 0.5) under 5%
+// uniform noise.
+func plantedSample(b testing.TB, n, minLen, maxLen, m int, rng *rand.Rand) ([][]pattern.Symbol, []pattern.Pattern) {
 	std, motifs, err := datagen.Protein(datagen.ProteinConfig{
-		N: n, M: m, MinLen: 30, MaxLen: 50, NumMotifs: 2, MotifLen: 8, PlantProb: 0.5,
+		N: n, M: m, MinLen: minLen, MaxLen: maxLen, NumMotifs: 2, MotifLen: 8, PlantProb: 0.5,
 	}, rng)
 	if err != nil {
 		b.Fatal(err)
@@ -136,6 +138,63 @@ func gappedBatch(motifs []pattern.Pattern, n, m int, rng *rand.Rand) []pattern.P
 		ps = append(ps, p)
 	}
 	return ps
+}
+
+// BenchmarkProfile times one class-profile walk, the growth engine's
+// per-(node, gap) pass, on the long-low workload's shape: 300 sequences of
+// 150–220 symbols over 20 symbols with two planted motifs, profiled for the
+// children of a 3-symbol motif prefix. ramp is 5% uniform noise (every
+// window survives); banded is lspbench's banded sparse matrix, where a
+// projection keeps only the windows its rows allow.
+func BenchmarkProfile(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	seqs, motifs := plantedSample(b, 300, 150, 220, 20, rng)
+	p := motifs[0][:3]
+	for _, tc := range []struct {
+		name string
+		c    compat.Source
+	}{
+		{"ramp", uniformNoise(b, 20, 0.05)},
+		{"banded", randomSparse(b, 20)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			pr, err := NewProjector(tc.c, seqs, 0).BuildInto(nil, p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var sc ProfileScratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pr.Profile(len(p)+1, &sc)
+			}
+		})
+	}
+}
+
+// BenchmarkProjectionValueKids times the level-wise kernel's sibling walk:
+// 1,000 sequences of 24–50 symbols over 20 symbols under 5% uniform noise,
+// valuing groups of 2, 5 and 20 children of a 2-symbol pattern. Groups of
+// three or more may take the class pass.
+func BenchmarkProjectionValueKids(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	seqs := randomSample(1000, 24, 50, 20, rng)
+	pr, err := NewProjector(uniformNoise(b, 20, 0.05), seqs, 0).BuildInto(nil, pattern.MustNew(3, 7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds := make([]pattern.Symbol, 20)
+	for i := range ds {
+		ds[i] = pattern.Symbol(i)
+	}
+	for _, kids := range []int{2, 5, 20} {
+		b.Run(fmt.Sprintf("kids=%d", kids), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pr.ValueKids(3, ds[:kids])
+			}
+		})
+	}
 }
 
 func uniformNoise(b testing.TB, m int, alpha float64) compat.Source {

@@ -153,16 +153,14 @@ windows:
 }
 
 // appendWindows appends the start offset and full product of every window of
-// seq whose product is non-zero, and returns the updated slices plus the best
-// window product (the sequence's match). Unlike Match it applies no
-// best-so-far cutoff: a projection needs every surviving window's
-// exact product, because a right-extension can promote any of them to the new
-// maximum. Products are accumulated left to right over the non-eternal
-// positions, the same order Match and Sequence use, so the values are
-// bit-identical to theirs.
-func (cp *Compiled) appendWindows(seq []pattern.Symbol, starts []int32, prods []float64) ([]int32, []float64, float64) {
+// seq whose product is non-zero, and returns the updated slices. Unlike Match
+// it applies no best-so-far cutoff: a projection needs every surviving
+// window's exact product, because a right-extension can promote any of them
+// to the new maximum. Products are accumulated left to right over the
+// non-eternal positions, the same order Match and Sequence use, so the
+// values are bit-identical to theirs.
+func (cp *Compiled) appendWindows(seq []pattern.Symbol, starts []int32, prods []float64) ([]int32, []float64) {
 	l := cp.length
-	best := 0.0
 	for i := 0; i+l <= len(seq); i++ {
 		if !cp.firstOK[seq[i]] {
 			continue
@@ -179,28 +177,21 @@ func (cp *Compiled) appendWindows(seq []pattern.Symbol, starts []int32, prods []
 		}
 		starts = append(starts, int32(i))
 		prods = append(prods, v)
-		if v > best {
-			best = v
-		}
 	}
-	return starts, prods, best
+	return starts, prods
 }
 
 // appendProds is appendWindows for all-positive matrices, where every window
 // survives: only the products are appended — the window starts are the
-// implicit ramp 0,1,2,… — along with the best product over the sequence.
-func (cp *Compiled) appendProds(seq []pattern.Symbol, prods []float64) ([]float64, float64) {
+// implicit ramp 0,1,2,….
+func (cp *Compiled) appendProds(seq []pattern.Symbol, prods []float64) []float64 {
 	l := cp.length
-	best := 0.0
 	for i := 0; i+l <= len(seq); i++ {
 		v := 1.0
 		for j, off := range cp.offsets {
 			v *= cp.rows[j][seq[i+off]]
 		}
 		prods = append(prods, v)
-		if v > best {
-			best = v
-		}
 	}
-	return prods, best
+	return prods
 }

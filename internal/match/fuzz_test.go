@@ -1,6 +1,8 @@
 package match
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/compat"
@@ -11,7 +13,7 @@ import (
 // pattern's Compiled.Match, summed in sequence order, with ==. It decodes
 // three inputs:
 //
-//   - matrix: 2–24 symbols, strictly positive or with zeros;
+//   - matrix: 2–24 symbols, strictly positive, with zeros or with -0 cells;
 //   - batch: 1–40 patterns built to share prefixes — duplicates, prefixes
 //     and extensions of earlier patterns, one-symbol patterns, and patterns
 //     up to 24 long, longer than some sequences;
@@ -27,10 +29,10 @@ func FuzzBatchKernel(f *testing.F) {
 }
 
 func checkBatchKernel(t *testing.T, matrix, batch, seqs []byte) {
-	c := fuzzMatrix(matrix)
+	c := fuzzMatrix(matrix, 24)
 	m := c.Size()
 	ps := fuzzBatch(batch, m)
-	db, size, start := fuzzSeqs(seqs, m)
+	db, size, start := fuzzSeqs(seqs, m, 200, 300)
 
 	set, err := CompileSoA(c, ps)
 	if err != nil {
@@ -99,18 +101,23 @@ func checkBatchKernel(t *testing.T, matrix, batch, seqs []byte) {
 	}
 }
 
-// fuzzMatrix decodes a column-stochastic matrix of 2–24 symbols from b: b[0]
-// picks the size, b[1]'s low bit whether cells are strictly positive or
-// weights below 128 become zeros, and the rest, cycled, the cell weights.
-func fuzzMatrix(b []byte) *compat.Matrix {
+// fuzzMatrix decodes a column-stochastic matrix of 2–maxM symbols from b:
+// b[0] picks the size, b[1]'s low bit whether cells are strictly positive or
+// weights below 128 become zeros, written as -0 when b[1]'s second bit is
+// set too, and the rest, cycled, the cell weights.
+func fuzzMatrix(b []byte, maxM int) *compat.Matrix {
 	at := func(i int) byte {
 		if len(b) == 0 {
 			return 1
 		}
 		return b[i%len(b)]
 	}
-	m := 2 + int(at(0))%23
+	m := 2 + int(at(0))%(maxM-1)
 	positive := at(1)&1 == 0
+	zero := 0.0
+	if at(1)&2 != 0 {
+		zero = math.Copysign(0, -1)
+	}
 	dense := make([][]float64, m)
 	for i := range dense {
 		dense[i] = make([]float64, m)
@@ -131,7 +138,9 @@ func fuzzMatrix(b []byte) *compat.Matrix {
 			dense[j][j], sum = 1, 1
 		}
 		for i := 0; i < m; i++ {
-			dense[i][j] /= sum
+			if dense[i][j] /= sum; dense[i][j] == 0 {
+				dense[i][j] = zero
+			}
 		}
 	}
 	return compat.MustNew(dense)
@@ -193,20 +202,20 @@ func fuzzBatch(b []byte, m int) []pattern.Pattern {
 	return ps
 }
 
-// fuzzSeqs decodes up to 200 sequences of length 0–300 over m symbols, and
-// a probe block size (1–256) and start: b[0] is the count, b[1] the size,
-// b[2] the start, and each sequence takes two length bytes and then one
-// byte per symbol. Decoding stops where the input does, so the work an
+// fuzzSeqs decodes up to maxN sequences of length 0–maxLen over m symbols,
+// and a probe block size (1–256) and start: b[0] is the count, b[1] the
+// size, b[2] the start, and each sequence takes two length bytes and then
+// one byte per symbol. Decoding stops where the input does, so the work an
 // input costs stays proportional to its size.
-func fuzzSeqs(b []byte, m int) ([][]pattern.Symbol, int, int) {
+func fuzzSeqs(b []byte, m, maxN, maxLen int) ([][]pattern.Symbol, int, int) {
 	if len(b) < 3 {
 		return nil, 1, 0
 	}
-	n, size, start := int(b[0])%201, 1+int(b[1]), int(b[2])
+	n, size, start := int(b[0])%(maxN+1), 1+int(b[1]), int(b[2])
 	b = b[3:]
 	var seqs [][]pattern.Symbol
 	for len(seqs) < n && len(b) >= 2 {
-		l := min((int(b[0])<<8|int(b[1]))%301, len(b)-2)
+		l := min((int(b[0])<<8|int(b[1]))%(maxLen+1), len(b)-2)
 		seq := make([]pattern.Symbol, l)
 		for j, v := range b[2 : 2+l] {
 			seq[j] = pattern.Symbol(int(v) % m)
@@ -215,4 +224,105 @@ func fuzzSeqs(b []byte, m int) ([][]pattern.Symbol, int, int) {
 		b = b[2+l:]
 	}
 	return seqs, size, start
+}
+
+// FuzzProjectionKernel differentially checks the Phase 2 kernel, with ==.
+// It decodes a 2–12-symbol matrix (strictly positive, with zeros or with -0
+// cells; see fuzzMatrix), a sample of 0–80 sequences of length 0–120 (see
+// fuzzSeqs; its block size picks the projector's shard size), and from pat
+// a pattern of 1–8 positions with eternal ones inside, a gap of 0–2 and a
+// child symbol. Over the pattern's projection it checks:
+//
+//   - Profile.Clip against ClipMax at the child length;
+//   - Profile.ValueKids, and Projection.ValueKids over groups of 1, 2 and
+//     all symbols (so both its direct walk and its class pass run), against
+//     Projector.Value, per-pattern Compiled.Match, for every child;
+//   - the child's projection extended into the arrays of another pattern's
+//     retired projection, larger and then smaller than the child's, against
+//     a fresh build of the child, window by window.
+func FuzzProjectionKernel(f *testing.F) {
+	f.Fuzz(checkProjectionKernel)
+}
+
+func checkProjectionKernel(t *testing.T, matrix, sample, pat []byte) {
+	c := fuzzMatrix(matrix, 12)
+	m := c.Size()
+	db, shardSize, _ := fuzzSeqs(sample, m, 80, 120)
+	p, gap, d := fuzzPattern(pat, m)
+	pj := NewProjector(c, db, 1+shardSize%40)
+	pr, err := pj.BuildInto(nil, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qLen := len(p) + gap + 1
+
+	var sc ProfileScratch
+	prof := pr.Profile(qLen, &sc)
+	for i, v := range pr.ClipMax(qLen) {
+		if got := prof.Clip()[i]; got != v {
+			t.Fatalf("%v: Profile clip[%d] = %v, ClipMax = %v", p, i, got, v)
+		}
+	}
+	ds := make([]pattern.Symbol, m)
+	want := make([]float64, m)
+	for i := range ds {
+		ds[i] = pattern.Symbol(i)
+		if want[i], err = pj.Value(pattern.Extend(p, gap, ds[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(name string, got []float64) {
+		for i, v := range got {
+			if v != want[i] {
+				t.Fatalf("%s: child %v of %v (gap %d) = %v, Value = %v", name, ds[i], p, gap, v, want[i])
+			}
+		}
+	}
+	check("Profile.ValueKids", prof.ValueKids(ds))
+	for _, k := range []int{1, 2, m} {
+		check("Projection.ValueKids", pr.ValueKids(qLen, ds[:k]))
+	}
+
+	q := pattern.Extend(p, gap, d)
+	fresh, err := pj.BuildInto(nil, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, other := range []pattern.Pattern{{d}, append(q.Clone(), d, d)} {
+		dst, err := pj.BuildInto(nil, other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := pr.ExtendInto(dst, qLen, d)
+		for s := range fresh.shards {
+			fw, gw := &fresh.shards[s], &got.shards[s]
+			if !slices.Equal(fw.offs, gw.offs) || !slices.Equal(fw.prods, gw.prods) || !slices.Equal(fw.starts, gw.starts) {
+				t.Fatalf("%v extended into %v's arrays: shard %d differs from a fresh build", q, other, s)
+			}
+		}
+	}
+}
+
+// fuzzPattern decodes a valid pattern of 1–8 positions over m symbols (b[0]
+// the length, then one byte a position; an inner byte divisible by 4 makes
+// the position eternal), a gap of 0–2 and a child symbol.
+func fuzzPattern(b []byte, m int) (pattern.Pattern, int, pattern.Symbol) {
+	i := 0
+	next := func() int {
+		if i >= len(b) {
+			return 1
+		}
+		i++
+		return int(b[i-1])
+	}
+	p := make(pattern.Pattern, 1+next()%8)
+	for j := range p {
+		v := next()
+		if j > 0 && j < len(p)-1 && v%4 == 0 {
+			p[j] = pattern.Eternal
+		} else {
+			p[j] = pattern.Symbol(v % m)
+		}
+	}
+	return p, next() % 3, pattern.Symbol(next() % m)
 }

@@ -232,9 +232,9 @@ func (inc *Incremental) ValueLevel(ps []pattern.Pattern) ([]float64, LevelStats,
 		}
 		mu.Unlock()
 		if b.src != nil {
-			b.pr = b.src.extendInto(dst, len(b.parent), b.parent[len(b.parent)-1])
+			b.pr = b.src.ExtendInto(dst, len(b.parent), b.parent[len(b.parent)-1])
 		} else {
-			b.pr, errs[j] = inc.pj.buildInto(dst, b.parent)
+			b.pr, errs[j] = inc.pj.BuildInto(dst, b.parent)
 		}
 	})
 	if err := firstError(errs); err != nil {

@@ -192,16 +192,11 @@ func (pr *Projection) windows() int64 {
 	return n
 }
 
-// Build materializes p's projection from scratch (appendWindows /
+// BuildInto materializes p's projection from scratch (appendWindows /
 // appendProds per sequence), so the window products carry the canonical
-// left-to-right association.
-func (pj *Projector) Build(p pattern.Pattern) (*Projection, error) {
-	return pj.buildInto(nil, p)
-}
-
-// buildInto is Build writing into dst, a retired projection of pj whose
-// arrays are reused where large enough (nil allocates a new one).
-func (pj *Projector) buildInto(dst *Projection, p pattern.Pattern) (*Projection, error) {
+// left-to-right association. It writes into dst, a retired projection of pj
+// whose arrays are reused where large enough; nil allocates a new one.
+func (pj *Projector) BuildInto(dst *Projection, p pattern.Pattern) (*Projection, error) {
 	cp, err := compileWith(pj.rc, pj.m, p)
 	if err != nil {
 		return nil, err
@@ -215,14 +210,14 @@ func (pj *Projector) buildInto(dst *Projection, p pattern.Pattern) (*Projection,
 		if pj.ramp {
 			prods := reuse(sw.prods, bound)
 			for si := lo; si < hi; si++ {
-				prods, _ = cp.appendProds(pj.sample[si], prods)
+				prods = cp.appendProds(pj.sample[si], prods)
 				sw.offs[si-lo+1] = int32(len(prods))
 			}
 			sw.prods = prods
 		} else {
 			starts, prods := reuse(sw.starts, bound), reuse(sw.prods, bound)
 			for si := lo; si < hi; si++ {
-				starts, prods, _ = cp.appendWindows(pj.sample[si], starts, prods)
+				starts, prods = cp.appendWindows(pj.sample[si], starts, prods)
 				sw.offs[si-lo+1] = int32(len(prods))
 			}
 			sw.starts, sw.prods, kept = compactWindows(starts, prods, bound)
@@ -369,113 +364,45 @@ func (pr *Projection) Bound(clip []float64, rowMax float64) float64 {
 // multiplication by a fixed non-negative factor is monotone, so the class max
 // commutes with the multiply and the per-sequence best over classes is the
 // same float64 the window-by-window walk produces. One classification pass
-// (O(windows)) then serves every sibling at O(classes) each, instead of every
-// sibling re-walking every window.
+// (O(windows), into a dense class table swept after each sequence) then
+// serves every sibling at O(classes) each, instead of every sibling
+// re-walking every window.
 func (pr *Projection) ValueKids(qLen int, ds []pattern.Symbol) []float64 {
 	pj := pr.pj
 	out := make([]float64, len(ds))
 	part := make([]float64, len(ds))
-	best := make([]float64, len(ds))
 	krows := make([][]float64, len(ds))
 	for i, d := range ds {
 		krows[i] = pj.rc.row(d)
 	}
-	var classMax []float64
-	var stamp []int32
-	var present []int32
-	var epoch int32
+	var cm []uint64
+	var syms, obsBuf []pattern.Symbol
+	var vals []float64
 	if len(ds) >= 3 {
-		classMax = make([]float64, pj.m)
-		stamp = make([]int32, pj.m)
-		present = make([]int32, 0, pj.m)
+		cm = make([]uint64, pj.m)
+		syms, vals = make([]pattern.Symbol, 0, pj.m), make([]float64, 0, pj.m)
 	}
-	off := qLen - 1
 	for s, sh := range pj.shards {
 		lo, hi := sh[0], sh[1]
 		sw := &pr.shards[s]
-		for i := range part {
-			part[i] = 0
-		}
+		clear(part)
 		for si := lo; si < hi; si++ {
-			seq := pj.sample[si]
-			wlo, whi := pr.clipShard(sw, si-lo, seq, qLen)
-			if whi <= wlo {
+			prods, obs := pr.clipped(sw, si-lo, pj.sample[si], qLen, &obsBuf)
+			nw := len(prods)
+			if nw == 0 {
 				continue
 			}
-			nw := int(whi - wlo)
-			classes := pj.m
-			if nw < classes {
-				classes = nw
+			// The class pass costs about two window walks, a sweep of the
+			// alphabet and one walk of the classes per sibling, where the
+			// direct walk costs one window walk per sibling; pick per
+			// sequence.
+			if cm != nil && nw*len(ds) > 2*nw+pj.m+min(nw, pj.m)*len(ds) {
+				classMax(cm, prods, obs)
+				syms, vals, _ = sweepClasses(cm, syms[:0], vals[:0])
+				prods, obs = vals, syms // the siblings walk the classes
 			}
-			// The class pass costs nw + classes·(len(ds)+1) sequence ops where
-			// the direct walk costs nw·len(ds); pick per sequence.
-			if classMax != nil && nw*(len(ds)-1) > nw+classes*(len(ds)+1) {
-				epoch++
-				present = present[:0]
-				if pj.ramp {
-					prods := sw.prods[wlo:whi]
-					obs := seq[off : off+len(prods)]
-					for j, p := range prods {
-						o := int32(obs[j])
-						if stamp[o] != epoch {
-							stamp[o] = epoch
-							classMax[o] = p
-							present = append(present, o)
-						} else if p > classMax[o] {
-							classMax[o] = p
-						}
-					}
-				} else {
-					for w := wlo; w < whi; w++ {
-						o := int32(seq[sw.starts[w]+int32(off)])
-						if p := sw.prods[w]; stamp[o] != epoch {
-							stamp[o] = epoch
-							classMax[o] = p
-							present = append(present, o)
-						} else if p > classMax[o] {
-							classMax[o] = p
-						}
-					}
-				}
-				for ci := range krows {
-					row := krows[ci]
-					b := 0.0
-					for _, o := range present {
-						if v := classMax[o] * row[o]; v > b {
-							b = v
-						}
-					}
-					part[ci] += b
-				}
-			} else if pj.ramp {
-				prods := sw.prods[wlo:whi]
-				obs := seq[off : off+len(prods)] // same length as prods: checks eliminated
-				for ci := range krows {
-					row := krows[ci]
-					b := 0.0
-					for j, p := range prods {
-						if v := p * row[obs[j]]; v > b {
-							b = v
-						}
-					}
-					part[ci] += b
-				}
-			} else {
-				for ci := range best {
-					best[ci] = 0
-				}
-				for w := wlo; w < whi; w++ {
-					pprod := sw.prods[w]
-					obs := seq[sw.starts[w]+int32(off)]
-					for ci := range krows {
-						if v := pprod * krows[ci][obs]; v > best[ci] {
-							best[ci] = v
-						}
-					}
-				}
-				for ci := range best {
-					part[ci] += best[ci]
-				}
+			for ci, row := range krows {
+				part[ci] += maxMulGather(prods, row, obs)
 			}
 		}
 		for i := range out {
@@ -490,15 +417,37 @@ func (pr *Projection) ValueKids(qLen int, ds []pattern.Symbol) []float64 {
 	return out
 }
 
+// clipped returns the windows of sequence si (shard-local index i) still
+// wide enough for a child of total length qLen: their parent products and
+// the symbols observed at the child's extension offset, a slice of seq in
+// ramp mode and gathered into *buf in sparse mode.
+func (pr *Projection) clipped(sw *projShard, i int, seq []pattern.Symbol, qLen int, buf *[]pattern.Symbol) ([]float64, []pattern.Symbol) {
+	wlo, whi := pr.clipShard(sw, i, seq, qLen)
+	if whi <= wlo {
+		return nil, nil
+	}
+	prods, off := sw.prods[wlo:whi], qLen-1
+	if pr.pj.ramp {
+		return prods, seq[off : off+len(prods)]
+	}
+	obs := (*buf)[:0]
+	for _, st := range sw.starts[wlo:whi] {
+		obs = append(obs, seq[int(st)+off])
+	}
+	*buf = obs
+	return prods, obs
+}
+
 // ProfileScratch holds the reusable buffers of Profile walks so a worker can
 // profile one (node, length) group per call without reallocating. The zero
 // value is ready to use; not safe for concurrent use.
 type ProfileScratch struct {
-	classMax []float64 // dense per-symbol max, zeroed between sequences
-	offs     []int32
-	syms     []int32
-	vals     []float64
-	clip     []float64
+	cm   []uint64         // dense class table, zeroed as it is swept
+	obs  []pattern.Symbol // sparse mode: the observed symbols of one sequence's windows
+	offs []int32
+	syms []pattern.Symbol
+	vals []float64
+	clip []float64
 }
 
 // Profile is the class decomposition of a projection clipped for children of
@@ -516,10 +465,10 @@ type ProfileScratch struct {
 type Profile struct {
 	pr   *Projection
 	qLen int
-	offs []int32   // len(sample)+1 CSR offsets into syms/vals
-	syms []int32   // observed symbol per class entry
-	vals []float64 // max surviving parent product per class entry
-	clip []float64 // per-sequence max over all entries (ClipMax's floats)
+	offs []int32          // len(sample)+1 CSR offsets into syms/vals
+	syms []pattern.Symbol // observed symbol per class entry
+	vals []float64        // max surviving parent product per class entry
+	clip []float64        // per-sequence max over all entries (ClipMax's floats)
 }
 
 // Profile walks the projection once at child length qLen and returns the
@@ -527,60 +476,30 @@ type Profile struct {
 func (pr *Projection) Profile(qLen int, sc *ProfileScratch) Profile {
 	pj := pr.pj
 	n := len(pj.sample)
-	if len(sc.classMax) < pj.m {
-		sc.classMax = make([]float64, pj.m)
+	if len(sc.cm) < pj.m {
+		sc.cm = make([]uint64, pj.m)
 	}
 	if cap(sc.clip) < n {
 		sc.clip = make([]float64, n)
 		sc.offs = make([]int32, 0, n+1)
 	}
+	cm := sc.cm[:pj.m]
 	sc.clip = sc.clip[:n]
 	sc.offs = append(sc.offs[:0], 0)
 	sc.syms = sc.syms[:0]
 	sc.vals = sc.vals[:0]
-	off := qLen - 1
 	for s, sh := range pj.shards {
 		lo, hi := sh[0], sh[1]
 		sw := &pr.shards[s]
 		for si := lo; si < hi; si++ {
-			seq := pj.sample[si]
-			wlo, whi := pr.clipShard(sw, si-lo, seq, qLen)
-			if whi <= wlo {
-				sc.clip[si] = 0
-				sc.offs = append(sc.offs, int32(len(sc.syms)))
-				continue
+			prods, obs := pr.clipped(sw, si-lo, pj.sample[si], qLen, &sc.obs)
+			sc.clip[si] = 0
+			if len(prods) > 0 {
+				// A class holding only +0 products stays absent: it is inert
+				// under every max.
+				classMax(cm, prods, obs)
+				sc.syms, sc.vals, sc.clip[si] = sweepClasses(cm, sc.syms, sc.vals)
 			}
-			// Dense class update, no per-window branching beyond the max
-			// itself; only a zero product (dropped in sparse mode, inert
-			// under max in ramp mode) leaves a class absent.
-			cm := sc.classMax
-			if pj.ramp {
-				prods := sw.prods[wlo:whi]
-				obs := seq[off : off+len(prods)]
-				for j, p := range prods {
-					if o := obs[j]; p > cm[o] {
-						cm[o] = p
-					}
-				}
-			} else {
-				for w := wlo; w < whi; w++ {
-					if o := seq[sw.starts[w]+int32(off)]; sw.prods[w] > cm[o] {
-						cm[o] = sw.prods[w]
-					}
-				}
-			}
-			best := 0.0
-			for o, c := range cm {
-				if c > 0 {
-					sc.syms = append(sc.syms, int32(o))
-					sc.vals = append(sc.vals, c)
-					if c > best {
-						best = c
-					}
-					cm[o] = 0
-				}
-			}
-			sc.clip[si] = best
 			sc.offs = append(sc.offs, int32(len(sc.syms)))
 		}
 	}
@@ -604,24 +523,15 @@ func (pf *Profile) ValueKids(ds []pattern.Symbol) []float64 {
 	}
 	for _, sh := range pj.shards {
 		lo, hi := sh[0], sh[1]
-		for i := range part {
-			part[i] = 0
-		}
+		clear(part)
 		for si := lo; si < hi; si++ {
 			elo, ehi := pf.offs[si], pf.offs[si+1]
 			if ehi <= elo {
 				continue
 			}
-			syms := pf.syms[elo:ehi]
-			vals := pf.vals[elo:ehi]
+			syms, vals := pf.syms[elo:ehi], pf.vals[elo:ehi]
 			for ci, row := range krows {
-				b := 0.0
-				for t, o := range syms {
-					if v := vals[t] * row[o]; v > b {
-						b = v
-					}
-				}
-				part[ci] += b
+				part[ci] += maxMulGather(vals, row, syms)
 			}
 		}
 		for i := range out {
@@ -636,19 +546,14 @@ func (pf *Profile) ValueKids(ds []pattern.Symbol) []float64 {
 	return out
 }
 
-// Extend materializes the projection of the child extending the projected
-// pattern to total length qLen with the concrete symbol d: each surviving
-// parent window's product gains one row factor (O(1) per window), zero
-// products are dropped in sparse mode, and the block is compacted when
-// sparse enough.
-func (pr *Projection) Extend(qLen int, d pattern.Symbol) *Projection {
-	return pr.extendInto(nil, qLen, d)
-}
-
-// extendInto is Extend writing into dst, a retired projection reused like
-// buildInto's. dst must not be pr: the child's windows are written while the
-// parent's are read.
-func (pr *Projection) extendInto(dst *Projection, qLen int, d pattern.Symbol) *Projection {
+// ExtendInto materializes the projection of the child extending the
+// projected pattern to total length qLen with the concrete symbol d: each
+// surviving parent window's product gains one row factor (O(1) per window),
+// zero products are dropped in sparse mode, and the block is compacted when
+// sparse enough. It writes into dst, a retired projection reused like
+// BuildInto's (nil allocates). dst must not be pr: the child's windows are
+// written while the parent's are read.
+func (pr *Projection) ExtendInto(dst *Projection, qLen int, d pattern.Symbol) *Projection {
 	pj := pr.pj
 	row := pj.rc.row(d)
 	child := pj.reset(dst, qLen)

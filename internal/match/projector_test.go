@@ -1,6 +1,8 @@
 package match
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -68,7 +70,7 @@ func TestProjectorValueMatchesIncremental(t *testing.T) {
 			// Next level: extend every pattern by every gap/symbol.
 			var next []pattern.Pattern
 			for _, p := range level {
-				pr, err := pj.Build(p)
+				pr, err := pj.BuildInto(nil, p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -90,8 +92,8 @@ func TestProjectorValueMatchesIncremental(t *testing.T) {
 						}
 						// The extended child projection must value grandkids
 						// identically to a scratch build of the child.
-						ext := pr.Extend(qLen, pattern.Symbol(d))
-						scr, err := pj.Build(q)
+						ext := pr.ExtendInto(nil, qLen, pattern.Symbol(d))
+						scr, err := pj.BuildInto(nil, q)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -124,7 +126,7 @@ func TestProjectorBoundDominates(t *testing.T) {
 		pj := NewProjector(c, sample, 0)
 		for d := 0; d < m; d++ {
 			p := pattern.Pattern{pattern.Symbol(d)}
-			pr, err := pj.Build(p)
+			pr, err := pj.BuildInto(nil, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,14 +158,14 @@ func TestProjectorWindowBytesBound(t *testing.T) {
 	for _, c := range projectorMatrices(t, m) {
 		pj := NewProjector(c, sample, 0)
 		p := pattern.Pattern{0, 1}
-		pr, err := pj.Build(p)
+		pr, err := pj.BuildInto(nil, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, bound := pr.Bytes(), pj.WindowBytesBound(2); got > bound {
 			t.Fatalf("Build bytes %d > bound %d", got, bound)
 		}
-		ext := pr.Extend(3, 2)
+		ext := pr.ExtendInto(nil, 3, 2)
 		if got, bound := ext.Bytes(), pj.WindowBytesBound(3); got > bound {
 			t.Fatalf("Extend bytes %d > bound %d", got, bound)
 		}
@@ -190,7 +192,7 @@ func TestProjectorProfileMatchesValueKids(t *testing.T) {
 			{0}, {1}, {2, 0}, {0, pattern.Eternal, 1}, {1, 2, pattern.Eternal, 0},
 		}
 		for _, p := range ps {
-			pr, err := pj.Build(p)
+			pr, err := pj.BuildInto(nil, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,6 +212,79 @@ func TestProjectorProfileMatchesValueKids(t *testing.T) {
 					if got[d] != want[d] {
 						t.Fatalf("ramp=%v: Profile value of %s+gap%d+%d = %v, ValueKids = %v",
 							pj.ramp, p.Key(), gap, d, got[d], want[d])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKernelsNegativeZeroMatrix: over a matrix given -0 cells, the probe
+// batch kernel and the Phase 2 kernels (Projection.ValueKids in groups of
+// 1, 2 and 4 children, Profile.ValueKids) equal per-pattern Compiled.Match
+// with ==. The kernels take their maxima on bit patterns, where a -0 would
+// outrank every positive product; compat.New stores such cells as +0.
+func TestKernelsNegativeZeroMatrix(t *testing.T) {
+	nz := math.Copysign(0, -1)
+	c := compat.MustNew([][]float64{
+		{0.7, nz, 0.2, nz},
+		{0.3, 0.6, nz, 0.1},
+		{nz, 0.4, 0.8, nz},
+		{nz, nz, nz, 0.9},
+	})
+	sample := randomSample(70, 0, 30, 4, rand.New(rand.NewSource(11)))
+	ds := []pattern.Symbol{0, 1, 2, 3}
+	var ps []pattern.Pattern
+	for _, a := range ds {
+		ps = append(ps, pattern.Pattern{a})
+		for _, b := range ds {
+			ps = append(ps, pattern.MustNew(a, b), pattern.MustNew(a, pattern.Eternal, b))
+		}
+	}
+
+	set, err := CompileSoA(c, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := make([]float64, len(ps))
+	set.Accumulate(sums, sample)
+	for i, p := range ps {
+		cp, err := Compile(c, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0.0
+		for _, seq := range sample {
+			want += cp.Match(seq)
+		}
+		if sums[i] != want {
+			t.Fatalf("batch kernel: %s sums to %v, Compiled.Match to %v", p.Key(), sums[i], want)
+		}
+	}
+
+	pj := NewProjector(c, sample, 0)
+	var sc ProfileScratch
+	for _, p := range ps {
+		pr, err := pj.BuildInto(nil, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for gap := 0; gap <= 1; gap++ {
+			qLen := len(p) + gap + 1
+			prof := pr.Profile(qLen, &sc)
+			got := map[string][]float64{"Profile.ValueKids": prof.ValueKids(ds)}
+			for _, k := range []int{1, 2, 4} {
+				got[fmt.Sprintf("Projection.ValueKids/%d", k)] = pr.ValueKids(qLen, ds[:k])
+			}
+			for name, vals := range got {
+				for i, v := range vals {
+					q := pattern.Extend(p, gap, ds[i])
+					want, err := pj.Value(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if v != want {
+						t.Fatalf("%s: %s = %v, Value = %v", name, q.Key(), v, want)
 					}
 				}
 			}

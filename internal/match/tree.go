@@ -384,24 +384,3 @@ func mul(dst, src, fac []float64) {
 		dst[i] = src[i] * fac[i]
 	}
 }
-
-func maxOf(v []float64) float64 {
-	best := 0.0
-	for _, x := range v {
-		if x > best {
-			best = x
-		}
-	}
-	return best
-}
-
-func maxMul(src, fac []float64) float64 {
-	fac = fac[:len(src)]
-	best := 0.0
-	for i, p := range src {
-		if x := p * fac[i]; x > best {
-			best = x
-		}
-	}
-	return best
-}
