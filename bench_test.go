@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/compat"
-	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/experiments"
 	"repro/internal/match"
@@ -235,15 +234,6 @@ func BenchmarkDenseMatrixLookup(b *testing.B) {
 	}
 }
 
-func BenchmarkHalfwayGeneration(b *testing.B) {
-	lower := pattern.MustNew(0)
-	upper := pattern.MustNew(0, 1, 2, 3, 4, 5, 6, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pattern.Halfway(lower, upper, 0)
-	}
-}
-
 func BenchmarkDiskScan(b *testing.B) {
 	db, _ := benchWorkload(b)
 	path := b.TempDir() + "/bench.lsq"
@@ -353,42 +343,5 @@ func BenchmarkGzipScan(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkImplicitCollapse compares the explicit and paper-verbatim
-// implicit border collapsing on a matched space (MaxGap = MaxLen-2, where
-// the two lattices coincide).
-func BenchmarkImplicitCollapse(b *testing.B) {
-	rng := rand.New(rand.NewSource(33))
-	db, _, err := datagen.Protein(datagen.ProteinConfig{
-		N: 150, M: 6, MinLen: 10, MaxLen: 14,
-		Motifs:    []pattern.Pattern{pattern.MustNew(0, 1, 2)},
-		PlantProb: 0.6,
-	}, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := compat.UniformNoise(6, 0.15)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(fin core.Finalizer) *core.Result {
-		res, err := core.Mine(db, c, core.Config{
-			MinMatch: 0.12, SampleSize: 25, MaxLen: 4, MaxGap: 2,
-			MemBudget: 20, Finalizer: fin,
-			Rng: rand.New(rand.NewSource(34)),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		explicit := run(core.BorderCollapsing)
-		implicit := run(core.BorderCollapsingImplicit)
-		b.ReportMetric(float64(explicit.Scans), "explicit_scans")
-		b.ReportMetric(float64(implicit.Scans), "implicit_scans")
 	}
 }

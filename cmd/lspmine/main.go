@@ -112,7 +112,7 @@ func main() {
 	delta := flag.Float64("delta", 1e-4, "Chernoff failure probability (confidence = 1-delta)")
 	budget := flag.Int("budget", 10000, "Phase 3 pattern counters per scan")
 	maxCand := flag.Int("max-candidates", 50000, "Phase 2 per-level candidate cap (0 = unlimited; dense matrices explode without one)")
-	finalizer := flag.String("finalizer", "collapse", "Phase 3 strategy: collapse, implicit, levelwise or none")
+	finalizer := flag.String("finalizer", "collapse", "Phase 3 strategy: collapse, levelwise or none")
 	engine := flag.String("engine", "candidates", "Phase 2 pipeline: candidates (level-wise or pattern growth, picked from the sample) or sweep (sparse matrices)")
 	workers := flag.Int("workers", -1, "worker goroutines sharding Phase 2's sample and Phase 3's probe counting (-1 = all cores, 0/1 = sequential, though 0 still scans a shard set's files concurrently; results are identical for every count)")
 	retries := flag.Int("retries", 0, "retry transient scan failures up to this many times per pass (0 = no retrying); also caps shard RPC attempts with -phase3-nodes")
@@ -141,6 +141,10 @@ func main() {
 	case "", "json", "text":
 	default:
 		fatal(fmt.Errorf("unknown -metrics format %q (want json or text)", *metricsOut))
+	}
+	fin, err := core.ParseFinalizer(*finalizer)
+	if err != nil {
+		fatal(err)
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -171,7 +175,6 @@ func main() {
 		os.Exit(2)
 	}
 	var db seqdb.Scanner
-	var err error
 	if paths := seqdb.ShardSetPaths(*dbPath); len(paths) > 1 {
 		db, err = seqdb.OpenShardSet(paths)
 	} else {
@@ -207,20 +210,6 @@ func main() {
 	mf.Close()
 	if err != nil {
 		fatal(err)
-	}
-
-	var fin core.Finalizer
-	switch *finalizer {
-	case "collapse":
-		fin = core.BorderCollapsing
-	case "levelwise":
-		fin = core.LevelWise
-	case "implicit":
-		fin = core.BorderCollapsingImplicit
-	case "none":
-		fin = core.None
-	default:
-		fatal(fmt.Errorf("unknown finalizer %q", *finalizer))
 	}
 
 	mine := core.MineContext

@@ -166,3 +166,16 @@ func TestUsageExitCode(t *testing.T) {
 		t.Fatalf("usage error exit code = %d, want 2", code)
 	}
 }
+
+// TestRetiredFinalizerRejected: -finalizer implicit names the retired value
+// and its replacement, and exits 1 before any mining.
+func TestRetiredFinalizerRejected(t *testing.T) {
+	dbPath, matrixPath := helperWorld(t)
+	_, stderr, code := runHelper(t, "-db", dbPath, "-matrix", matrixPath, "-finalizer", "implicit")
+	if code != 1 {
+		t.Fatalf("exit code = %d, want 1; stderr:\n%s", code, stderr)
+	}
+	if !strings.Contains(stderr, `"implicit" is retired`) || !strings.Contains(stderr, `"collapse"`) {
+		t.Errorf("stderr does not name the retired finalizer and its replacement:\n%s", stderr)
+	}
+}

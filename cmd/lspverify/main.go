@@ -1,9 +1,9 @@
 // lspverify is the conformance gate for the mining stack: it replays the
 // committed differential corpus and a deterministic batch of fresh seeds,
-// cross-checking every mining engine (core.Mine under both Phase 2 engines
-// and several worker counts, sharded and remote Phase 3, the implicit and
-// level-wise finalizers, the streaming pipeline, the exhaustive miner,
-// Max-Miner, and both support miners) against the
+// cross-checking the 19 engines of oracle.Battery (core.Mine under both
+// Phase 2 engines and several worker counts, sharded and remote Phase 3,
+// the border-collapsing and level-wise finalizers, the streaming pipeline,
+// the exhaustive miner, Max-Miner, and both support miners) against the
 // brute-force oracle of internal/oracle, plus the metamorphic property
 // harness. It exits nonzero on any divergence, printing the failing seed
 // and a minimized reproduction.

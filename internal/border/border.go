@@ -4,10 +4,11 @@
 // of full database scans (Algorithm 4.3).
 //
 // Phase 2 hands over the explicitly enumerated ambiguous region (the paper
-// generates layer members on the fly with Algorithm 4.4 — implemented and
-// tested as pattern.Halfway — but with the region already enumerated the
-// same probe layers can be picked directly from it, with identical scan
-// behavior and simpler memory accounting). Each iteration fills a memory
+// generates layer members on the fly with Algorithm 4.4, but with the
+// region already enumerated the same probe layers can be picked directly
+// from it, with the same borders, about as many scans and simpler memory
+// accounting; this package's tests keep the paper-verbatim form as the
+// reference Collapse is checked against). Each iteration fills a memory
 // budget of counters with the ambiguous patterns of highest collapsing
 // power — the halfway lattice level between the region's floor and ceiling,
 // then the quarterway levels, and so on — performs one scan to obtain their

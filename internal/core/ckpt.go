@@ -250,7 +250,6 @@ func phase2FromSnapshot(ps *checkpoint.Phase2State) (*miner.Result, error) {
 			p2.Ambiguous.Add(p)
 		}
 	}
-	p2.SetBorders()
 	return p2, nil
 }
 

@@ -213,6 +213,32 @@ func TestResumeRejectsIncompatibleRun(t *testing.T) {
 	})
 }
 
+// TestConfigHashPinned pins the checkpoint config hash of every finalizer
+// to the values earlier releases wrote: the hash formats the finalizer by
+// its String name, so renaming or renumbering one would make every existing
+// checkpoint of it unresumable (ErrIncompatible).
+func TestConfigHashPinned(t *testing.T) {
+	for _, tc := range []struct {
+		fin    Finalizer
+		engine string
+		want   uint64
+	}{
+		{BorderCollapsing, engineCandidates, 0xbbc32f203549e070},
+		{BorderCollapsing, engineSweep, 0x44954b1c245d298e},
+		{LevelWise, engineCandidates, 0x85408a189534a32e},
+		{LevelWise, engineSweep, 0x74e45746cb7b9aa4},
+		{None, engineCandidates, 0xc7535530383c1603},
+		{None, engineSweep, 0xbfb05ea9cc12b12b},
+	} {
+		cfg := Config{MinMatch: 0.3, SampleSize: 200, MaxLen: 6, MaxGap: 2,
+			MaxCandidatesPerLevel: 50000, MemBudget: 500, Finalizer: tc.fin}
+		cfg.setDefaults()
+		if got := configHash(&cfg, tc.engine); got != tc.want {
+			t.Errorf("configHash(%s, %s) = %#x, want %#x", tc.fin, tc.engine, got, tc.want)
+		}
+	}
+}
+
 // slowScanner delays every delivered sequence, so phase budgets expire at
 // predictable points.
 type slowScanner struct {

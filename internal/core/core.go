@@ -43,16 +43,6 @@ const (
 	// None skips Phase 3: the result is Phase 2's frequent set, with the
 	// ambiguous patterns left unresolved (useful for sample-only studies).
 	None
-	// BorderCollapsingImplicit is the paper-verbatim Algorithm 4.3: probe
-	// layers are generated between the Phase 2 borders with Algorithm 4.4,
-	// and the ambiguous region is never materialized. Its lattice is the
-	// paper's full sub-pattern closure — starring any subset of positions —
-	// so when MaxGap < MaxLen-2 it legitimately resolves gapped patterns
-	// the truncated candidate space never enumerated (all genuinely
-	// frequent by Apriori). With MaxGap >= MaxLen-2 the spaces coincide and
-	// the Border equals BorderCollapsing's exactly; Frequent is always the
-	// downward closure of Border.
-	BorderCollapsingImplicit
 )
 
 // String names the finalizer for experiment output.
@@ -64,10 +54,27 @@ func (f Finalizer) String() string {
 		return "level-wise"
 	case None:
 		return "none"
-	case BorderCollapsingImplicit:
-		return "border-collapsing-implicit"
 	default:
 		return fmt.Sprintf("Finalizer(%d)", int(f))
+	}
+}
+
+// ParseFinalizer maps the finalizer names lspmine's -finalizer flag and a
+// job spec's finalizer field accept — collapse, levelwise and none — to
+// their values. The paper-verbatim implicit collapse is retired: its name,
+// implicit, is rejected with an error that names the replacement.
+func ParseFinalizer(name string) (Finalizer, error) {
+	switch name {
+	case "collapse":
+		return BorderCollapsing, nil
+	case "levelwise":
+		return LevelWise, nil
+	case "none":
+		return None, nil
+	case "implicit":
+		return 0, fmt.Errorf("core: finalizer %q is retired; use %q", name, "collapse")
+	default:
+		return 0, fmt.Errorf("core: unknown finalizer %q (want collapse, levelwise or none)", name)
 	}
 }
 
@@ -273,7 +280,7 @@ func (c *Config) validate() error {
 	if c.Rng == nil {
 		return fmt.Errorf("core: Rng is required")
 	}
-	if c.Finalizer < BorderCollapsing || c.Finalizer > BorderCollapsingImplicit {
+	if c.Finalizer < BorderCollapsing || c.Finalizer > None {
 		return fmt.Errorf("core: unknown finalizer %d", c.Finalizer)
 	}
 	if c.Phase2Engine < Phase2Auto || c.Phase2Engine > Phase2Growth {
@@ -424,20 +431,6 @@ func MineContext(ctx context.Context, db seqdb.Scanner, c compat.Source, cfg Con
 		return nil, err
 	}
 	return mineContext(ctx, db, c, cfg, engineCandidates, nil)
-}
-
-// implicitLower assembles CollapseImplicit's lower border: the FQT plus the
-// frequent 1-patterns, which the implicit layer generation needs as
-// generators beneath every region member.
-func implicitLower(p2 *miner.Result) *pattern.Set {
-	lower := p2.FQT.Clone()
-	p2.Frequent.ForEach(func(p pattern.Pattern) bool {
-		if p.K() == 1 {
-			lower.Add(p)
-		}
-		return true
-	})
-	return lower
 }
 
 // Phase1 performs Algorithm 4.1: one scan computing every symbol's match and

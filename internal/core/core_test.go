@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/compat"
@@ -327,6 +328,30 @@ func TestFinalizerString(t *testing.T) {
 	}
 }
 
+// TestParseFinalizer: each accepted name maps to its finalizer, numbered as
+// checkpoints and job journals already record it; the retired implicit
+// collapse's name is rejected with an error naming its replacement, and its
+// old value 3 no longer validates.
+func TestParseFinalizer(t *testing.T) {
+	for name, want := range map[string]Finalizer{"collapse": 0, "levelwise": 1, "none": 2} {
+		if got, err := ParseFinalizer(name); err != nil || got != want {
+			t.Errorf("ParseFinalizer(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	_, err := ParseFinalizer("implicit")
+	if err == nil || !strings.Contains(err.Error(), `"implicit" is retired`) || !strings.Contains(err.Error(), `"collapse"`) {
+		t.Errorf("ParseFinalizer(implicit) = %v, want the retirement error naming collapse", err)
+	}
+	if _, err := ParseFinalizer("border-collapsing"); err == nil {
+		t.Error("ParseFinalizer accepted a String name")
+	}
+	cfg := Config{MinMatch: 0.1, SampleSize: 10, MaxLen: 3, MemBudget: 10,
+		Finalizer: Finalizer(3), Rng: rand.New(rand.NewSource(1))}
+	if err := cfg.validate(); err == nil {
+		t.Error("the retired finalizer value 3 validates")
+	}
+}
+
 func ExampleMine() {
 	// Mine the paper's Figure 4(a) database with the Figure 2 matrix at
 	// min_match = 0.3; the border holds the maximal frequent patterns.
@@ -422,35 +447,5 @@ func TestMineRandomizedPipelineEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		setsEqual(t, res.Frequent, truth.Frequent, fmt.Sprintf("seed %d", seed))
-	}
-}
-
-func TestMineImplicitFinalizerMatchesExplicitBorder(t *testing.T) {
-	// MaxGap = MaxLen-2, so the truncated candidate space coincides with the
-	// implicit form's full sub-pattern lattice (see the Finalizer docs).
-	db, c := noisyProteinDB(t, 19, 60, 0.15)
-	run := func(fin Finalizer) *Result {
-		res, err := Mine(db, c, Config{
-			MinMatch: 0.12, SampleSize: 25, MaxLen: 4, MaxGap: 2,
-			MemBudget: 20, Finalizer: fin,
-			Rng: rand.New(rand.NewSource(20)),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	explicit := run(BorderCollapsing)
-	implicit := run(BorderCollapsingImplicit)
-	setsEqual(t, implicit.Border, explicit.Border, "implicit vs explicit border")
-	// The implicit Frequent is the closure of the border and must cover the
-	// explicit frequent set.
-	for _, p := range explicit.Frequent.Patterns() {
-		if !implicit.Frequent.Contains(p) {
-			t.Errorf("implicit closure missing %v", p)
-		}
-	}
-	if BorderCollapsingImplicit.String() != "border-collapsing-implicit" {
-		t.Error("String broken")
 	}
 }

@@ -16,7 +16,6 @@ func TestPipelineOracleConformance(t *testing.T) {
 	engines := []oracle.Engine{
 		oracle.MineEngine(core.BorderCollapsing, 2),
 		oracle.MineEngine(core.LevelWise, 0),
-		oracle.MineEngine(core.BorderCollapsingImplicit, 0),
 		oracle.ExhaustiveEngine(),
 	}
 	for _, seed := range oracle.CommittedSeeds[:4] {

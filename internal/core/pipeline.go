@@ -165,27 +165,19 @@ func mineContext(ctx context.Context, db seqdb.Scanner, c compat.Source, cfg Con
 		probeCfg.AfterScan = cp.noteProbe
 	}
 	var st *border.State
-	switch cfg.Finalizer {
-	case BorderCollapsing, LevelWise:
-		if snap != nil && snap.Phase >= 3 {
-			st, err = stateFromSnapshot(snap.Probe)
-			if err != nil {
-				return fail(3, err)
-			}
-		} else {
-			st = border.NewState(p2.Frequent, p2.Ambiguous)
+	if snap != nil && snap.Phase >= 3 {
+		st, err = stateFromSnapshot(snap.Probe)
+		if err != nil {
+			return fail(3, err)
 		}
-		pick := border.PickHalfway
-		if cfg.Finalizer == LevelWise {
-			pick = levelwise.PickBottomUp
-		}
-		res.Phase3, err = border.FinalizeState(probeCfg, st, pick)
-	case BorderCollapsingImplicit:
-		// The implicit collapse's loop state (layer cursor, excluded and
-		// confirmed sets) is not checkpointed: a resumed run restarts
-		// Phase 3 from its first probe scan but still skips Phase 1-2.
-		res.Phase3, err = border.CollapseImplicit(probeCfg, implicitLower(p2), p2.Ceiling)
+	} else {
+		st = border.NewState(p2.Frequent, p2.Ambiguous)
 	}
+	pick := border.PickHalfway
+	if cfg.Finalizer == LevelWise {
+		pick = levelwise.PickBottomUp
+	}
+	res.Phase3, err = border.FinalizeState(probeCfg, st, pick)
 	cfg.Metrics.PhaseTime(3, time.Since(start))
 	if err != nil {
 		callerAlive := ctx == nil || ctx.Err() == nil
@@ -217,22 +209,17 @@ func mineContext(ctx context.Context, db seqdb.Scanner, c compat.Source, cfg Con
 // time, with the still-pending patterns annotated by their sample estimate
 // and Chernoff interval — exactly what a Finalizer == None run would report
 // for them. A final checkpoint is flushed so a later Resume can finish the
-// collapse. st is nil for the implicit finalizer, whose progress is not
-// observable; its degradation falls back to the full Phase 2 split.
+// collapse.
 func degrade(res *Result, cfg *Config, cp *checkpointer, db seqdb.Scanner, p2 *miner.Result, st *border.State, elapsed time.Duration) (*Result, error) {
 	res.Degraded = true
-	frequent, pending := p2.Frequent.Clone(), p2.Ambiguous
-	if st != nil {
-		frequent, pending = st.Frequent, st.Pending
-		res.Scans += st.Scans
-	}
-	res.Frequent = frequent
-	res.Border = pattern.Border(frequent)
+	res.Scans += st.Scans
+	res.Frequent = st.Frequent
+	res.Border = pattern.Border(st.Frequent)
 	epsilon := func(spread float64) float64 { return 1 } // vacuous fallback
 	if cls, err := chernoff.NewClassifier(cfg.MinMatch, cfg.Delta, res.SampleSize); err == nil {
 		epsilon = cls.Epsilon
 	}
-	for _, p := range pending.Patterns() {
+	for _, p := range st.Pending.Patterns() {
 		key := p.Key()
 		res.Unresolved = append(res.Unresolved, Unresolved{
 			Pattern:     p,

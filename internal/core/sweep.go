@@ -133,6 +133,5 @@ func phase2Sweep(ctx context.Context, c compat.Source, cfg *Config, symbolMatch 
 		}
 		p2.AlivePerLevel = append(p2.AlivePerLevel, alive)
 	}
-	p2.SetBorders()
 	return p2, nil
 }

@@ -56,8 +56,8 @@ func TestMineSweepMatchesExhaustive(t *testing.T) {
 	if res.Scans < 1 {
 		t.Error("no scans recorded")
 	}
-	if res.Phase2 == nil || res.Phase2.FQT == nil || res.Phase2.Ceiling == nil {
-		t.Error("phase 2 borders not populated")
+	if res.Phase2 == nil || res.Phase2.Frequent == nil || res.Phase2.Ambiguous == nil {
+		t.Error("phase 2 regions not populated")
 	}
 }
 

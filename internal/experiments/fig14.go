@@ -46,10 +46,7 @@ func (c *Fig14Config) setDefaults() {
 	}
 }
 
-// Fig14Row reports one threshold. (The paper-verbatim implicit collapse is
-// not a column here: its lattice is gap-unbounded, so in this MaxGap=0
-// world it resolves a strictly larger region and the scan counts would not
-// be comparable; BenchmarkImplicitCollapse covers it on a matched space.)
+// Fig14Row reports one threshold.
 type Fig14Row struct {
 	MinMatch float64
 	// Per-algorithm CPU time (Figure 14(a)).

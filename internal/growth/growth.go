@@ -295,7 +295,6 @@ func (e *engine) mine() (*miner.Result, error) {
 
 	e.res.CandidatesPerLevel = e.cand
 	e.res.AlivePerLevel = e.alive
-	e.res.SetBorders()
 	// Lattice telemetry is recorded only for a completed run, so a run that
 	// hands a capped level back to the level-wise engine is not counted twice.
 	for _, n := range e.cand {

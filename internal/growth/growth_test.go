@@ -52,8 +52,6 @@ func assertEquivalent(t *testing.T, want, got *miner.Result) {
 	for name, pair := range map[string][2]*pattern.Set{
 		"Frequent":  {want.Frequent, got.Frequent},
 		"Ambiguous": {want.Ambiguous, got.Ambiguous},
-		"FQT":       {want.FQT, got.FQT},
-		"Ceiling":   {want.Ceiling, got.Ceiling},
 	} {
 		if w, g := sortedKeys(pair[0]), sortedKeys(pair[1]); !reflect.DeepEqual(w, g) {
 			t.Fatalf("%s differs:\nlevelwise: %v\ngrowth:    %v", name, w, g)

@@ -71,8 +71,8 @@ type Spec struct {
 	MaxCandidates int `json:"max_candidates,omitempty"`
 	// MemBudget is Phase 3's pattern counters per scan (default 10000).
 	MemBudget int `json:"mem_budget,omitempty"`
-	// Finalizer is the Phase 3 strategy: collapse (default), levelwise,
-	// implicit, or none.
+	// Finalizer is the Phase 3 strategy: collapse (default), levelwise or
+	// none (see core.ParseFinalizer).
 	Finalizer string `json:"finalizer,omitempty"`
 	// Engine is the pipeline: candidates (default; its Phase 2 engine is
 	// picked from the sample, see core.PickPhase2Engine) or sweep.
@@ -148,7 +148,7 @@ func (s *Spec) Normalize() error {
 	if s.Finalizer == "" {
 		s.Finalizer = "collapse"
 	}
-	if _, err := parseFinalizer(s.Finalizer); err != nil {
+	if _, err := core.ParseFinalizer(s.Finalizer); err != nil {
 		return err
 	}
 	switch s.Engine {
@@ -183,21 +183,6 @@ func (s *Spec) Normalize() error {
 		return fmt.Errorf("jobs: negative spec.phase3_timeout_ms")
 	}
 	return nil
-}
-
-func parseFinalizer(name string) (core.Finalizer, error) {
-	switch name {
-	case "collapse":
-		return core.BorderCollapsing, nil
-	case "levelwise":
-		return core.LevelWise, nil
-	case "implicit":
-		return core.BorderCollapsingImplicit, nil
-	case "none":
-		return core.None, nil
-	default:
-		return 0, fmt.Errorf("jobs: unknown finalizer %q (want collapse, levelwise, implicit or none)", name)
-	}
 }
 
 // record is the journaled form of one job: its normalized spec plus the

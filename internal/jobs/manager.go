@@ -520,6 +520,13 @@ func (m *Manager) startJob(j *job, workers int) bool {
 // mine runs (or resumes) one job's pipeline and builds its result document.
 func (m *Manager) mine(ctx context.Context, j *job, workers int) (*core.Result, []byte, error) {
 	spec := j.rec.Spec
+	// A journaled spec was valid when it was accepted, but a replayed one
+	// may name a finalizer retired since: the job then fails with the
+	// retirement error instead of running.
+	fin, err := core.ParseFinalizer(spec.Finalizer)
+	if err != nil {
+		return nil, nil, err
+	}
 	db, err := m.opts.OpenDB(spec)
 	if err != nil {
 		return nil, nil, fmt.Errorf("open database: %w", err)
@@ -528,10 +535,6 @@ func (m *Manager) mine(ctx context.Context, j *job, workers int) (*core.Result, 
 	c, err := m.opts.OpenMatrix(spec)
 	if err != nil {
 		return nil, nil, fmt.Errorf("open matrix: %w", err)
-	}
-	fin, err := parseFinalizer(spec.Finalizer)
-	if err != nil {
-		return nil, nil, err
 	}
 	ckptPath := m.journal.checkpointPath(j.rec.ID)
 	policy := &core.CheckpointPolicy{Path: ckptPath, Seed: spec.Seed}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -711,5 +712,56 @@ func TestJournalRecordWithRetiredFieldReplays(t *testing.T) {
 	m := newTestManager(t, Options{Dir: dir})
 	if st := waitDone(t, m, id); st.State != StateDone {
 		t.Fatalf("state = %s (%s), want done", st.State, st.Error)
+	}
+}
+
+// TestJournaledRetiredFinalizer: records journaled before the implicit
+// finalizer was retired replay by their state. A queued or running one
+// settles as failed with the retirement error, which names the value and
+// its replacement, although its database and matrix open fine; a done one
+// stays queryable as it was, result document included.
+func TestJournaledRetiredFinalizer(t *testing.T) {
+	dbPath, matrixPath := testWorld(t, testutil.Seed(t), 40, 0.2)
+	dir := t.TempDir()
+	spec := testSpec(dbPath, matrixPath)
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	spec.Finalizer = "implicit"
+	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	doc := []byte(`{"schema":"old"}` + "\n")
+	for i, state := range []State{StateQueued, StateRunning, StateDone} {
+		rec := record{ID: string(state), Spec: spec, State: state, SubmittedMs: int64(i + 1)}
+		if state == StateDone {
+			rec.FinishedMs = 10
+			if err := os.WriteFile(filepath.Join(dir, "jobs", rec.ID+".result.json"), doc, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "jobs", rec.ID+".json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := newTestManager(t, Options{Dir: dir})
+	for _, id := range []string{string(StateQueued), string(StateRunning)} {
+		st := waitDone(t, m, id)
+		if st.State != StateFailed || !strings.Contains(st.Error, `"implicit" is retired`) || !strings.Contains(st.Error, `"collapse"`) {
+			t.Errorf("replayed %s record: state %s, error %q; want failed with the retirement error", id, st.State, st.Error)
+		}
+	}
+	if st, err := m.Status(string(StateDone)); err != nil || st.State != StateDone {
+		t.Errorf("done record: %+v, %v", st, err)
+	}
+	if got, err := m.Result(string(StateDone)); err != nil || !bytes.Equal(got, doc) {
+		t.Errorf("done record's result = %q, %v; want %q", got, err, doc)
+	}
+	if c := m.Counters(); c.Failed != 2 {
+		t.Errorf("counters = %+v, want 2 failed", c)
 	}
 }

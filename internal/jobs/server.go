@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"context"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
@@ -191,7 +192,10 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 // handleEvents streams the job's status as NDJSON — one Status snapshot per
 // line at StreamInterval, plus a final line at the terminal transition —
 // so a client can watch scan counts and checkpoint writes advance without
-// polling. The stream ends when the job settles or the client disconnects.
+// polling. The stream ends when the job reaches a terminal state or the
+// client disconnects. A drain settles a running job without one (its
+// journal record stays running for the next process), so the stream then
+// goes on at StreamInterval.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, err := s.Manager.Status(id)
@@ -221,10 +225,22 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
+	// settled closes when the job settles, so the terminal line goes out at
+	// the transition rather than at the next tick. The waiter stops at the
+	// latest when the handler returns; its error only says that it did.
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	settled := make(chan struct{})
+	go func() {
+		_, _ = s.Manager.Wait(ctx, id)
+		close(settled)
+	}()
 	for !st.State.Terminal() {
 		select {
-		case <-r.Context().Done():
+		case <-ctx.Done():
 			return
+		case <-settled:
+			settled = nil // fires once; a drained job goes on ticking
 		case <-tick.C:
 		}
 		st, err = s.Manager.Status(id)

@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -352,5 +354,166 @@ func TestServerCancelEndpoint(t *testing.T) {
 			t.Fatal("job never settled after cancel")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestServerRejectsRetiredFinalizer: a submit naming the retired implicit
+// finalizer is a 400 whose error names the value and its replacement, and
+// nothing is accepted.
+func TestServerRejectsRetiredFinalizer(t *testing.T) {
+	dbPath, matrixPath := testWorld(t, testutil.Seed(t), 10, 0.2)
+	m, srv := startTestServer(t, Options{})
+	spec := testSpec(dbPath, matrixPath)
+	spec.Finalizer = "implicit"
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400", resp.StatusCode)
+	}
+	var eb struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatalf("error body does not parse: %v", err)
+	}
+	if !strings.Contains(eb.Error, `"implicit" is retired`) || !strings.Contains(eb.Error, `"collapse"`) {
+		t.Errorf("error %q does not name the retired finalizer and its replacement", eb.Error)
+	}
+	if c := m.Counters(); c.Accepted != 0 {
+		t.Errorf("rejected spec counted as accepted: %+v", c)
+	}
+}
+
+// streamServer serves m with the given /events interval.
+func streamServer(t *testing.T, m *Manager, interval time.Duration) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer((&Server{Manager: m, StreamInterval: interval}).Handler())
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestServerEventsTerminalLineAtTransition: the terminal status line goes
+// out when the job finishes, not at the next tick — with an hour between
+// ticks, the stream still ends within a second of the job settling.
+func TestServerEventsTerminalLineAtTransition(t *testing.T) {
+	dbPath, matrixPath := testWorld(t, testutil.Seed(t), 40, 0.2)
+	m := newTestManager(t, Options{OpenDB: throttledOpener(200 * time.Microsecond)})
+	srv := streamServer(t, m, time.Hour)
+	st, err := m.Submit(testSpec(dbPath, matrixPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	settled := make(chan time.Time, 1)
+	go func() {
+		_, _ = m.Wait(ctx, st.ID)
+		settled <- time.Now()
+	}()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/jobs/"+st.ID+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var last Status
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	for sc.Scan() {
+		if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ended := time.Now()
+	if err := sc.Err(); err != nil {
+		t.Fatalf("stream did not end on its own: %v", err)
+	}
+	if last.State != StateDone {
+		t.Fatalf("stream ended at state %s (%s), want done", last.State, last.Error)
+	}
+	if lag := ended.Sub(<-settled); lag > time.Second {
+		t.Errorf("terminal line arrived %v after the job settled", lag)
+	}
+}
+
+// TestServerEventsDrainedJobKeepsTicking: a drain settles a running job
+// without a terminal state, so its stream must go back to one line per
+// interval — not spin on the settled job, and not end.
+func TestServerEventsDrainedJobKeepsTicking(t *testing.T) {
+	dbPath, matrixPath := testWorld(t, testutil.Seed(t), 60, 0.2)
+	started := make(chan struct{})
+	var once sync.Once
+	m := newTestManager(t, Options{
+		OpenDB: throttledOpener(time.Millisecond),
+		AfterCheckpoint: func(string, int) {
+			once.Do(func() { close(started) })
+		},
+	})
+	const interval = 20 * time.Millisecond
+	srv := streamServer(t, m, interval)
+	st, err := m.Submit(testSpec(dbPath, matrixPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-started:
+	case <-time.After(30 * time.Second):
+		t.Fatal("job never checkpointed")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/jobs/"+st.ID+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sdCtx, sdCancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer sdCancel()
+	if err := m.Shutdown(sdCtx); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := m.Status(st.ID); err != nil || s.State != StateRunning {
+		t.Fatalf("drained job: %+v, %v; want it left running", s, err)
+	}
+	var lines atomic.Int64
+	var last Status
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+		for sc.Scan() {
+			if json.Unmarshal(sc.Bytes(), &last) == nil {
+				lines.Add(1)
+			}
+		}
+	}()
+	const watch = 300 * time.Millisecond
+	time.Sleep(watch)
+	n := lines.Load()
+	cancel()
+	<-readerDone
+	if max := int64(2*watch/interval + 10); n > max {
+		t.Errorf("%d lines in %v after the drain, want at most %d at a %v interval", n, watch, max, interval)
+	}
+	if n < 2 {
+		t.Errorf("%d lines in %v after the drain: the stream stopped ticking", n, watch)
+	}
+	if last.State != StateRunning {
+		t.Errorf("last line's state = %s, want running", last.State)
 	}
 }

@@ -106,8 +106,6 @@ func runBoth(t *testing.T, c compat.Source, sample [][]pattern.Symbol, cfg Incre
 	}{
 		{"frequent", fast.Frequent, naive.Frequent},
 		{"ambiguous", fast.Ambiguous, naive.Ambiguous},
-		{"fqt", fast.FQT, naive.FQT},
-		{"ceiling", fast.Ceiling, naive.Ceiling},
 	} {
 		if pair.got.Len() != pair.wantS.Len() || pair.got.Diff(pair.wantS).Len() != 0 {
 			t.Fatalf("%s set mismatch: incremental %v, naive %v",

@@ -197,11 +197,7 @@ func caseRng(cs *Case) *rand.Rand {
 
 // MineEngine wraps the full three-phase pipeline with the given finalizer
 // and worker count, its Phase 2 engine picked from the case
-// as in production. For the implicit finalizer — whose
-// frequent set is the downward closure of its border and may legitimately
-// contain gapped patterns outside the truncated candidate space — every
-// member is first verified frequent by the oracle, then the set is
-// restricted to the case's space for the equality comparison.
+// as in production.
 func MineEngine(fin core.Finalizer, workers int) Engine {
 	name := fmt.Sprintf("core.Mine/%s/workers=%d", fin, workers)
 	return Engine{Name: name, Ref: RefMatch, Mine: func(cs *Case) (*pattern.Set, error) {
@@ -253,7 +249,7 @@ func RemoteShardEngine(fin core.Finalizer, nodes int) Engine {
 }
 
 // mineCase runs core.Mine over db with the case's parameters filled into
-// cfg, restricting an implicit finalizer's closure to the case's space.
+// cfg.
 func mineCase(cs *Case, db seqdb.Scanner, cfg core.Config) (*pattern.Set, error) {
 	cfg.MinMatch, cfg.Delta, cfg.SampleSize = cs.MinMatch, cs.Delta, len(cs.DB)
 	cfg.MaxLen, cfg.MaxGap, cfg.MemBudget = cs.MaxLen, cs.MaxGap, cs.MemBudget
@@ -261,9 +257,6 @@ func mineCase(cs *Case, db seqdb.Scanner, cfg core.Config) (*pattern.Set, error)
 	res, err := core.Mine(db, cs.C, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Finalizer == core.BorderCollapsingImplicit {
-		return implicitInSpace(cs, res.Frequent)
 	}
 	return res.Frequent, nil
 }
@@ -320,26 +313,6 @@ func StreamEngine(workers, batch int) Engine {
 	}}
 }
 
-// implicitInSpace checks that every member of the implicit finalizer's
-// closure is genuinely frequent per the oracle, then restricts the set to
-// the case's gap-bounded space so it is comparable to the other engines.
-func implicitInSpace(cs *Case, frequent *pattern.Set) (*pattern.Set, error) {
-	inSpace := pattern.NewSet()
-	var bad error
-	frequent.ForEach(func(p pattern.Pattern) bool {
-		v := DBMatch(cs.C, p, cs.DB)
-		if v < cs.MinMatch-BoundaryTol {
-			bad = fmt.Errorf("closure member %v has oracle match %v < min_match %v", p, v, cs.MinMatch)
-			return false
-		}
-		if maxEternalRun(p) <= cs.MaxGap && p.Len() <= cs.MaxLen {
-			inSpace.Add(p)
-		}
-		return true
-	})
-	return inSpace, bad
-}
-
 // ExhaustiveEngine is the deterministic one-scan-per-level reference miner.
 func ExhaustiveEngine() Engine {
 	return Engine{Name: "miner.Exhaustive/match", Ref: RefMatch, Mine: func(cs *Case) (*pattern.Set, error) {
@@ -382,21 +355,20 @@ func SupportExhaustiveEngine() Engine {
 	}}
 }
 
-// Battery returns the standard cross-check battery: the full pipeline with
-// its Phase 2 engine picked from the case and forced onto each engine,
-// several worker counts, sharded and remote-worker Phase 3 probe scans, all
-// three resolving finalizers, the streaming pipeline, the exhaustive miner,
-// Max-Miner, and both support miners.
+// Battery returns the standard cross-check battery of 19 engines: the full
+// pipeline with its Phase 2 engine picked from the case and forced onto
+// each engine, several worker counts, sharded and remote-worker Phase 3
+// probe scans, both resolving finalizers (border collapsing and
+// level-wise), the streaming pipeline, the exhaustive miner, Max-Miner, and
+// both support miners.
 func Battery() []Engine {
 	return []Engine{
 		MineEngine(core.BorderCollapsing, 0),
 		MineEngine(core.BorderCollapsing, 3),
 		MineEngine(core.BorderCollapsing, 2),
 		MineEngine(core.LevelWise, 2),
-		MineEngine(core.BorderCollapsingImplicit, 0),
 		MineEngineSharded(core.BorderCollapsing, 0, 4),
 		MineEngineSharded(core.BorderCollapsing, 2, 3),
-		MineEngineSharded(core.BorderCollapsingImplicit, 0, 2),
 		MinePhase2Engine(core.Phase2Levelwise, core.BorderCollapsing, 2),
 		MinePhase2Engine(core.Phase2Growth, core.BorderCollapsing, 0),
 		MinePhase2Engine(core.Phase2Growth, core.BorderCollapsing, 3),
@@ -601,22 +573,6 @@ func Minimize(cs *Case, engines []Engine) *Case {
 		}
 	}
 	return cur
-}
-
-// maxEternalRun returns the longest run of eternal symbols in p.
-func maxEternalRun(p pattern.Pattern) int {
-	run, longest := 0, 0
-	for _, s := range p {
-		if s.IsEternal() {
-			run++
-			if run > longest {
-				longest = run
-			}
-		} else {
-			run = 0
-		}
-	}
-	return longest
 }
 
 // CommittedSeeds is the regression corpus: the seeds every lspverify run

@@ -148,7 +148,7 @@ func TestEnumerateValidityAndUniqueness(t *testing.T) {
 		if p[0].IsEternal() || p[len(p)-1].IsEternal() {
 			t.Fatalf("pattern %v has a leading or trailing eternal symbol", p)
 		}
-		if maxEternalRun(p) > maxGap {
+		if p.MaxGapRun() > maxGap {
 			t.Fatalf("pattern %v violates gap bound", p)
 		}
 	}

@@ -1,7 +1,6 @@
 // Package pattern implements sequential patterns over a finite alphabet with
 // the eternal ("don't care") symbol *, the sub-/super-pattern lattice of
-// Yang et al. (SIGMOD 2002), and the halfway-pattern generation used by the
-// border-collapsing algorithm.
+// Yang et al. (SIGMOD 2002), and the borders the mining phases hand over.
 //
 // A pattern is an ordered list of positions; each position holds either a
 // concrete symbol of the alphabet Θ or the eternal symbol * that matches any

@@ -322,68 +322,6 @@ func TestBorderAndFloor(t *testing.T) {
 	}
 }
 
-func TestHalfwayFig6Example(t *testing.T) {
-	// Figure 6(b): lower border {d1}, upper border {d1 d2 d3 d4 d5}; the
-	// halfway layer is the six 3-patterns d1d2d3, d1d2*d4, d1d2**d5,
-	// d1*d3d4, d1*d3*d5, d1**d4d5.
-	lower := MustNew(d1)
-	upper := MustNew(d1, d2, d3, d4, d5)
-	got := NewSet(Halfway(lower, upper, 0)...)
-	want := NewSet(
-		MustNew(d1, d2, d3),
-		MustNew(d1, d2, et, d4),
-		MustNew(d1, d2, et, et, d5),
-		MustNew(d1, et, d3, d4),
-		MustNew(d1, et, d3, et, d5),
-		MustNew(d1, et, et, d4, d5),
-	)
-	if got.Len() != want.Len() {
-		t.Fatalf("halfway layer size %d, want %d: %v", got.Len(), want.Len(), got.Patterns())
-	}
-	for _, w := range want.Patterns() {
-		if !got.Contains(w) {
-			t.Errorf("halfway layer missing %v", w)
-		}
-	}
-}
-
-func TestHalfwayAdjacentLevels(t *testing.T) {
-	if got := Halfway(MustNew(d1), MustNew(d1, d2), 0); got != nil {
-		t.Errorf("no strictly-between layer exists, got %v", got)
-	}
-	if got := Halfway(MustNew(d1, d2), MustNew(d1, d2), 0); got != nil {
-		t.Errorf("equal patterns have no halfway, got %v", got)
-	}
-}
-
-func TestHalfwayNotSubpattern(t *testing.T) {
-	if got := Halfway(MustNew(d5), MustNew(d1, d2, d3, d4), 0); got != nil {
-		t.Errorf("p1 not a subpattern of p2: want nil, got %v", got)
-	}
-}
-
-func TestHalfwayLimit(t *testing.T) {
-	lower := MustNew(d1)
-	upper := MustNew(d1, d2, d3, d4, d5)
-	got := Halfway(lower, upper, 2)
-	if len(got) != 2 {
-		t.Errorf("limit=2: got %d patterns", len(got))
-	}
-}
-
-func TestHalfwayLayerSets(t *testing.T) {
-	lower := NewSet(MustNew(d1))
-	upper := NewSet(MustNew(d1, d2, d3, d4, d5))
-	layer := HalfwayLayer(lower, upper, 0)
-	if layer.Len() != 6 {
-		t.Errorf("layer size %d, want 6", layer.Len())
-	}
-	capped := HalfwayLayer(lower, upper, 3)
-	if capped.Len() != 3 {
-		t.Errorf("capped layer size %d, want 3", capped.Len())
-	}
-}
-
 func TestAlphabet(t *testing.T) {
 	a := GenericAlphabet(5)
 	if a.Size() != 5 {
@@ -489,40 +427,6 @@ func TestQuickSubpatternReflexiveAndAntisymmetricOnLength(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickHalfwayInvariants(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	f := func() bool {
-		p2 := randomPattern(r, 5, 9)
-		// Derive a random subpattern p1 of p2 by starring positions and trimming.
-		p1 := p2.Clone()
-		for i := range p1 {
-			if r.Intn(2) == 0 {
-				p1[i] = Eternal
-			}
-		}
-		p1 = Trim(p1)
-		if p1 == nil {
-			return true
-		}
-		target := (p1.K() + p2.K() + 1) / 2
-		for _, h := range Halfway(p1, p2, 50) {
-			if h.K() != target {
-				return false
-			}
-			if !p1.IsSubpatternOf(h) || !h.IsSubpatternOf(p2) {
-				return false
-			}
-			if err := h.Validate(); err != nil {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

@@ -479,12 +479,6 @@ func cloneMine(r *miner.Result) *miner.Result {
 	dup := *r
 	dup.Frequent = r.Frequent.Clone()
 	dup.Ambiguous = r.Ambiguous.Clone()
-	if r.FQT != nil {
-		dup.FQT = r.FQT.Clone()
-	}
-	if r.Ceiling != nil {
-		dup.Ceiling = r.Ceiling.Clone()
-	}
 	dup.Values = make(map[string]float64, len(r.Values))
 	for k, v := range r.Values {
 		dup.Values[k] = v

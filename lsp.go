@@ -167,11 +167,6 @@ const (
 	BorderCollapsing = core.BorderCollapsing
 	LevelWise        = core.LevelWise
 	NoFinalizer      = core.None
-	// BorderCollapsingImplicit never materializes the ambiguous region:
-	// probe layers are generated between the Phase 2 borders with the
-	// paper's Algorithm 4.4 (see the core package docs for the space
-	// semantics when MaxGap truncates the lattice).
-	BorderCollapsingImplicit = core.BorderCollapsingImplicit
 )
 
 // Mine runs the paper's three-phase probabilistic algorithm.
