@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -196,8 +197,21 @@ func OpenFile(path string) (*DiskDB, error) {
 	default:
 		return nil, fmt.Errorf("seqdb: %s: bad magic %q", path, hdr[:4])
 	}
-	n := binary.LittleEndian.Uint64(hdr[4:])
-	return &DiskDB{path: path, n: int(n), version: version}, nil
+	n, err := headerCount(path, hdr[4:])
+	if err != nil {
+		return nil, err
+	}
+	return &DiskDB{path: path, n: n, version: version}, nil
+}
+
+// headerCount decodes a header's little-endian sequence count, rejecting a
+// count no int holds (it would read as a negative Len).
+func headerCount(path string, b []byte) (int, error) {
+	n := binary.LittleEndian.Uint64(b)
+	if n > math.MaxInt {
+		return 0, corrupt(path, -1, fmt.Sprintf("sequence count %d out of range", n), nil)
+	}
+	return int(n), nil
 }
 
 // Len returns the number of sequences.

@@ -134,8 +134,11 @@ func OpenGzipFile(path string) (*GzipDB, error) {
 	if [4]byte(hdr[:4]) != gzipMagic {
 		return nil, fmt.Errorf("seqdb: %s: bad magic %q", path, hdr[:4])
 	}
-	n := binary.LittleEndian.Uint64(hdr[4:])
-	return &GzipDB{path: path, n: int(n)}, nil
+	n, err := headerCount(path, hdr[4:])
+	if err != nil {
+		return nil, err
+	}
+	return &GzipDB{path: path, n: n}, nil
 }
 
 // Len returns the number of sequences.

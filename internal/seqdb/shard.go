@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -363,6 +364,9 @@ func OpenShardSet(paths []string) (*Sharded, error) {
 		db, err := OpenAuto(p)
 		if err != nil {
 			return nil, fmt.Errorf("seqdb: shard %d: %w", i, err)
+		}
+		if db.Len() > math.MaxInt-off {
+			return nil, fmt.Errorf("seqdb: shard %d: %d sequences after %d overflow the set's count", i, db.Len(), off)
 		}
 		s.starts[i] = off
 		s.shards[i] = &offsetScanner{inner: db, off: off}

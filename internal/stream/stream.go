@@ -48,7 +48,6 @@ package stream
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"repro/internal/border"
@@ -156,6 +155,10 @@ type Result struct {
 	// Appended and Expired count the sequences consumed and dropped by this
 	// batch; Total is the absolute id past the last consumed sequence.
 	Appended, Expired, Total int
+	// Replaced counts the reservoir members this batch's appends replaced;
+	// each one forces a re-mine. A window rebuild redraws the whole reservoir
+	// and counts none (Expired shows why it re-mined).
+	Replaced int
 	// Remined reports that this batch fell back to a scoped re-mine of the
 	// sample; BorderShifted that a maintained label change forced it.
 	Remined       bool
@@ -181,6 +184,7 @@ type Stream struct {
 	symbolMatch []float64
 	lastMine    *miner.Result
 	evaluated   []pattern.Pattern  // last mine's candidates, key-sorted
+	evalKeys    []string           // evaluated's keys
 	evalSet     *match.SoASet      // evaluated, compiled
 	mined       *mineView          // what the last mine saw, until the sums are built
 	sampleSums  map[string]float64 // straight sample match sums per candidate
@@ -188,6 +192,7 @@ type Stream struct {
 	prevRaw     map[string]chernoff.Label
 	exactSums   map[string]float64 // straight window match sums per probed pattern
 	probed      []pattern.Pattern  // exactSums keys as patterns, key-sorted
+	probedKeys  []string           // probed's keys
 	dirty       bool               // sample perturbed: maintained sums invalid
 }
 
@@ -296,13 +301,10 @@ func Restore(db *seqdb.AppendDB, cfg Config, st *State, mine *miner.Result) (*St
 	s.symbolMatch = s.acc.Matches(s.cursor - s.windowStart)
 	for k, v := range st.ExactSums {
 		s.exactSums[k] = v
-		p, err := pattern.ParseKey(k)
-		if err != nil {
-			return nil, fmt.Errorf("stream: exact-sum key %q: %w", k, err)
-		}
-		s.probed = append(s.probed, p)
 	}
-	sortPatterns(s.probed)
+	if s.probedKeys, s.probed, err = parseSorted(st.ExactSums, "exact-sum"); err != nil {
+		return nil, err
+	}
 	if mine != nil {
 		s.lastMine = mine
 		if err := s.adoptSums(st.SampleSums); err != nil {
@@ -320,12 +322,12 @@ func (s *Stream) adoptSums(sums map[string]float64) error {
 		return err
 	}
 	s.sampleSums = make(map[string]float64, len(s.evaluated))
-	for _, p := range s.evaluated {
-		v, ok := sums[p.Key()]
+	for _, key := range s.evalKeys {
+		v, ok := sums[key]
 		if !ok {
-			return fmt.Errorf("stream: restored state misses sample sum for %q", p.Key())
+			return fmt.Errorf("stream: restored state misses sample sum for %q", key)
 		}
-		s.sampleSums[p.Key()] = v
+		s.sampleSums[key] = v
 	}
 	s.summed = len(s.sample)
 	cls, err := s.classifier()
@@ -339,15 +341,10 @@ func (s *Stream) adoptSums(sums map[string]float64) error {
 // adoptCandidates makes the last mine's candidates the maintained ones:
 // parsed, key-sorted and compiled.
 func (s *Stream) adoptCandidates() error {
-	s.evaluated = s.evaluated[:0]
-	for key := range s.lastMine.Values {
-		p, err := pattern.ParseKey(key)
-		if err != nil {
-			return fmt.Errorf("stream: candidate key %q: %w", key, err)
-		}
-		s.evaluated = append(s.evaluated, p)
+	var err error
+	if s.evalKeys, s.evaluated, err = parseSorted(s.lastMine.Values, "candidate"); err != nil {
+		return err
 	}
-	sortPatterns(s.evaluated)
 	set, err := match.CompileSoA(s.cfg.C, s.evaluated)
 	if err != nil {
 		return err
@@ -379,12 +376,12 @@ func (s *Stream) Advance(ctx context.Context) (*Result, error) {
 	res.SampleSize = len(s.sample)
 	if n == 0 {
 		// An empty window mines nothing; the frequent set is trivially empty.
-		s.lastMine, s.evaluated, s.evalSet, s.mined = nil, nil, nil, nil
+		s.lastMine, s.evaluated, s.evalKeys, s.evalSet, s.mined = nil, nil, nil, nil, nil
 		s.sampleSums, s.prevRaw = nil, nil
 		s.dirty = true
 		res.Frequent = pattern.NewSet()
 		res.Border = pattern.NewSet()
-		s.cfg.Metrics.StreamBatch(res.Appended, res.Expired, false, false)
+		s.cfg.Metrics.StreamBatch(res.Appended, res.Expired, res.Replaced, false, false)
 		return res, nil
 	}
 
@@ -434,7 +431,7 @@ func (s *Stream) Advance(ctx context.Context) (*Result, error) {
 		res.Border = p3.Border
 		res.Scans = scans0
 	}
-	s.cfg.Metrics.StreamBatch(res.Appended, res.Expired, res.BorderShifted, res.Remined)
+	s.cfg.Metrics.StreamBatch(res.Appended, res.Expired, res.Replaced, res.BorderShifted, res.Remined)
 	s.cfg.Metrics.Add(telemetry.StreamReprobesSaved, int64(res.ReprobesAvoided))
 	return res, nil
 }
@@ -461,7 +458,7 @@ func (s *Stream) ingest(ctx context.Context, res *Result) error {
 		s.acc = match.NewSymbolAccumulator(s.cfg.C)
 		s.sample = s.sample[:0]
 		s.exactSums = make(map[string]float64)
-		s.probed = s.probed[:0]
+		s.probed, s.probedKeys = s.probed[:0], s.probedKeys[:0]
 		s.dirty = true
 		delivered := 0
 		err := s.db.ScanContext(ctx, func(id int, seq []pattern.Symbol) error {
@@ -483,8 +480,14 @@ func (s *Stream) ingest(ctx context.Context, res *Result) error {
 	var appended [][]pattern.Symbol
 	cursor, err := s.db.ScanSince(ctx, s.cursor, func(abs int, seq []pattern.Symbol) error {
 		s.acc.Observe(seq)
-		s.offer(abs-s.windowStart, seq)
-		appended = append(appended, append([]pattern.Symbol(nil), seq...))
+		kept, replaced := s.offer(abs-s.windowStart, seq)
+		if kept == nil {
+			kept = append([]pattern.Symbol(nil), seq...)
+		}
+		if replaced {
+			res.Replaced++
+		}
+		appended = append(appended, kept)
 		return nil
 	})
 	if err != nil {
@@ -499,59 +502,50 @@ func (s *Stream) ingest(ctx context.Context, res *Result) error {
 	// Extend the exact sums, in arrival order, so they stay bit-identical
 	// to a from-scratch in-order scan.
 	if len(s.probed) > 0 {
-		if err := s.extendSums(s.exactSums, s.probed, appended); err != nil {
+		set, err := match.CompileSoA(s.cfg.C, s.probed)
+		if err != nil {
 			return err
 		}
+		accumulate(s.exactSums, set, s.probedKeys, appended)
 	}
 	return nil
 }
 
 // offer presents the sequence with window-relative index rel to the
-// reservoir (Algorithm R with stateless per-index draws).
-func (s *Stream) offer(rel int, seq []pattern.Symbol) {
+// reservoir (Algorithm R with stateless per-index draws). It returns the
+// copy the reservoir keeps, nil when the draw passes the sequence over, and
+// whether the copy replaced a member. Members are read-only, so the caller
+// may share the copy.
+func (s *Stream) offer(rel int, seq []pattern.Symbol) (kept []pattern.Symbol, replaced bool) {
 	if rel < s.cfg.SampleSize {
-		s.sample = append(s.sample, append([]pattern.Symbol(nil), seq...))
-		return
+		kept = append([]pattern.Symbol(nil), seq...)
+		s.sample = append(s.sample, kept)
+		return kept, false
 	}
-	if j := drawIndex(s.cfg.Seed, rel); j < s.cfg.SampleSize {
-		s.sample[j] = append([]pattern.Symbol(nil), seq...)
-		s.dirty = true // a member was replaced: maintained sample sums are stale
+	j := drawIndex(s.cfg.Seed, rel)
+	if j >= s.cfg.SampleSize {
+		return nil, false
 	}
-}
-
-// drawIndex is the stateless Algorithm R draw for the rel-th window sequence:
-// uniform on [0, rel], a pure function of (seed, rel), so any replay of the
-// window reproduces the same reservoir.
-func drawIndex(seed int64, rel int) int {
-	rng := rand.New(rand.NewSource(seed ^ int64(uint64(rel+1)*0x9E3779B97F4A7C15)))
-	return rng.Intn(rel + 1)
-}
-
-// extendSums scores seqs against ps (key-sorted) and extends each pattern's
-// running sum in sums.
-func (s *Stream) extendSums(sums map[string]float64, ps []pattern.Pattern, seqs [][]pattern.Symbol) error {
-	set, err := match.CompileSoA(s.cfg.C, ps)
-	if err != nil {
-		return err
-	}
-	accumulate(sums, set, ps, seqs)
-	return nil
+	kept = append([]pattern.Symbol(nil), seq...)
+	s.sample[j] = kept
+	s.dirty = true // a member was replaced: maintained sample sums are stale
+	return kept, true
 }
 
 // accumulate extends each pattern's running sum by its matches in seqs, with
-// set the compiled ps. The running totals are loaded first and each
-// sequence's match is added in arrival order, continuing the exact
-// left-to-right addition a from-scratch in-order scan performs (adding a
-// separately-summed chunk would reassociate the floats and drift from the
-// batch pipeline by ulps).
-func accumulate(sums map[string]float64, set *match.SoASet, ps []pattern.Pattern, seqs [][]pattern.Symbol) {
-	buf := make([]float64, len(ps))
-	for i, p := range ps {
-		buf[i] = sums[p.Key()]
+// set the compiled patterns and keys their keys. The running totals are
+// loaded first and each sequence's match is added in arrival order,
+// continuing the exact left-to-right addition a from-scratch in-order scan
+// performs (adding a separately-summed chunk would reassociate the floats and
+// drift from the batch pipeline by ulps).
+func accumulate(sums map[string]float64, set *match.SoASet, keys []string, seqs [][]pattern.Symbol) {
+	buf := make([]float64, len(keys))
+	for i, key := range keys {
+		buf[i] = sums[key]
 	}
 	set.Accumulate(buf, seqs)
-	for i, p := range ps {
-		sums[p.Key()] = buf[i]
+	for i, key := range keys {
+		sums[key] = buf[i]
 	}
 }
 
@@ -565,12 +559,12 @@ func (s *Stream) sums() {
 	if v := s.mined; v != nil {
 		s.mined = nil
 		s.sampleSums = make(map[string]float64, len(s.evaluated))
-		accumulate(s.sampleSums, s.evalSet, s.evaluated, v.sample)
+		accumulate(s.sampleSums, s.evalSet, s.evalKeys, v.sample)
 		s.summed = len(v.sample)
 		s.prevRaw = s.rawLabels(v.cls, v.symbolMatch)
 	}
 	if s.lastMine != nil && !s.dirty && s.summed < len(s.sample) {
-		accumulate(s.sampleSums, s.evalSet, s.evaluated, s.sample[s.summed:])
+		accumulate(s.sampleSums, s.evalSet, s.evalKeys, s.sample[s.summed:])
 		s.summed = len(s.sample)
 	}
 }
@@ -590,8 +584,8 @@ func (s *Stream) classifier() (*chernoff.Classifier, error) {
 func (s *Stream) rawLabels(cls *chernoff.Classifier, symbolMatch []float64) map[string]chernoff.Label {
 	n := float64(cls.N)
 	out := make(map[string]chernoff.Label, len(s.evaluated))
-	for _, p := range s.evaluated {
-		key := p.Key()
+	for i, p := range s.evaluated {
+		key := s.evalKeys[i]
 		if p.K() == 1 {
 			if symbolMatch[p[0]] >= s.cfg.MinMatch {
 				out[key] = chernoff.Frequent
@@ -666,8 +660,8 @@ func (s *Stream) remine(ctx context.Context) error {
 // construction (that is what the skip condition proved).
 func (s *Stream) refreshMine() {
 	n := float64(len(s.sample))
-	for _, p := range s.evaluated {
-		key := p.Key()
+	for i, p := range s.evaluated {
+		key := s.evalKeys[i]
 		s.lastMine.Values[key] = s.sampleSums[key] / n
 		s.lastMine.Spreads[key] = chernoff.RestrictedSpread(p, s.symbolMatch)
 	}
@@ -681,14 +675,17 @@ func (s *Stream) hybridProbe(ctx context.Context, res *Result, scans *int) miner
 		n := float64(s.cursor - s.windowStart)
 		out := make([]float64, len(ps))
 		var miss []pattern.Pattern
+		var missKeys []string
 		var missIdx []int
 		for i, p := range ps {
-			if sum, ok := s.exactSums[p.Key()]; ok {
+			key := p.Key()
+			if sum, ok := s.exactSums[key]; ok {
 				out[i] = sum / n
 				res.ReprobesAvoided++
 				continue
 			}
 			miss = append(miss, p)
+			missKeys = append(missKeys, key)
 			missIdx = append(missIdx, i)
 		}
 		if len(miss) == 0 {
@@ -717,12 +714,12 @@ func (s *Stream) hybridProbe(ctx context.Context, res *Result, scans *int) miner
 		}
 		*scans++
 		for j, i := range missIdx {
-			key := miss[j].Key()
-			s.exactSums[key] = sums[j]
-			s.probed = append(s.probed, miss[j])
+			s.exactSums[missKeys[j]] = sums[j]
 			out[i] = sums[j] / n
 		}
-		sortPatterns(s.probed)
+		s.probed = append(s.probed, miss...)
+		s.probedKeys = append(s.probedKeys, missKeys...)
+		sort.Sort(byKey{s.probedKeys, s.probed})
 		return out, nil
 	}
 }
@@ -747,8 +744,37 @@ func (s *Stream) pickCachedFirst(pending *pattern.Set, budget int) []pattern.Pat
 	return border.PickHalfway(pending, budget)
 }
 
-func sortPatterns(ps []pattern.Pattern) {
-	sort.Slice(ps, func(a, b int) bool { return ps[a].Key() < ps[b].Key() })
+// parseSorted returns the keys of m in ascending order and the patterns they
+// parse to; what names the keys in an error.
+func parseSorted(m map[string]float64, what string) ([]string, []pattern.Pattern, error) {
+	keys := make([]string, 0, len(m))
+	for key := range m {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	ps := make([]pattern.Pattern, len(keys))
+	for i, key := range keys {
+		p, err := pattern.ParseKey(key)
+		if err != nil {
+			return nil, nil, fmt.Errorf("stream: %s key %q: %w", what, key, err)
+		}
+		ps[i] = p
+	}
+	return keys, ps, nil
+}
+
+// byKey sorts patterns by their keys, each computed once: keys[i] is
+// ps[i].Key().
+type byKey struct {
+	keys []string
+	ps   []pattern.Pattern
+}
+
+func (b byKey) Len() int           { return len(b.keys) }
+func (b byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
+func (b byKey) Swap(i, j int) {
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+	b.ps[i], b.ps[j] = b.ps[j], b.ps[i]
 }
 
 func minInt(a, b int) int {

@@ -49,6 +49,7 @@ const (
 	StreamBatches
 	StreamAppended
 	StreamExpired
+	StreamReplaced
 	StreamReprobesSaved
 	StreamBorderShifts
 	StreamRemines
@@ -184,6 +185,8 @@ var table = [numIDs]entry{
 		help: "Sequences appended across stream batches.", field: func(s *Snapshot) any { return &s.StreamAppended }},
 	StreamExpired: {name: "stream_expired", kind: counter, unit: "sequences",
 		help: "Sequences expired out of the sliding window.", field: func(s *Snapshot) any { return &s.StreamExpired }},
+	StreamReplaced: {name: "stream_replaced", kind: counter, unit: "sequences",
+		help: "Reservoir members replaced by appended sequences; each forces a re-mine.", field: func(s *Snapshot) any { return &s.StreamReplaced }},
 	StreamReprobesSaved: {name: "stream_reprobes_avoided", kind: counter, unit: "patterns",
 		help: "Probe valuations served from the stream's cached exact sums.", field: func(s *Snapshot) any { return &s.StreamReprobesSaved }},
 	StreamBorderShifts: {name: "stream_border_shifts", kind: counter, unit: "batches",

@@ -263,12 +263,14 @@ func (m *Metrics) GrowthNode(valued, pruned int64) {
 }
 
 // StreamBatch records one streaming Advance: the sequences it appended, the
-// sequences the sliding window expired, whether the raw-label border shifted,
-// and whether the batch fell back to a scoped re-mine.
-func (m *Metrics) StreamBatch(appended, expired int, borderShift, remine bool) {
+// sequences the sliding window expired, the reservoir members its appends
+// replaced, whether the raw-label border shifted, and whether the batch fell
+// back to a scoped re-mine.
+func (m *Metrics) StreamBatch(appended, expired, replaced int, borderShift, remine bool) {
 	m.Add(StreamBatches, 1)
 	m.Add(StreamAppended, int64(appended))
 	m.Add(StreamExpired, int64(expired))
+	m.Add(StreamReplaced, int64(replaced))
 	if borderShift {
 		m.Add(StreamBorderShifts, 1)
 	}
@@ -356,6 +358,7 @@ type Snapshot struct {
 	StreamBatches       int64 `json:"stream_batches,omitempty"`
 	StreamAppended      int64 `json:"stream_appended,omitempty"`
 	StreamExpired       int64 `json:"stream_expired,omitempty"`
+	StreamReplaced      int64 `json:"stream_replaced,omitempty"`
 	StreamReprobesSaved int64 `json:"stream_reprobes_avoided,omitempty"`
 	StreamBorderShifts  int64 `json:"stream_border_shifts,omitempty"`
 	StreamRemines       int64 `json:"stream_remines,omitempty"`
