@@ -81,7 +81,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8427", "listen address (host:port; port 0 picks a free port, printed on stdout)")
 	dataDir := flag.String("data", "", "journal directory: job records, results and checkpoints (required)")
 	workerSlots := flag.Int("worker-slots", runtime.GOMAXPROCS(0), "global worker-slot semaphore: total mining parallelism across all jobs")
-	maxPerJob := flag.Int("max-workers-per-job", 0, "cap one job's worker-slot grant (0 = half the slots, min 1)")
+	maxPerJob := flag.Int("max-workers-per-job", 0, "cap the worker-slot grant a job keeps for its whole run (0 = half the slots, min 1); while nothing is queued a job also borrows idle slots per probe pass and Phase 2 level")
 	queueCap := flag.Int("queue-cap", 64, "maximum queued (accepted, not yet running) jobs; beyond it submissions get 429")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant submission rate limit in jobs/second (0 = unlimited)")
 	tenantBurst := flag.Int("tenant-burst", 1, "per-tenant submission burst (token bucket capacity)")

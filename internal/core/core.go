@@ -201,7 +201,17 @@ type Config struct {
 	// (0 = up to GOMAXPROCS). The same count shards Phase 2's incremental
 	// kernel across the sample. Results are identical for every worker
 	// count. Default 0 (inline, save for a shard set's concurrent scans).
+	// Workers is what the run always has; Lend may add more per section.
 	Workers int
+	// Lend, when non-nil, is asked before each local Phase 3 probe pass and
+	// each parallel section of a level-wise Phase 2 level for up to want
+	// workers beyond max(Workers, 1); the section runs on that many plus
+	// got, and calls giveBack when it ends. The growth engine, Phase 1 and
+	// remote probes never ask. jobs.Manager sets it to lend a running job
+	// the worker slots no queued job is waiting for. Like Workers it changes
+	// how work is spread, never a value, so it is excluded from the
+	// checkpoint config hash.
+	Lend func(want int) (got int, giveBack func())
 	// Remote, when non-nil, serves Phase 3's probe scans from remote shard
 	// nodes (lspserve -serve-shards): each probe batch is sent one shard per
 	// node, or per shard of a native shard set, and the partials come back
@@ -241,9 +251,20 @@ type Config struct {
 // cancellable through ctx and retry-safe when db re-runs failed passes. The
 // layout comes from the store (or from Remote); a sharded layout records its
 // own telemetry, since it scans the shards directly rather than through the
-// telemetry wrapper.
+// telemetry wrapper. With Lend set, each local pass runs on the workers it
+// is lent besides max(Workers, 1), and gives them back when it ends.
 func (c *Config) probeValuer(ctx context.Context, db seqdb.Scanner, src compat.Source) miner.Valuer {
-	return miner.ProbeValuer(ctx, db, src, c.Workers, c.Remote, c.Metrics)
+	if c.Lend == nil || c.Remote != nil {
+		return miner.ProbeValuer(ctx, db, src, c.Workers, c.Remote, c.Metrics)
+	}
+	own := max(c.Workers, 1)
+	size := seqdb.ProbeBlockSize(db.Len())
+	blocks := (db.Len() + size - 1) / size // no pass keeps more workers busy
+	return func(ps []pattern.Pattern) ([]float64, error) {
+		got, giveBack := c.Lend(blocks - own)
+		defer giveBack()
+		return miner.ProbeValuer(ctx, db, src, own+got, nil, c.Metrics)(ps)
+	}
 }
 
 func (c *Config) setDefaults() {

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/compat"
@@ -402,6 +404,42 @@ func TestMineParallelWorkersMatchSequential(t *testing.T) {
 		if par.Scans != seq.Scans {
 			t.Errorf("workers=%d: %d scans vs %d", workers, par.Scans, seq.Scans)
 		}
+	}
+}
+
+// TestMineLendGivesBackEveryLoan checks the Lend hook: a run lent workers
+// for every probe pass and level-wise Phase 2 section matches an unlent run
+// bit for bit, and every loan is given back.
+func TestMineLendGivesBackEveryLoan(t *testing.T) {
+	db, c := noisyProteinDB(t, 15, 80, 0.15)
+	var loans, giveBacks atomic.Int64
+	run := func(lend func(int) (int, func())) *Result {
+		res, err := Mine(db, c, Config{
+			MinMatch: 0.1, SampleSize: 20, MaxLen: 4, MaxGap: 0,
+			MemBudget: 30, Workers: 1, Lend: lend,
+			Phase2Engine: Phase2Levelwise,
+			Rng:          rand.New(rand.NewSource(16)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(nil)
+	got := run(func(want int) (int, func()) {
+		loans.Add(1)
+		return min(want, 3), func() { giveBacks.Add(1) }
+	})
+	setsEqual(t, got.Frequent, want.Frequent, "lent vs unlent")
+	if !reflect.DeepEqual(got.Phase2.Values, want.Phase2.Values) || got.Scans != want.Scans {
+		t.Errorf("lent run: %d scans against %d unlent, or Phase 2 values that differ", got.Scans, want.Scans)
+	}
+	if got.Phase3 == nil {
+		t.Fatal("no probe passes: the run tests no Phase 3 loan")
+	}
+	// One loan per probe pass, and at least one in Phase 2.
+	if n := loans.Load(); n <= int64(got.Phase3.Scans) || n != giveBacks.Load() {
+		t.Errorf("%d loans and %d give-backs over %d probe passes", n, giveBacks.Load(), got.Phase3.Scans)
 	}
 }
 

@@ -306,8 +306,9 @@ func phase2Candidates(ctx context.Context, c compat.Source, cfg *Config, symbolM
 }
 
 // phase2Levelwise is the breadth-first Phase 2: each level is scored by the
-// match.Incremental projection kernel across cfg.Workers; the kernel's cache
-// is released as soon as the level-wise run returns.
+// match.Incremental projection kernel across cfg.Workers, plus what cfg.Lend
+// lends each of the level's parallel sections; the kernel's cache is
+// released as soon as the level-wise run returns.
 func phase2Levelwise(ctx context.Context, c compat.Source, cfg *Config, symbolMatch []float64, sample [][]pattern.Symbol) (*miner.Result, error) {
 	opts := miner.Options{
 		MaxLen:                cfg.MaxLen,
@@ -318,6 +319,7 @@ func phase2Levelwise(ctx context.Context, c compat.Source, cfg *Config, symbolMa
 	valuer, inc := miner.IncrementalSampleValuer(c, sample, miner.IncrementalConfig{
 		Workers: cfg.Workers,
 		Metrics: cfg.Metrics,
+		Lend:    cfg.Lend,
 	})
 	defer inc.Release()
 	return miner.SampleChernoffContext(ctx, c.Size(), valuer,

@@ -77,9 +77,11 @@ type Spec struct {
 	// Engine is the pipeline: candidates (default; its Phase 2 engine is
 	// picked from the sample, see core.PickPhase2Engine) or sweep.
 	Engine string `json:"engine,omitempty"`
-	// Workers is the number of worker slots the job wants from the global
-	// semaphore (default 1). The grant may be smaller under load — never
-	// zero — and never changes the mined result.
+	// Workers is the number of worker slots the job wants to keep from the
+	// global semaphore for its whole run (default 1, capped by the manager's
+	// MaxWorkersPerJob). The grant may be smaller under load — never zero.
+	// While no job is queued, the job also borrows free slots for each probe
+	// pass and Phase 2 level. Neither changes the mined result.
 	Workers int `json:"workers,omitempty"`
 	// Seed drives Phase 1's sampling (default 1). Together with the spec it
 	// fully determines the result, which is what makes kill-resume
@@ -221,7 +223,8 @@ type Status struct {
 	Error    string `json:"error,omitempty"`
 	// QueuePos is the 1-based position among queued jobs (0 otherwise).
 	QueuePos int `json:"queue_pos,omitempty"`
-	// Workers is the worker-slot grant while running (0 otherwise).
+	// Workers is the worker-slot grant kept while running (0 otherwise);
+	// Telemetry.SlotsBorrowed counts the slots borrowed on top of it.
 	Workers int `json:"workers,omitempty"`
 	// Resumed counts crash-replays this job went through.
 	Resumed     int   `json:"resumed,omitempty"`

@@ -40,10 +40,14 @@ type Options struct {
 	// WorkerSlots is the global worker-pool semaphore capacity — the total
 	// mining parallelism across all jobs (default GOMAXPROCS). Every
 	// running job holds at least one slot, so at most WorkerSlots jobs run
-	// concurrently and a queued job waits at most for one slot to free.
+	// concurrently. While no job is queued, a running job also borrows the
+	// free slots for each Phase 3 probe pass and each level-wise Phase 2
+	// section, and returns them when that section ends, so a queued job
+	// waits at most for one slot to free: one such section at worst.
 	WorkerSlots int
-	// MaxWorkersPerJob caps one job's slot grant (default WorkerSlots/2,
-	// min 1), so a single heavy matrix cannot hoard the whole pool.
+	// MaxWorkersPerJob caps the slot grant a job keeps for its whole run
+	// (default WorkerSlots/2, min 1), so a single heavy matrix cannot hoard
+	// the whole pool. Borrowed slots are not counted against it.
 	MaxWorkersPerJob int
 	// QueueCap bounds the queued (accepted, not yet running) jobs; beyond
 	// it submissions are shed with ReasonQueueFull (default 64).
@@ -404,7 +408,9 @@ func (m *Manager) persistLocked(rec *record) error {
 // schedule is the dispatch loop: FIFO over the queue, one blocking
 // worker-slot acquisition per job (the isolation bound — a queued job waits
 // for exactly one slot, never for a particular heavy job to finish), plus
-// whatever extra slots are free up to the job's capped request.
+// whatever extra slots are free up to the job's capped request. Slots lent
+// to running jobs (lender) come back at the end of the section that
+// borrowed them, and none are lent while a job is queued.
 func (m *Manager) schedule() {
 	defer close(m.schedDone)
 	for {
@@ -473,6 +479,28 @@ func (m *Manager) popQueued() *job {
 func (m *Manager) releaseSlots(n int) {
 	for i := 0; i < n; i++ {
 		<-m.slots
+	}
+}
+
+// lender returns the core.Config.Lend hook of a job granted slots: while no
+// job is queued, it takes free slots without blocking, at most want and at
+// most WorkerSlots - granted, and records them on metrics; the give-back
+// returns them to the semaphore.
+func (m *Manager) lender(granted int, metrics *telemetry.Metrics) func(want int) (int, func()) {
+	return func(want int) (int, func()) {
+		want = min(want, m.opts.WorkerSlots-granted)
+		got := 0
+	borrow:
+		for got < want && !m.hasQueued() {
+			select {
+			case m.slots <- struct{}{}:
+				got++
+			default:
+				break borrow
+			}
+		}
+		metrics.Add(telemetry.SlotsBorrowed, int64(got))
+		return got, func() { m.releaseSlots(got) }
 	}
 }
 
@@ -556,6 +584,7 @@ func (m *Manager) mine(ctx context.Context, j *job, workers int) (*core.Result, 
 		MemBudget:             spec.MemBudget,
 		Finalizer:             fin,
 		Workers:               workers,
+		Lend:                  m.lender(workers, j.metrics),
 		Metrics:               j.metrics,
 		Checkpoint:            policy,
 		PhaseTimeouts:         core.PhaseTimeouts{Phase3: phase3},

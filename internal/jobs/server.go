@@ -310,7 +310,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("# HELP lspserve_worker_slots Global worker-slot semaphore capacity.\n")
 	p("# TYPE lspserve_worker_slots gauge\n")
 	p("lspserve_worker_slots %d\n", c.WorkerSlots)
-	p("# HELP lspserve_worker_slots_in_use Worker slots currently held by jobs.\n")
+	p("# HELP lspserve_worker_slots_in_use Worker slots currently held by jobs, borrowed ones included.\n")
 	p("# TYPE lspserve_worker_slots_in_use gauge\n")
 	p("lspserve_worker_slots_in_use %d\n", c.SlotsInUse)
 	if al := s.AppendLog; al != nil {

@@ -67,6 +67,10 @@ type IncrementalOptions struct {
 	// Changing it reassociates the float64 sum merge, so it is fixed for a
 	// kernel's lifetime and exposed mainly for tests.
 	ShardSize int
+	// Lend, when non-nil, is asked before each parallel section for up to
+	// want goroutines beyond Workers; the section runs on Workers + got and
+	// calls giveBack when it ends. Values do not depend on the count.
+	Lend func(want int) (got int, giveBack func())
 }
 
 // LevelStats reports one ValueLevel call.
@@ -98,6 +102,7 @@ type IncrementalStats struct {
 type Incremental struct {
 	pj        *Projector
 	workers   int
+	lend      func(want int) (got int, giveBack func())
 	budget    int64
 	prev      map[string]*Projection // the previous level's spine, by parent key
 	prevBytes int64
@@ -118,6 +123,7 @@ func NewIncremental(c compat.Source, sample [][]pattern.Symbol, o IncrementalOpt
 	return &Incremental{
 		pj:      NewProjector(c, sample, o.ShardSize),
 		workers: max(o.Workers, 1),
+		lend:    o.Lend,
 		budget:  budget,
 	}
 }
@@ -296,9 +302,15 @@ func firstError(errs []error) error {
 	return nil
 }
 
-// parallel runs f(0..n-1) on up to inc.workers goroutines.
+// parallel runs f(0..n-1) on up to inc.workers goroutines, plus as many as
+// the lend hook grants it, up to n in all, for this call.
 func (inc *Incremental) parallel(n int, f func(int)) {
 	workers := min(inc.workers, n)
+	if inc.lend != nil && n > inc.workers {
+		got, giveBack := inc.lend(n - inc.workers)
+		defer giveBack()
+		workers += got
+	}
 	if workers <= 1 {
 		for j := 0; j < n; j++ {
 			f(j)

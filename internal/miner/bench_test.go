@@ -1,11 +1,14 @@
 package miner
 
 import (
+	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/compat"
 	"repro/internal/pattern"
+	"repro/internal/seqdb"
 )
 
 // BenchmarkSampleChernoff runs the full Phase 2 lattice over one sample with
@@ -42,6 +45,37 @@ func BenchmarkSampleChernoff(b *testing.B) {
 				v, _ := IncrementalSampleValuer(c, sample, IncrementalConfig{Workers: workers})
 				return v
 			})
+		})
+	}
+}
+
+// BenchmarkProbePass times one Phase 3 probe pass of 37 patterns over a
+// disk-resident store of 5,000 sequences of length 40, inline and on two
+// workers. A warm-up pass runs first, so allocs/op is what every later pass
+// of a job allocates.
+func BenchmarkProbePass(b *testing.B) {
+	mem, c, ps := randomWorkload(b, 23, 5000, 40)
+	path := filepath.Join(b.TempDir(), "db.lsq")
+	if err := seqdb.WriteFile(path, mem); err != nil {
+		b.Fatal(err)
+	}
+	disk, err := seqdb.OpenFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+			v := ProbeValuer(nil, disk, c, workers, nil, nil)
+			if _, err := v(ps); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := v(ps); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

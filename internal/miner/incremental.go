@@ -22,6 +22,9 @@ type IncrementalConfig struct {
 	// Metrics, when non-nil, receives per-level kernel telemetry
 	// (extension/scratch counts, cached windows, bytes, evictions).
 	Metrics *telemetry.Metrics
+	// Lend, when non-nil, lends each parallel section of a level extra
+	// goroutines (match.IncrementalOptions.Lend).
+	Lend func(want int) (got int, giveBack func())
 }
 
 // IncrementalSampleValuer is the Phase 2 sample valuer: the level-wise
@@ -47,6 +50,7 @@ func IncrementalSampleValuer(c compat.Source, sample [][]pattern.Symbol, cfg Inc
 	inc := match.NewIncremental(c, sample, match.IncrementalOptions{
 		Workers: workers,
 		Budget:  cfg.Budget,
+		Lend:    cfg.Lend,
 	})
 	valuer := func(ps []pattern.Pattern) ([]float64, error) {
 		vals, ls, err := inc.ValueLevel(ps)

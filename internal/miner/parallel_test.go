@@ -13,7 +13,7 @@ import (
 	"repro/internal/seqdb"
 )
 
-func randomWorkload(t *testing.T, seed int64, n, l int) (*seqdb.MemDB, *compat.Matrix, []pattern.Pattern) {
+func randomWorkload(t testing.TB, seed int64, n, l int) (*seqdb.MemDB, *compat.Matrix, []pattern.Pattern) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	const m = 10

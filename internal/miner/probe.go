@@ -197,21 +197,31 @@ func scan(ctx context.Context, shard seqdb.Scanner, start, block int, set *match
 // database: up to 1,024 sequences or 64 Ki symbols, 256 KiB of arena.
 const chunksPerWorker = 16
 
+type chunk struct {
+	arena []pattern.Symbol
+	ends  []int
+}
+
+// chunks keeps pipeline chunks across passes, so a pass draws its pool
+// full-sized instead of growing every arena from zero.
+var chunks = sync.Pool{New: func() any {
+	return &chunk{
+		arena: make([]pattern.Symbol, 0, match.RunSymbols),
+		ends:  make([]int, 0, match.RunSeqs),
+	}
+}}
+
 // pipeline matches probe blocks on workers goroutines while a pass that
 // starts on a block boundary, as every shard does, reads on. observe copies
 // each sequence into a pooled chunk, waiting for one if the pool is empty;
 // every chunk of block k goes to worker k mod workers over that worker's FIFO
 // queue, so each block has one writer summing it in position order, and the
-// worker scores the chunk where it lies. finish waits for the workers and
-// returns the partials in block order.
+// worker scores the chunk where it lies. finish waits for the workers, puts
+// the chunks back in chunks and returns the partials in block order.
 func pipeline(set *match.SoASet, size, workers int) (observe func([]pattern.Symbol), finish func() []match.Partial) {
-	type chunk struct {
-		arena []pattern.Symbol
-		ends  []int
-	}
 	pool := make(chan *chunk, chunksPerWorker*workers)
 	for i := 0; i < cap(pool); i++ {
-		pool <- new(chunk)
+		pool <- chunks.Get().(*chunk)
 	}
 	queues := make([]chan *chunk, workers)
 	parts := make([][]match.Partial, workers) // worker w sums blocks w, w+workers, ...
@@ -251,6 +261,12 @@ func pipeline(set *match.SoASet, size, workers int) (observe func([]pattern.Symb
 			close(q)
 		}
 		wg.Wait()
+		for i := 0; i < cap(pool); i++ {
+			// An arena a long sequence grew past a run stays out of the pool.
+			if ch := <-pool; cap(ch.arena) <= match.RunSymbols {
+				chunks.Put(ch)
+			}
+		}
 		out := make([]match.Partial, (n+size-1)/size)
 		for k := range out {
 			out[k] = parts[k%workers][k/workers]

@@ -167,14 +167,22 @@ func (w *Writer) Close() error {
 
 // DiskDB is a disk-resident sequence database. Every Scan streams the file
 // from the start with a buffered reader; nothing beyond the current sequence
-// is held in memory.
+// and that reader's buffer is held in memory.
 type DiskDB struct {
 	path    string
 	n       int
 	scans   atomic.Int64 // readable concurrently with a scan (progress UIs)
 	version int          // 1 = LSQ1 (legacy), 2 = LSQ2 (checksummed)
 	bytes   atomic.Int64
+	// spare is the reader of the last pass to end, which the next pass
+	// takes instead of allocating its own; a pass that finds none (the
+	// first, or one beside a concurrent range scan) allocates one.
+	spare atomic.Pointer[bufio.Reader]
 }
+
+// maxReadBuffer caps a pass's read buffer; a smaller file gets a buffer of
+// its own size.
+const maxReadBuffer = 1 << 20
 
 // OpenFile validates the header of path and returns a DiskDB over it. Both
 // the current LSQ2 and the legacy LSQ1 formats are accepted.
@@ -252,6 +260,21 @@ func (db *DiskDB) Scan(fn func(id int, seq []pattern.Symbol) error) error {
 	return db.ScanContext(nil, fn)
 }
 
+// reader returns a buffered reader over f that counts the bytes it pulls:
+// the spare one reset to f, or a new one of min(maxReadBuffer, file size).
+func (db *DiskDB) reader(f *os.File) (*bufio.Reader, error) {
+	src := &countingReader{r: f, n: &db.bytes}
+	if br := db.spare.Swap(nil); br != nil {
+		br.Reset(src)
+		return br, nil
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("seqdb: stat: %w", err)
+	}
+	return bufio.NewReaderSize(src, int(min(fi.Size(), maxReadBuffer))), nil
+}
+
 // crcReader records every byte it yields so the consumed encoding of a
 // sequence can be checksummed without re-encoding.
 type crcReader struct {
@@ -300,13 +323,18 @@ func (db *DiskDB) scanRange(ctx context.Context, lo, hi int, fn func(id int, seq
 		return fmt.Errorf("seqdb: open: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(&countingReader{r: f, n: &db.bytes}, 1<<20)
+	br, err := db.reader(f)
+	if err != nil {
+		return err
+	}
+	defer db.spare.Store(br)
 	if _, err := br.Discard(12); err != nil {
 		return fmt.Errorf("seqdb: skip header: %w", err)
 	}
 	checksummed := db.version >= 2
 	rr := &crcReader{br: br}
 	var seq []pattern.Symbol
+	var stored [4]byte // declared once: io.ReadFull moves it to the heap
 	for i := 0; i < hi; i++ {
 		if err := ctxErr(ctx); err != nil {
 			return err
@@ -331,7 +359,6 @@ func (db *DiskDB) scanRange(ctx context.Context, lo, hi int, fn func(id int, seq
 			seq[j] = pattern.Symbol(v)
 		}
 		if checksummed {
-			var stored [4]byte
 			if _, err := io.ReadFull(br, stored[:]); err != nil {
 				return corrupt(db.path, i, "truncated checksum", err)
 			}

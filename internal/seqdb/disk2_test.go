@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -335,5 +336,53 @@ func TestDiskScanContextCancels(t *testing.T) {
 	}
 	if db.Scans() != 0 {
 		t.Error("cancelled pass counted as a scan")
+	}
+}
+
+// TestDiskPassReusesReadBuffer checks that a pass takes the buffer the last
+// one left instead of allocating its own, and that a file smaller than the
+// buffer cap gets a buffer no larger than the file.
+func TestDiskPassReusesReadBuffer(t *testing.T) {
+	seqs := make([][]pattern.Symbol, 6000) // 200 one-byte symbols each: 1.2 MB on disk
+	for i := range seqs {
+		seqs[i] = make([]pattern.Symbol, 200)
+		for j := range seqs[i] {
+			seqs[i][j] = pattern.Symbol((i + j) % 20)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "big.lsq")
+	if err := WriteFile(path, NewMemDB(seqs)); err != nil {
+		t.Fatal(err)
+	}
+	db, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := scanAll(db); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := scanAll(db); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("a second pass allocated %d bytes, want under 64 KiB", got)
+	}
+	if br := db.spare.Load(); br == nil || br.Size() != maxReadBuffer {
+		t.Fatalf("after a pass over a 1.2 MB file the handle keeps %v, want a %d-byte reader", br, maxReadBuffer)
+	}
+
+	small, raw := writeSample(t, false)
+	db, err = OpenFile(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := scanAll(db); err != nil {
+		t.Fatal(err)
+	}
+	if br := db.spare.Load(); br == nil || br.Size() > len(raw) {
+		t.Errorf("after a pass over a %d-byte file the handle keeps %v, want a reader no larger", len(raw), br)
 	}
 }

@@ -58,6 +58,7 @@ const (
 	CheckpointMillis
 	ResumedPhase
 	ScansAvoided
+	SlotsBorrowed
 
 	ProbeBatch
 	ProbeLayers
@@ -203,6 +204,8 @@ var table = [numIDs]entry{
 		help: "Phase the run resumed from (0 for a fresh run).", field: func(s *Snapshot) any { return &s.ResumedPhase }},
 	ScansAvoided: {name: "scans_avoided", kind: gauge, unit: "scans",
 		help: "Full scans skipped by resuming.", field: func(s *Snapshot) any { return &s.ScansAvoided }},
+	SlotsBorrowed: {name: "slots_borrowed", kind: counter, unit: "slots",
+		help: "Idle worker slots lent to a running job, summed over the sections that borrowed them.", field: func(s *Snapshot) any { return &s.SlotsBorrowed }},
 
 	ProbeBatch: {name: "probe_batch", kind: histogram, unit: "patterns",
 		help: "Patterns counted per Phase 3 probe scan.", field: func(s *Snapshot) any { return &s.ProbeBatch }},

@@ -138,6 +138,8 @@ func record(m *Metrics) {
 	m.Add(StreamReprobesSaved, 17)
 	m.Add(StreamReprobesSaved, 4)
 	m.ResumeHit(2, 3)
+	m.Add(SlotsBorrowed, 2)
+	m.Add(SlotsBorrowed, 1)
 }
 
 // TestSnapshotGolden checks that a recording touching every table entry

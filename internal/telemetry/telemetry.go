@@ -368,6 +368,9 @@ type Snapshot struct {
 	CheckpointMillis float64 `json:"checkpoint_millis,omitempty"`
 	ResumedPhase     int64   `json:"resumed_phase,omitempty"`
 	ScansAvoided     int64   `json:"scans_avoided,omitempty"`
+	// SlotsBorrowed counts the idle worker slots an lspserve job borrowed
+	// for its probe passes and Phase 2 sections, summed over sections.
+	SlotsBorrowed int64 `json:"slots_borrowed,omitempty"`
 
 	// Retry carries the scanner's pass/retry counters when the run used a
 	// retrying scanner (filled by the orchestrator, not by Metrics itself).
