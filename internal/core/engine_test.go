@@ -17,41 +17,67 @@ import (
 	"repro/internal/telemetry"
 )
 
-// engineWorld is a planted-motif database of n sequences over m symbols
-// with lengths in [minLen, maxLen], under uniform noise alpha — the length
-// range decides which side of PickPhase2Engine's threshold it falls on.
-func engineWorld(t *testing.T, seed int64, n, m, minLen, maxLen int, alpha float64) (*seqdb.MemDB, *compat.Matrix) {
+// engineCase is one input of the engine-choice tests: a world, the mining
+// configuration, and the engine an automatic run must report.
+type engineCase struct {
+	name                 string
+	n, m, minLen, maxLen int
+	alpha                float64
+	// banded mines with the banded sparse matrix instead of the uniform one.
+	banded                 bool
+	cfg                    Config
+	wantEngine             string
+	wantTruncated          bool
+	wantGrowthCapFallbacks int64
+}
+
+// world is the case's planted-motif database, n sequences over m symbols
+// with lengths in [minLen, maxLen] under uniform noise alpha (the length
+// range decides which side of PickPhase2Engine's threshold it falls on),
+// and the matrix it is mined with.
+func (tc engineCase) world(t *testing.T) (*seqdb.MemDB, compat.Source) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(31))
 	std, _, err := datagen.Protein(datagen.ProteinConfig{
-		N: n, M: m, MinLen: minLen, MaxLen: maxLen,
+		N: tc.n, M: tc.m, MinLen: tc.minLen, MaxLen: tc.maxLen,
 		Motifs:    []pattern.Pattern{pattern.MustNew(0, 1, 2)},
 		PlantProb: 0.6,
 	}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := datagen.ApplyUniformNoise(std, m, alpha, rng)
+	db, err := datagen.ApplyUniformNoise(std, tc.m, tc.alpha, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := compat.UniformNoise(m, alpha)
+	if tc.banded {
+		return db, bandedMatrix(t, tc.m)
+	}
+	c, err := compat.UniformNoise(tc.m, tc.alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return db, c
 }
 
-// engineCase is one input of the engine-choice tests: a world, the mining
-// configuration, and the engine an automatic run must report.
-type engineCase struct {
-	name                   string
-	n, m, minLen, maxLen   int
-	alpha                  float64
-	cfg                    Config
-	wantEngine             string
-	wantTruncated          bool
-	wantGrowthCapFallbacks int64
+// bandedMatrix explains each observed symbol by itself (0.9) and its ring
+// neighbors (0.06 / 0.04): all but three cells of every column are zero, so
+// few windows survive a pattern's first positions.
+func bandedMatrix(t *testing.T, m int) compat.Source {
+	t.Helper()
+	cells := make([]compat.Cell, 0, 3*m)
+	for o := 0; o < m; o++ {
+		cells = append(cells,
+			compat.Cell{True: pattern.Symbol(o), Observed: pattern.Symbol(o), P: 0.9},
+			compat.Cell{True: pattern.Symbol((o + 1) % m), Observed: pattern.Symbol(o), P: 0.06},
+			compat.Cell{True: pattern.Symbol((o + m - 1) % m), Observed: pattern.Symbol(o), P: 0.04},
+		)
+	}
+	c, err := compat.NewSparse(m, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func engineCases() []engineCase {
@@ -77,13 +103,27 @@ func engineCases() []engineCase {
 				MaxCandidatesPerLevel: 40},
 			wantEngine: "levelwise", wantTruncated: true, wantGrowthCapFallbacks: 1,
 		},
+		{
+			// The banded sparse matrix at mean length 24 >= 3 × 6: growth,
+			// over projections that keep only the windows the band allows.
+			name: "banded", n: 80, m: 6, minLen: 20, maxLen: 28, alpha: 0.1, banded: true,
+			cfg:        Config{MinMatch: 0.2, Delta: 0.05, SampleSize: 60, MaxLen: 5, MaxGap: 1, MemBudget: 40},
+			wantEngine: "growth",
+		},
+		{
+			// A wide alphabet, mean length 35 < 3 × 50: level-wise, with
+			// levels of thousands of candidates.
+			name: "wide", n: 80, m: 50, minLen: 30, maxLen: 40, alpha: 0.1,
+			cfg:        Config{MinMatch: 0.15, Delta: 0.05, SampleSize: 60, MaxLen: 4, MaxGap: 1, MemBudget: 40},
+			wantEngine: "levelwise",
+		},
 	}
 }
 
 // run mines the case's world with cfg's engine and worker count.
 func (tc engineCase) run(t *testing.T, e Phase2Engine, workers int, m *telemetry.Metrics) *Result {
 	t.Helper()
-	db, c := engineWorld(t, 31, tc.n, tc.m, tc.minLen, tc.maxLen, tc.alpha)
+	db, c := tc.world(t)
 	cfg := tc.cfg
 	cfg.Phase2Engine, cfg.Workers, cfg.Metrics = e, workers, m
 	cfg.Rng = rand.New(rand.NewSource(5))
@@ -130,11 +170,12 @@ func assertSameMine(t *testing.T, label string, want, got *Result) {
 	}
 }
 
-// TestAutoEngineEqualsLevelwise: on both sides of the rule's threshold and on
-// an input whose levels exceed the candidate cap, an automatic run — and a
-// run forced onto growth — mines exactly what a forced level-wise run mines,
-// at every worker count. The automatic run reports the engine the rule
-// picked, or levelwise when growth handed a capped level back.
+// TestAutoEngineEqualsLevelwise: on both sides of the rule's threshold, on
+// an input whose levels exceed the candidate cap, over the banded sparse
+// matrix and over a 50-symbol alphabet, an automatic run — and a run forced
+// onto growth — mines exactly what a forced level-wise run mines, at every
+// worker count. The automatic run reports the engine the rule picked, or
+// levelwise when growth handed a capped level back.
 func TestAutoEngineEqualsLevelwise(t *testing.T) {
 	for _, tc := range engineCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -217,10 +258,10 @@ func TestPickPhase2Engine(t *testing.T) {
 // hands a capped level back — and requires each resumed run's report to be
 // byte-identical to the uninterrupted run's, engine name included.
 func TestResumeAutoEngineByteIdentical(t *testing.T) {
-	for _, tc := range engineCases()[1:] {
+	for _, tc := range engineCases()[1:3] {
 		t.Run(tc.name, func(t *testing.T) {
 			mine := func(ctx context.Context, path string, afterWrite func(int)) (*Result, error) {
-				db, c := engineWorld(t, 31, tc.n, tc.m, tc.minLen, tc.maxLen, tc.alpha)
+				db, c := tc.world(t)
 				cfg := tc.cfg
 				cfg.Workers = 2
 				cfg.Rng = rand.New(rand.NewSource(5))
@@ -246,7 +287,7 @@ func TestResumeAutoEngineByteIdentical(t *testing.T) {
 					}
 				})
 				cancel()
-				db, c := engineWorld(t, 31, tc.n, tc.m, tc.minLen, tc.maxLen, tc.alpha)
+				db, c := tc.world(t)
 				cfg := tc.cfg
 				cfg.Workers = 1
 				got, err := Resume(context.Background(), path, db, c, cfg)
@@ -275,7 +316,7 @@ func TestResumeAutoEngineByteIdentical(t *testing.T) {
 func TestResumeLegacyGrowthSnapshot(t *testing.T) {
 	tc := engineCases()[1]
 	path := filepath.Join(t.TempDir(), "legacy.lckp")
-	db, c := engineWorld(t, 31, tc.n, tc.m, tc.minLen, tc.maxLen, tc.alpha)
+	db, c := tc.world(t)
 	cfg := tc.cfg
 	cfg.Rng = rand.New(rand.NewSource(5))
 	cfg.Checkpoint = &CheckpointPolicy{Path: path, Seed: 5}
@@ -293,7 +334,7 @@ func TestResumeLegacyGrowthSnapshot(t *testing.T) {
 	if _, err := checkpoint.Save(path, snap); err != nil {
 		t.Fatal(err)
 	}
-	db2, c2 := engineWorld(t, 31, tc.n, tc.m, tc.minLen, tc.maxLen, tc.alpha)
+	db2, c2 := tc.world(t)
 	got, err := Resume(context.Background(), path, db2, c2, tc.cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -130,6 +130,15 @@ func TestSampleChernoffIncrementalEquivalence(t *testing.T) {
 	t.Run("sparse-parallel", func(t *testing.T) {
 		runBoth(t, incTestSparse(t, 8), sample, IncrementalConfig{Workers: 4}, 0.25, opts)
 	})
+	t.Run("wide-alphabet", func(t *testing.T) {
+		// 50 symbols: level 2 holds 5,000 candidates, most of them
+		// infrequent, and the planted motif keeps deeper levels alive.
+		wide := incTestSample(100, 40, 50, motif, rng)
+		res, _ := runBoth(t, incTestMatrix(t, 50, 0.05), wide, IncrementalConfig{Workers: 4}, 0.12, opts)
+		if len(res.CandidatesPerLevel) < 3 {
+			t.Fatalf("lattice died at level %d", len(res.CandidatesPerLevel))
+		}
+	})
 	t.Run("budget-fallback", func(t *testing.T) {
 		metrics := &telemetry.Metrics{}
 		runBoth(t, incTestMatrix(t, 8, 0.1), sample,

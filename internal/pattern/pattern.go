@@ -240,9 +240,6 @@ func (p Pattern) IsSubpatternOf(q Pattern) bool {
 	return false
 }
 
-// IsSuperpatternOf is the converse of IsSubpatternOf.
-func (p Pattern) IsSuperpatternOf(q Pattern) bool { return q.IsSubpatternOf(p) }
-
 // IsProperSubpatternOf reports p ⊂ q (subpattern but not equal).
 func (p Pattern) IsProperSubpatternOf(q Pattern) bool {
 	return !p.Equal(q) && p.IsSubpatternOf(q)

@@ -287,7 +287,7 @@ func Restore(db *seqdb.AppendDB, cfg Config, st *State, mine *miner.Result) (*St
 		return nil, fmt.Errorf("stream: inconsistent state (cursor %d, window start %d, %d symbol sums)",
 			st.Cursor, st.WindowStart, len(st.SymbolSums))
 	}
-	if want := minInt(cfg.SampleSize, st.Cursor-st.WindowStart); len(st.Sample) != want {
+	if want := min(cfg.SampleSize, st.Cursor-st.WindowStart); len(st.Sample) != want {
 		return nil, fmt.Errorf("stream: state carries %d sample sequences, want %d", len(st.Sample), want)
 	}
 	s.cursor, s.windowStart = st.Cursor, st.WindowStart
@@ -775,11 +775,4 @@ func (b byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
 func (b byKey) Swap(i, j int) {
 	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
 	b.ps[i], b.ps[j] = b.ps[j], b.ps[i]
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

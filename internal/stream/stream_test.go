@@ -251,7 +251,9 @@ func TestReplayMatchesBatchAcrossWorkers(t *testing.T) {
 // first batches — while the pattern [0,1] (value 0.5, threshold 0.4) stays
 // ambiguous throughout. Later Advances must therefore skip the re-mine, and
 // every Phase 3 after the first must resolve [0,1] from the cached exact sum
-// without a window scan.
+// without a window scan. Summed over the batches, the stream counts
+// strictly fewer probe patterns against the database than mining every
+// prefix from scratch does.
 func TestStationarySkipsRemineAndServesCache(t *testing.T) {
 	const batches, perBatch = 8, 2
 	tc := &testCase{
@@ -271,6 +273,9 @@ func TestStationarySkipsRemineAndServesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	skips, cacheHits, probeBatches := 0, 0, 0
+	// Probe patterns counted against the database: the stream's exclude
+	// those its cache served.
+	streamProbed, batchProbed := 0, 0
 	for lo := 0; lo < len(tc.db); lo += perBatch {
 		appendBatch(t, log, tc.db[lo:lo+perBatch])
 		res, err := s.Advance(context.Background())
@@ -280,6 +285,12 @@ func TestStationarySkipsRemineAndServesCache(t *testing.T) {
 		ref := batchMine(t, tc, tc.db[:lo+perBatch], 0, len(tc.db))
 		if got, want := setKeys(res.Frequent), setKeys(ref.Frequent); !reflect.DeepEqual(got, want) {
 			t.Fatalf("prefix %d: frequent %v, batch mine %v", lo+perBatch, got, want)
+		}
+		if res.Phase3 != nil {
+			streamProbed += res.Phase3.Probed - res.ReprobesAvoided
+		}
+		if ref.Phase3 != nil {
+			batchProbed += ref.Phase3.Probed
 		}
 		if lo == 0 {
 			continue
@@ -304,6 +315,10 @@ func TestStationarySkipsRemineAndServesCache(t *testing.T) {
 	if probeBatches == 0 || cacheHits == 0 {
 		t.Fatalf("the persistently ambiguous pattern never exercised the probe cache (batches=%d hits=%d)", probeBatches, cacheHits)
 	}
+	if streamProbed >= batchProbed {
+		t.Fatalf("stream probed %d patterns against the database, re-mining every prefix probed %d", streamProbed, batchProbed)
+	}
+	t.Logf("probe patterns counted against the database: stream %d, batch mines %d", streamProbed, batchProbed)
 }
 
 // TestIdleAdvance: an Advance with nothing appended must be free — no
