@@ -234,29 +234,6 @@ func BenchmarkDenseMatrixLookup(b *testing.B) {
 	}
 }
 
-func BenchmarkDiskScan(b *testing.B) {
-	db, _ := benchWorkload(b)
-	path := b.TempDir() + "/bench.lsq"
-	if err := seqdb.WriteFile(path, db); err != nil {
-		b.Fatal(err)
-	}
-	disk, err := seqdb.OpenFile(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		total := 0
-		err := disk.Scan(func(id int, seq []pattern.Symbol) error {
-			total += len(seq)
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkLevelSweep(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	db, _, err := datagen.Protein(datagen.ProteinConfig{
@@ -321,27 +298,4 @@ func benchPatterns(n int) []pattern.Pattern {
 		}
 	}
 	return ps
-}
-
-func BenchmarkGzipScan(b *testing.B) {
-	db, _ := benchWorkload(b)
-	path := b.TempDir() + "/bench.lsqz"
-	if err := seqdb.WriteGzipFile(path, db); err != nil {
-		b.Fatal(err)
-	}
-	disk, err := seqdb.OpenGzipFile(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		total := 0
-		err := disk.Scan(func(id int, seq []pattern.Symbol) error {
-			total += len(seq)
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -47,13 +47,7 @@ func main() {
 	if *start < 0 {
 		fatal(fmt.Errorf("-start must be non-negative, got %d", *start))
 	}
-	var src seqdb.Scanner
-	var err error
-	if paths := seqdb.ShardSetPaths(*fromPath); len(paths) > 1 {
-		src, err = seqdb.OpenShardSet(paths)
-	} else {
-		src, err = seqdb.OpenAuto(*fromPath)
-	}
+	src, err := seqdb.OpenAuto(*fromPath)
 	if err != nil {
 		fatal(err)
 	}

@@ -174,12 +174,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	var db seqdb.Scanner
-	if paths := seqdb.ShardSetPaths(*dbPath); len(paths) > 1 {
-		db, err = seqdb.OpenShardSet(paths)
-	} else {
-		db, err = seqdb.OpenAuto(*dbPath)
-	}
+	db, err := seqdb.OpenAuto(*dbPath)
 	if err != nil {
 		fatal(err)
 	}

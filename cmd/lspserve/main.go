@@ -156,7 +156,7 @@ func main() {
 	handler := server.Handler()
 	if *serveShards != "" {
 		shards := &shardrpc.Server{
-			Open:      func() (seqdb.Scanner, error) { return openShardDB(*serveShards) },
+			Open:      func() (seqdb.Scanner, error) { return seqdb.OpenAuto(*serveShards) },
 			AuthToken: *authToken,
 		}
 		if *verbose {
@@ -164,7 +164,7 @@ func main() {
 		}
 		// Probe open once up front so a bad path fails at startup, not on
 		// the coordinator's first scatter.
-		if db, err := openShardDB(*serveShards); err != nil {
+		if db, err := seqdb.OpenAuto(*serveShards); err != nil {
 			logger.Fatal(err)
 		} else {
 			closeDB(db)
@@ -210,15 +210,6 @@ func main() {
 		logger.Print("second signal — exiting immediately")
 		os.Exit(130)
 	}
-}
-
-// openShardDB opens the shard-worker database the way lspmine opens -db:
-// comma-separated paths form a multi-file shard set.
-func openShardDB(path string) (seqdb.Scanner, error) {
-	if paths := seqdb.ShardSetPaths(path); len(paths) > 1 {
-		return seqdb.OpenShardSet(paths)
-	}
-	return seqdb.OpenAuto(path)
 }
 
 func closeDB(db seqdb.Scanner) {

@@ -12,7 +12,7 @@ import (
 // small durable records that live next to checkpoints — the serving layer's
 // job journal uses it for every job-state transition.
 func AtomicWriteFile(path string, data []byte, perm os.FileMode) error {
-	return atomicWrite(path, func(tmp string) error {
+	return AtomicWrite(path, func(tmp string) error {
 		f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_TRUNC|os.O_CREATE, perm)
 		if err != nil {
 			return fmt.Errorf("checkpoint: create: %w", err)

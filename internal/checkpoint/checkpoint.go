@@ -7,10 +7,9 @@
 // phase1, phase2, probe) each carrying its own length and CRC32-IEEE over
 // its payload, then an end marker. A flipped byte or truncation anywhere is
 // detected and reported as a *CorruptError naming the damaged section, so a
-// resumer never trusts a torn snapshot. Writes go through the same
-// temp-file + fsync + rename discipline as the seqdb stores (see
-// internal/seqdb/disk.go), so a crash mid-checkpoint leaves the previous
-// snapshot intact.
+// resumer never trusts a torn snapshot. Writes go through AtomicWrite
+// (temp file + fsync + rename), which the seqdb stores share, so a crash
+// mid-checkpoint leaves the previous snapshot intact.
 //
 // What is recorded mirrors the pipeline's phase structure:
 //
@@ -837,13 +836,12 @@ func (c *countingByteReader) ReadByte() (byte, error) {
 	return c.buf[0], nil
 }
 
-// Save writes the snapshot to path crash-atomically (temp file in the same
-// directory, fsync, rename — the discipline of seqdb's WriteFile), returning
+// Save writes the snapshot to path crash-atomically (AtomicWrite), returning
 // the snapshot's size in bytes. A crash mid-write leaves any previous
 // snapshot at path untouched.
 func Save(path string, s *Snapshot) (int64, error) {
 	var size int64
-	err := atomicWrite(path, func(tmp string) error {
+	err := AtomicWrite(path, func(tmp string) error {
 		f, err := os.Create(tmp)
 		if err != nil {
 			return fmt.Errorf("checkpoint: create: %w", err)
@@ -884,9 +882,12 @@ func Load(path string) (*Snapshot, error) {
 	return s, nil
 }
 
-// atomicWrite runs write against a temp file in path's directory, then
-// renames it over path; the temp file is removed on any failure.
-func atomicWrite(path string, write func(tmp string) error) error {
+// AtomicWrite runs write against a temp file in path's directory, then
+// renames it over path; the temp file is removed on any failure. write must
+// fsync what it writes, so the rename publishes only complete data.
+// Snapshots, job records, the seqdb stores and the append log's head sidecar
+// are all written through it.
+func AtomicWrite(path string, write func(tmp string) error) error {
 	dir := filepath.Dir(path)
 	tmpf, err := os.CreateTemp(dir, ".lckptmp-*")
 	if err != nil {

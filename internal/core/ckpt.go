@@ -76,7 +76,8 @@ func configHash(cfg *Config, engine string) uint64 {
 }
 
 // scannerPath reports the scanner's backing file when it has one (DiskDB,
-// GzipDB, a RetryScanner over either); empty for in-memory stores.
+// AppendDB, a shard set's joined paths, a RetryScanner over any of them);
+// empty for in-memory stores.
 func scannerPath(db seqdb.Scanner) string {
 	if p, ok := db.(interface{ Path() string }); ok {
 		return p.Path()

@@ -5,8 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/compat"
+	"repro/internal/match"
 	"repro/internal/pattern"
 	"repro/internal/seqdb"
+	"repro/internal/support"
 )
 
 func testDB() *seqdb.MemDB {
@@ -140,5 +143,35 @@ func TestRetryScannerHealsInjectedTransient(t *testing.T) {
 	}
 	if inner.Attempts() != 2 || r.Scans() != 1 {
 		t.Errorf("Attempts=%d Scans=%d, want 2 and 1", inner.Attempts(), r.Scans())
+	}
+}
+
+// TestMeasurePassSurvivesRetry: a transient fault late in a pass, healed by
+// a RetryScanner, must leave match.DB's and support.DB's values equal to a
+// fault-free pass's: the retried attempt starts its sums afresh.
+func TestMeasurePassSurvivesRetry(t *testing.T) {
+	ps := []pattern.Pattern{pattern.MustNew(1), pattern.MustNew(2, 2), pattern.MustNew(1, 0)}
+	meas := match.NewMatch(compat.Fig2())
+	for name, value := range map[string]func(seqdb.Scanner) ([]float64, error){
+		"match":   func(db seqdb.Scanner) ([]float64, error) { return match.DB(db, meas, ps) },
+		"support": func(db seqdb.Scanner) ([]float64, error) { return support.DB(db, ps) },
+	} {
+		want, err := value(testDB())
+		if err != nil {
+			t.Fatal(err)
+		}
+		faulty := New(testDB(), TransientOn(1, 2))
+		got, err := value(&seqdb.RetryScanner{Inner: faulty, Sleep: func(time.Duration) {}})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if faulty.Attempts() != 2 {
+			t.Fatalf("%s: %d attempts, want the fault and one retry", name, faulty.Attempts())
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: pattern %v = %v after a retried pass, want %v", name, ps[i], got[i], want[i])
+			}
+		}
 	}
 }

@@ -52,7 +52,9 @@ type Spec struct {
 	// Tenant attributes the job for admission control ("" = the anonymous
 	// tenant, which is rate-limited as one bucket like any other).
 	Tenant string `json:"tenant,omitempty"`
-	// DB is the sequence database path (.lsq/.lsq.gz, required).
+	// DB is the sequence database path (required): one file of any format
+	// (LSQ1, LSQ2, LSQZ, LSA1), or a comma-separated shard set, opened as
+	// lspmine -db opens it (seqdb.OpenAuto).
 	DB string `json:"db"`
 	// Matrix is the compatibility matrix path (required).
 	Matrix string `json:"matrix"`

@@ -154,6 +154,43 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	}
 }
 
+// TestShardSetJobMatchesSingleFile: a job whose db names a comma-separated
+// shard set (seqdb.WriteShardFiles) opens it as lspmine -db does and returns
+// the single-file job's result document byte for byte.
+func TestShardSetJobMatchesSingleFile(t *testing.T) {
+	dbPath, matrixPath := testWorld(t, testutil.Seed(t), 80, 0.2)
+	db, err := seqdb.LoadFile(dbPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := seqdb.WriteShardFiles(db, filepath.Join(t.TempDir(), "world"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != 2 {
+		t.Fatalf("wrote %d shard files, want 2", len(paths))
+	}
+	m := newTestManager(t, Options{})
+	var docs [][]byte
+	for _, arg := range []string{dbPath, strings.Join(paths, ",")} {
+		st, err := m.Submit(testSpec(arg, matrixPath))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final := waitDone(t, m, st.ID); final.State != StateDone {
+			t.Fatalf("db %q: state = %s (error %q), want done", arg, final.State, final.Error)
+		}
+		doc, err := m.Result(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, doc)
+	}
+	if !bytes.Equal(docs[0], docs[1]) {
+		t.Errorf("shard-set result differs from the single file's:\n%s\nvs\n%s", docs[1], docs[0])
+	}
+}
+
 func TestResultBeforeDone(t *testing.T) {
 	m := newTestManager(t, Options{})
 	if _, err := m.Result("no-such-job"); !errors.Is(err, ErrUnknownJob) {

@@ -11,6 +11,7 @@ package match
 import (
 	"repro/internal/compat"
 	"repro/internal/pattern"
+	"repro/internal/seqdb"
 )
 
 // Measure assigns a pattern a value in [0,1] for one sequence; the database
@@ -98,22 +99,24 @@ func Sequence(c compat.Source, p pattern.Pattern, seq []pattern.Symbol) float64 
 // one full scan (Definition 3.7 generalized over a Measure). The result is
 // indexed like ps. An empty database yields zeros.
 //
-// The average divides by the number of sequences the scan actually
-// delivered, not by Len(): for scanners whose Len() is stale or an estimate,
-// trusting the stream keeps the value exact instead of silently skewing
-// every match.
-func DB(db interface {
-	Scan(func(id int, seq []pattern.Symbol) error) error
-	Len() int
-}, meas Measure, ps []pattern.Pattern) ([]float64, error) {
-	sums := make([]float64, len(ps))
-	delivered := 0
-	err := db.Scan(func(id int, seq []pattern.Symbol) error {
-		delivered++
-		for i, p := range ps {
-			sums[i] += meas.Value(p, seq)
-		}
-		return nil
+// The sums are rebuilt on every attempt of the pass (seqdb.ScanPass), so a
+// retrying scanner can re-run a failed pass without double counting. The
+// average divides by the number of sequences the pass delivered, not by
+// Len(): for scanners whose Len() is stale or an estimate, trusting the
+// stream keeps the value exact instead of silently skewing every match.
+func DB(db seqdb.Scanner, meas Measure, ps []pattern.Pattern) ([]float64, error) {
+	var sums []float64
+	var delivered int
+	err := seqdb.ScanPass(db, func() (func(id int, seq []pattern.Symbol) error, error) {
+		sums = make([]float64, len(ps))
+		delivered = 0
+		return func(id int, seq []pattern.Symbol) error {
+			delivered++
+			for i, p := range ps {
+				sums[i] += meas.Value(p, seq)
+			}
+			return nil
+		}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -44,34 +44,14 @@ func mean(sums []float64, n int) []float64 {
 }
 
 // DBValuer evaluates candidates under an arbitrary measure with one full
-// database scan per call, summing in sequence order. The per-pass sums are
-// rebuilt per attempt, so a retrying scanner can re-run a failed pass
-// without double-counting. Averages divide by the number of sequences the
-// pass delivered, not db.Len(), so a scanner with a stale or estimated
-// Len() cannot skew the values.
+// database scan per call (match.DB).
 func DBValuer(db seqdb.Scanner, meas match.Measure) Valuer {
 	return func(ps []pattern.Pattern) ([]float64, error) {
 		if len(ps) == 0 {
 			// An empty batch needs no counters, so it must not cost a scan.
 			return nil, nil
 		}
-		var sums []float64
-		var delivered int
-		err := seqdb.ScanPass(db, func() (func(id int, seq []pattern.Symbol) error, error) {
-			sums = make([]float64, len(ps))
-			delivered = 0
-			return func(id int, seq []pattern.Symbol) error {
-				delivered++
-				for i, p := range ps {
-					sums[i] += meas.Value(p, seq)
-				}
-				return nil
-			}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return mean(sums, delivered), nil
+		return match.DB(db, meas, ps)
 	}
 }
 

@@ -3,10 +3,8 @@ package seqdb
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"strconv"
@@ -14,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/checkpoint"
 	"repro/internal/pattern"
 )
 
@@ -22,15 +21,14 @@ import (
 //
 //	magic    [4]byte  "LSA1"
 //	reserved [8]byte  zero
-//	per sequence: uvarint length, then length uvarint symbols,
-//	              then crc32 [4]byte (little endian) — CRC32-IEEE over the
-//	              sequence's encoded bytes, exactly the LSQ2 record format
+//	records with a CRC32 each, exactly as in LSQ2 (appendRecord)
 //
 // Unlike LSQ2 there is no sequence count to patch and no trailer: the log is
 // closed by nothing, so a crash can only leave a torn final record, which
 // recovery detects by its checksum (or truncated payload) and drops. The
 // live window's logical head — for sliding-window expiry — is persisted in a
-// crash-atomic sidecar file (path + ".head") instead of mutating the log.
+// sidecar file (path + ".head"), written and fsynced through
+// checkpoint.AtomicWriteFile, instead of mutating the log.
 var appendMagic = [4]byte{'L', 'S', 'A', '1'}
 
 // headSuffix names the sidecar carrying the logical head of an expired log.
@@ -150,22 +148,11 @@ func recoverAppend(path string, f *os.File, rw bool) (*AppendDB, error) {
 		return nil, fmt.Errorf("seqdb: %s: bad append magic %q", path, got[:4])
 	}
 
-	offsets := []int64{12}
-	br := bufio.NewReaderSize(io.NewSectionReader(f, 12, size-12), 1<<20)
-	rr := &crcReader{br: br}
-	end := int64(12)
-	for end < size {
-		rr.buf = rr.buf[:0]
-		n, err := readAppendRecord(rr, br, nil)
-		if err != nil {
-			if isTornTail(err) {
-				break
-			}
-			return nil, fmt.Errorf("seqdb: %s: record %d: %w", path, len(offsets)-1, err)
-		}
-		end += n
-		offsets = append(offsets, end)
+	offsets, err := indexRecords(path, f, []int64{12}, size)
+	if err != nil {
+		return nil, err
 	}
+	end := offsets[len(offsets)-1]
 	db := &AppendDB{path: path, offsets: offsets, recovered: size - end}
 	if rw {
 		db.f = f
@@ -189,48 +176,24 @@ func recoverAppend(path string, f *os.File, rw bool) (*AppendDB, error) {
 	return db, nil
 }
 
-// isTornTail reports whether a record decode failure is consistent with a
-// torn final record or trailing garbage (anything the checksummed format
-// detects), as opposed to an I/O error worth surfacing.
-func isTornTail(err error) bool {
-	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, errBadRecord)
-}
-
-// errBadRecord marks a structurally invalid record (bad length or checksum).
-var errBadRecord = errors.New("seqdb: invalid append record")
-
-// readAppendRecord decodes one record through the recording reader rr (its
-// buf must be reset by the caller), verifying the checksum read from br. The
-// decoded sequence is appended to *seq when seq is non-nil. It returns the
-// record's total on-disk length.
-func readAppendRecord(rr *crcReader, br *bufio.Reader, seq *[]pattern.Symbol) (int64, error) {
-	l, err := binary.ReadUvarint(rr)
-	if err != nil {
-		return 0, err
-	}
-	if l == 0 || l > MaxSequenceLen {
-		return 0, fmt.Errorf("%w: length %d", errBadRecord, l)
-	}
-	if seq != nil {
-		*seq = (*seq)[:0]
-	}
-	for j := uint64(0); j < l; j++ {
-		v, err := binary.ReadUvarint(rr)
+// indexRecords decodes the records in f from the last offset in offsets
+// up to size, appending each intact record's end offset. A torn tail ends
+// the index; any other failure is returned.
+func indexRecords(path string, f *os.File, offsets []int64, size int64) ([]int64, error) {
+	end := offsets[len(offsets)-1]
+	rr := recordReader{br: bufio.NewReaderSize(io.NewSectionReader(f, end, size-end), 1<<20), path: path, checksum: true}
+	for end < size {
+		_, n, err := rr.next(len(offsets) - 1)
 		if err != nil {
-			return 0, err
+			if isTornTail(err) {
+				break
+			}
+			return nil, err
 		}
-		if seq != nil {
-			*seq = append(*seq, pattern.Symbol(v))
-		}
+		end += int64(n)
+		offsets = append(offsets, end)
 	}
-	var stored [4]byte
-	if _, err := io.ReadFull(br, stored[:]); err != nil {
-		return 0, err
-	}
-	if got, want := crc32.ChecksumIEEE(rr.buf), binary.LittleEndian.Uint32(stored[:]); got != want {
-		return 0, fmt.Errorf("%w: checksum mismatch (got %08x, want %08x)", errBadRecord, got, want)
-	}
-	return int64(len(rr.buf)) + 4, nil
+	return offsets, nil
 }
 
 // readHead loads the sidecar's logical head (0 when no sidecar exists).
@@ -258,17 +221,10 @@ func (db *AppendDB) Append(seq []pattern.Symbol) (int, error) {
 	if db.f == nil {
 		return 0, fmt.Errorf("seqdb: append to read-only log %s", db.path)
 	}
-	if len(seq) == 0 {
-		return 0, fmt.Errorf("seqdb: empty sequence")
+	var err error
+	if db.enc, err = appendRecord(db.enc[:0], seq, true); err != nil {
+		return 0, err
 	}
-	db.enc = binary.AppendUvarint(db.enc[:0], uint64(len(seq)))
-	for _, d := range seq {
-		if d.IsEternal() {
-			return 0, fmt.Errorf("seqdb: sequence contains the eternal symbol")
-		}
-		db.enc = binary.AppendUvarint(db.enc, uint64(d))
-	}
-	db.enc = binary.LittleEndian.AppendUint32(db.enc, crc32.ChecksumIEEE(db.enc))
 	end := db.offsets[len(db.offsets)-1]
 	if _, err := db.f.WriteAt(db.enc, end); err != nil {
 		return 0, fmt.Errorf("seqdb: append: %w", err)
@@ -310,8 +266,8 @@ func (db *AppendDB) Close() error {
 }
 
 // ExpireBefore advances the logical head to absolute id abs: sequences below
-// it leave the live window. The head is persisted crash-atomically in the
-// sidecar before the call returns and never moves backward.
+// it leave the live window. The head is persisted in the sidecar, fsynced
+// and renamed into place, before the call returns and never moves backward.
 func (db *AppendDB) ExpireBefore(abs int) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -324,10 +280,7 @@ func (db *AppendDB) ExpireBefore(abs int) error {
 	if total := len(db.offsets) - 1; abs > total {
 		abs = total
 	}
-	err := atomicWrite(db.path+headSuffix, func(tmp string) error {
-		return os.WriteFile(tmp, []byte(strconv.Itoa(abs)+"\n"), 0o644)
-	})
-	if err != nil {
+	if err := checkpoint.AtomicWriteFile(db.path+headSuffix, []byte(strconv.Itoa(abs)+"\n"), 0o644); err != nil {
 		return fmt.Errorf("seqdb: persist head: %w", err)
 	}
 	db.start = abs
@@ -439,21 +392,9 @@ func (db *AppendDB) refreshLocked() error {
 	if err != nil {
 		return fmt.Errorf("seqdb: refresh: %w", err)
 	}
-	end := db.offsets[len(db.offsets)-1]
-	if size > end {
-		br := bufio.NewReaderSize(io.NewSectionReader(f, end, size-end), 1<<20)
-		rr := &crcReader{br: br}
-		for end < size {
-			rr.buf = rr.buf[:0]
-			n, err := readAppendRecord(rr, br, nil)
-			if err != nil {
-				if isTornTail(err) {
-					break
-				}
-				return fmt.Errorf("seqdb: %s: refresh record %d: %w", db.path, len(db.offsets)-1, err)
-			}
-			end += n
-			db.offsets = append(db.offsets, end)
+	if size > db.offsets[len(db.offsets)-1] {
+		if db.offsets, err = indexRecords(db.path, f, db.offsets, size); err != nil {
+			return err
 		}
 	}
 	start, err := readHead(db.path)
@@ -509,15 +450,14 @@ func (db *AppendDB) deliver(ctx context.Context, lo, hi int, fn func(abs int, se
 	from, to := db.offsets[lo], db.offsets[hi]
 	db.mu.Unlock()
 	br := bufio.NewReaderSize(&countingReader{r: io.NewSectionReader(f, from, to-from), n: &db.bytes}, 1<<20)
-	rr := &crcReader{br: br}
-	var seq []pattern.Symbol
+	rr := recordReader{br: br, path: db.path, checksum: true}
 	for i := lo; i < hi; i++ {
 		if err := ctxErr(ctx); err != nil {
 			return err
 		}
-		rr.buf = rr.buf[:0]
-		if _, err := readAppendRecord(rr, br, &seq); err != nil {
-			return corrupt(db.path, i, "unreadable append record", err)
+		seq, _, err := rr.next(i)
+		if err != nil {
+			return err
 		}
 		if err := fn(i, seq); err != nil {
 			return err

@@ -29,7 +29,7 @@ func TestScansConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gz, err := OpenGzipFile(packed)
+	gz, err := OpenFile(packed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,43 +2,43 @@ package seqdb
 
 import (
 	"bufio"
+	"compress/gzip"
 	"context"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"sync/atomic"
 
+	"repro/internal/checkpoint"
 	"repro/internal/pattern"
 )
 
-// Disk formats: a fixed header followed by varint-encoded sequences.
+// Disk formats: a 12-byte header — a 4-byte magic and the sequence count
+// n as a little-endian uint64 — followed by one record per sequence (see
+// appendRecord).
 //
 // LSQ2 (current, checksummed):
 //
 //	magic   [4]byte  "LSQ2"
-//	n       uint64   number of sequences (little endian)
-//	per sequence: uvarint length, then length uvarint symbols,
-//	              then crc32 [4]byte (little endian) — CRC32-IEEE over the
-//	              sequence's encoded bytes (length varint + symbol varints)
+//	n       uint64
+//	records with a CRC32 each, then
 //	trailer [8]byte  diskTrailer — marks clean end-of-stream
 //
-// LSQ1 (legacy, read-only):
+// LSQ1 (legacy): magic "LSQ1", n, records without checksums.
 //
-//	magic   [4]byte  "LSQ1"
-//	n       uint64   number of sequences (little endian)
-//	per sequence: uvarint length, then length uvarint symbols
+// LSQZ (compressed): magic "LSQZ", n, then gzip over LSQ1-style records.
 //
 // Symbols are stored as their non-negative integer values; the eternal
-// symbol never appears in raw data. Scans of both versions verify clean EOF
+// symbol never appears in raw data. Scans of every format verify a clean end
 // after the declared sequence count; LSQ2 additionally detects any flipped
-// byte or truncation inside a payload and reports the offending sequence.
+// byte or truncation inside a payload and reports the offending sequence,
+// and LSQZ relies on gzip's own checksum, verified when the stream drains.
 var (
 	diskMagic   = [4]byte{'L', 'S', 'Q', '1'}
 	diskMagicV2 = [4]byte{'L', 'S', 'Q', '2'}
+	gzipMagic   = [4]byte{'L', 'S', 'Q', 'Z'}
 	// diskTrailer ends an LSQ2 stream. Its first byte is an invalid uvarint
 	// length (0), so a reader that misses the boundary errors immediately.
 	diskTrailer = [8]byte{0x00, 'L', 'S', 'Q', '2', 'E', 'N', 'D'}
@@ -49,56 +49,56 @@ var (
 // allocation.
 const MaxSequenceLen = 1 << 24
 
-// Writer streams sequences into the on-disk format. Close appends the
-// trailer, patches the sequence count into the header, and fsyncs.
+// Writer streams sequences into one of the header-prefixed formats. Close
+// appends the LSQ2 trailer or ends the gzip stream, patches the sequence
+// count into the header, and fsyncs.
 type Writer struct {
 	f      *os.File
+	zw     *gzip.Writer // LSQZ only: the compressor under bw
 	bw     *bufio.Writer
+	magic  [4]byte
 	n      uint64
 	enc    []byte
-	legacy bool
 	closed bool
 }
 
 // CreateFile opens path for writing in the current (LSQ2) format and emits
 // the header.
 func CreateFile(path string) (*Writer, error) {
-	return createFile(path, false)
+	return createFile(path, diskMagicV2)
 }
 
 // CreateLegacyFile opens path for writing in the legacy LSQ1 format (no
 // checksums, no trailer) — for compatibility tooling and tests exercising
 // the legacy read path.
 func CreateLegacyFile(path string) (*Writer, error) {
-	return createFile(path, true)
+	return createFile(path, diskMagic)
 }
 
-func createFile(path string, legacy bool) (*Writer, error) {
+// CreateGzipFile opens path for writing in the compressed LSQZ format.
+func CreateGzipFile(path string) (*Writer, error) {
+	return createFile(path, gzipMagic)
+}
+
+// createFile creates path and writes the header for magic; the count is
+// patched in by Close.
+func createFile(path string, magic [4]byte) (*Writer, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("seqdb: create: %w", err)
 	}
-	w, err := newWriter(f, legacy)
-	if err != nil {
+	var hdr [12]byte
+	copy(hdr[:], magic[:])
+	if _, err := f.Write(hdr[:]); err != nil {
 		f.Close()
-		return nil, err
-	}
-	return w, nil
-}
-
-// newWriter emits the header onto an already-open file.
-func newWriter(f *os.File, legacy bool) (*Writer, error) {
-	w := &Writer{f: f, bw: bufio.NewWriterSize(f, 1<<20), legacy: legacy}
-	magic := diskMagicV2
-	if legacy {
-		magic = diskMagic
-	}
-	if _, err := w.bw.Write(magic[:]); err != nil {
 		return nil, fmt.Errorf("seqdb: write header: %w", err)
 	}
-	var zero [8]byte
-	if _, err := w.bw.Write(zero[:]); err != nil {
-		return nil, fmt.Errorf("seqdb: write header: %w", err)
+	w := &Writer{f: f, magic: magic}
+	if magic == gzipMagic {
+		w.zw = gzip.NewWriter(f)
+		w.bw = bufio.NewWriterSize(w.zw, 1<<20)
+	} else {
+		w.bw = bufio.NewWriterSize(f, 1<<20)
 	}
 	return w, nil
 }
@@ -108,38 +108,26 @@ func (w *Writer) Write(seq []pattern.Symbol) error {
 	if w.closed {
 		return fmt.Errorf("seqdb: write after Close")
 	}
-	if len(seq) == 0 {
-		return fmt.Errorf("seqdb: empty sequence")
-	}
-	w.enc = binary.AppendUvarint(w.enc[:0], uint64(len(seq)))
-	for _, d := range seq {
-		if d.IsEternal() {
-			return fmt.Errorf("seqdb: sequence contains the eternal symbol")
-		}
-		w.enc = binary.AppendUvarint(w.enc, uint64(d))
+	var err error
+	if w.enc, err = appendRecord(w.enc[:0], seq, w.magic == diskMagicV2); err != nil {
+		return err
 	}
 	if _, err := w.bw.Write(w.enc); err != nil {
 		return fmt.Errorf("seqdb: write: %w", err)
-	}
-	if !w.legacy {
-		var crc [4]byte
-		binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(w.enc))
-		if _, err := w.bw.Write(crc[:]); err != nil {
-			return fmt.Errorf("seqdb: write: %w", err)
-		}
 	}
 	w.n++
 	return nil
 }
 
-// Close appends the trailer (LSQ2), flushes, patches the sequence count,
-// fsyncs, and closes the file. A closed Writer rejects further Writes.
+// Close appends the trailer (LSQ2), flushes, ends the gzip stream (LSQZ),
+// patches the sequence count, fsyncs, and closes the file. A closed Writer
+// rejects further Writes.
 func (w *Writer) Close() error {
 	if w.closed {
 		return fmt.Errorf("seqdb: Close on closed writer")
 	}
 	w.closed = true
-	if !w.legacy {
+	if w.magic == diskMagicV2 {
 		if _, err := w.bw.Write(diskTrailer[:]); err != nil {
 			w.f.Close()
 			return fmt.Errorf("seqdb: write trailer: %w", err)
@@ -149,9 +137,15 @@ func (w *Writer) Close() error {
 		w.f.Close()
 		return fmt.Errorf("seqdb: flush: %w", err)
 	}
+	if w.zw != nil {
+		if err := w.zw.Close(); err != nil {
+			w.f.Close()
+			return fmt.Errorf("seqdb: gzip close: %w", err)
+		}
+	}
 	var cnt [8]byte
 	binary.LittleEndian.PutUint64(cnt[:], w.n)
-	if _, err := w.f.WriteAt(cnt[:], int64(len(diskMagic))); err != nil {
+	if _, err := w.f.WriteAt(cnt[:], int64(len(w.magic))); err != nil {
 		w.f.Close()
 		return fmt.Errorf("seqdb: patch count: %w", err)
 	}
@@ -165,15 +159,16 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// DiskDB is a disk-resident sequence database. Every Scan streams the file
-// from the start with a buffered reader; nothing beyond the current sequence
-// and that reader's buffer is held in memory.
+// DiskDB is a disk-resident sequence database in any header-prefixed format.
+// Every Scan streams the file from the start with a buffered reader (and
+// decompresses it, for LSQZ); nothing beyond the current sequence and the
+// readers' buffers is held in memory.
 type DiskDB struct {
-	path    string
-	n       int
-	scans   atomic.Int64 // readable concurrently with a scan (progress UIs)
-	version int          // 1 = LSQ1 (legacy), 2 = LSQ2 (checksummed)
-	bytes   atomic.Int64
+	path  string
+	n     int
+	magic [4]byte      // diskMagic, diskMagicV2 or gzipMagic
+	scans atomic.Int64 // readable concurrently with a scan (progress UIs)
+	bytes atomic.Int64
 	// spare is the reader of the last pass to end, which the next pass
 	// takes instead of allocating its own; a pass that finds none (the
 	// first, or one beside a concurrent range scan) allocates one.
@@ -184,8 +179,9 @@ type DiskDB struct {
 // its own size.
 const maxReadBuffer = 1 << 20
 
-// OpenFile validates the header of path and returns a DiskDB over it. Both
-// the current LSQ2 and the legacy LSQ1 formats are accepted.
+// OpenFile validates the header of path and returns a DiskDB over it. The
+// current LSQ2, the legacy LSQ1 and the compressed LSQZ formats are
+// accepted.
 func OpenFile(path string) (*DiskDB, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -196,30 +192,16 @@ func OpenFile(path string) (*DiskDB, error) {
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
 		return nil, fmt.Errorf("seqdb: read header: %w", err)
 	}
-	version := 0
-	switch [4]byte(hdr[:4]) {
-	case diskMagic:
-		version = 1
-	case diskMagicV2:
-		version = 2
-	default:
+	magic := [4]byte(hdr[:4])
+	if magic != diskMagic && magic != diskMagicV2 && magic != gzipMagic {
 		return nil, fmt.Errorf("seqdb: %s: bad magic %q", path, hdr[:4])
 	}
-	n, err := headerCount(path, hdr[4:])
-	if err != nil {
-		return nil, err
-	}
-	return &DiskDB{path: path, n: n, version: version}, nil
-}
-
-// headerCount decodes a header's little-endian sequence count, rejecting a
-// count no int holds (it would read as a negative Len).
-func headerCount(path string, b []byte) (int, error) {
-	n := binary.LittleEndian.Uint64(b)
+	// A count no int holds would read as a negative Len.
+	n := binary.LittleEndian.Uint64(hdr[4:])
 	if n > math.MaxInt {
-		return 0, corrupt(path, -1, fmt.Sprintf("sequence count %d out of range", n), nil)
+		return nil, corrupt(path, -1, fmt.Sprintf("sequence count %d out of range", n), nil)
 	}
-	return int(n), nil
+	return &DiskDB{path: path, n: int(n), magic: magic}, nil
 }
 
 // Len returns the number of sequences.
@@ -236,8 +218,8 @@ func (db *DiskDB) ResetScans() { db.scans.Store(0) }
 func (db *DiskDB) Path() string { return db.path }
 
 // BytesRead returns the total bytes read from the backing file across all
-// passes so far (header and buffered readahead included) — the telemetry
-// layer's real-I/O counter.
+// passes so far (header and buffered readahead included, measured before
+// decompression) — the telemetry layer's real-I/O counter.
 func (db *DiskDB) BytesRead() int64 { return db.bytes.Load() }
 
 // countingReader tallies bytes pulled from the underlying reader.
@@ -251,9 +233,6 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	c.n.Add(int64(n))
 	return n, err
 }
-
-// Version returns the on-disk format version (1 = legacy LSQ1, 2 = LSQ2).
-func (db *DiskDB) Version() int { return db.version }
 
 // Scan implements Scanner by streaming the file.
 func (db *DiskDB) Scan(fn func(id int, seq []pattern.Symbol) error) error {
@@ -275,30 +254,16 @@ func (db *DiskDB) reader(f *os.File) (*bufio.Reader, error) {
 	return bufio.NewReaderSize(src, int(min(fi.Size(), maxReadBuffer))), nil
 }
 
-// crcReader records every byte it yields so the consumed encoding of a
-// sequence can be checksummed without re-encoding.
-type crcReader struct {
-	br  *bufio.Reader
-	buf []byte
-}
-
-func (r *crcReader) ReadByte() (byte, error) {
-	b, err := r.br.ReadByte()
-	if err == nil {
-		r.buf = append(r.buf, b)
-	}
-	return b, err
-}
-
 // ScanContext implements ContextScanner. Corruption — a checksum mismatch,
-// invalid length, truncated payload (LSQ2), missing trailer, or trailing
-// garbage — is reported as a *CorruptError naming the offending sequence.
+// invalid length, truncated payload, missing trailer (LSQ2), a gzip stream
+// that does not end cleanly (LSQZ), or trailing garbage — is reported as a
+// *CorruptError naming the offending sequence.
 func (db *DiskDB) ScanContext(ctx context.Context, fn func(id int, seq []pattern.Symbol) error) error {
 	return db.scanRange(ctx, 0, db.n, fn, true)
 }
 
-// ScanRangeContext implements RangeScanner: the format has no index, so the
-// prefix before lo is still decoded (and checksum-verified), but reading
+// ScanRangeContext implements RangeScanner: the formats have no index, so
+// the prefix before lo is still decoded (and checksum-verified), but reading
 // stops right after hi-1 — a shard over the file's head never pays for its
 // tail. A range delivery is a partial pass and does not count as a scan.
 func (db *DiskDB) ScanRangeContext(ctx context.Context, lo, hi int, fn func(id int, seq []pattern.Symbol) error) error {
@@ -315,7 +280,7 @@ func (db *DiskDB) ScanRangeContext(ctx context.Context, lo, hi int, fn func(id i
 }
 
 // scanRange streams sequences [0, hi), delivering [lo, hi). With full set it
-// additionally verifies the end-of-stream trailer, rejects trailing garbage,
+// additionally verifies the end of the stream (the LSQ2 trailer, then EOF),
 // and counts the completed pass.
 func (db *DiskDB) scanRange(ctx context.Context, lo, hi int, fn func(id int, seq []pattern.Symbol) error, full bool) error {
 	f, err := os.Open(db.path)
@@ -331,40 +296,23 @@ func (db *DiskDB) scanRange(ctx context.Context, lo, hi int, fn func(id int, seq
 	if _, err := br.Discard(12); err != nil {
 		return fmt.Errorf("seqdb: skip header: %w", err)
 	}
-	checksummed := db.version >= 2
-	rr := &crcReader{br: br}
-	var seq []pattern.Symbol
-	var stored [4]byte // declared once: io.ReadFull moves it to the heap
+	body := br
+	if db.magic == gzipMagic {
+		zr, err := gzip.NewReader(br)
+		if err != nil {
+			return fmt.Errorf("seqdb: gzip: %w", err)
+		}
+		defer zr.Close()
+		body = bufio.NewReaderSize(zr, 1<<20)
+	}
+	rr := recordReader{br: body, path: db.path, checksum: db.magic == diskMagicV2}
 	for i := 0; i < hi; i++ {
 		if err := ctxErr(ctx); err != nil {
 			return err
 		}
-		rr.buf = rr.buf[:0]
-		l, err := binary.ReadUvarint(rr)
+		seq, _, err := rr.next(i)
 		if err != nil {
-			return corrupt(db.path, i, "truncated length", err)
-		}
-		if l == 0 || l > MaxSequenceLen {
-			return corrupt(db.path, i, fmt.Sprintf("invalid length %d", l), nil)
-		}
-		if cap(seq) < int(l) {
-			seq = make([]pattern.Symbol, l)
-		}
-		seq = seq[:l]
-		for j := range seq {
-			v, err := binary.ReadUvarint(rr)
-			if err != nil {
-				return corrupt(db.path, i, fmt.Sprintf("truncated at symbol %d", j), err)
-			}
-			seq[j] = pattern.Symbol(v)
-		}
-		if checksummed {
-			if _, err := io.ReadFull(br, stored[:]); err != nil {
-				return corrupt(db.path, i, "truncated checksum", err)
-			}
-			if got, want := crc32.ChecksumIEEE(rr.buf), binary.LittleEndian.Uint32(stored[:]); got != want {
-				return corrupt(db.path, i, fmt.Sprintf("checksum mismatch (got %08x, want %08x)", got, want), nil)
-			}
+			return err
 		}
 		if i >= lo {
 			if err := fn(i, seq); err != nil {
@@ -375,17 +323,24 @@ func (db *DiskDB) scanRange(ctx context.Context, lo, hi int, fn func(id int, seq
 	if !full {
 		return nil
 	}
-	if checksummed {
-		var tr [8]byte
-		if _, err := io.ReadFull(br, tr[:]); err != nil {
+	if rr.checksum {
+		tr, err := body.Peek(len(diskTrailer))
+		if err != nil {
 			return corrupt(db.path, -1, "missing end-of-stream trailer", err)
 		}
-		if tr != diskTrailer {
-			return corrupt(db.path, -1, fmt.Sprintf("bad end-of-stream trailer %q", tr[:]), nil)
+		if [8]byte(tr) != diskTrailer {
+			return corrupt(db.path, -1, fmt.Sprintf("bad end-of-stream trailer %q", tr), nil)
 		}
+		body.Discard(len(diskTrailer))
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
+	// Draining to EOF rejects trailing garbage and, for LSQZ, verifies the
+	// gzip footer's checksum.
+	switch _, err := body.ReadByte(); err {
+	case io.EOF:
+	case nil:
 		return corrupt(db.path, -1, fmt.Sprintf("trailing garbage after %d sequences", db.n), nil)
+	default:
+		return corrupt(db.path, -1, "stream did not end cleanly", err)
 	}
 	db.scans.Add(1)
 	return nil
@@ -396,8 +351,20 @@ func (db *DiskDB) scanRange(ctx context.Context, lo, hi int, fn func(id int, seq
 // directory, fsynced, and renamed over path, so a crash never leaves a
 // partial or torn database behind.
 func WriteFile(path string, db *MemDB) error {
-	return atomicWrite(path, func(tmp string) error {
-		w, err := CreateFile(tmp)
+	return writeAll(path, db, CreateFile)
+}
+
+// WriteGzipFile persists an in-memory database in the compressed LSQZ
+// format, crash-atomically as WriteFile.
+func WriteGzipFile(path string, db *MemDB) error {
+	return writeAll(path, db, CreateGzipFile)
+}
+
+// writeAll writes every sequence of db through a Writer from create into a
+// temp file that replaces path once it is complete and fsynced.
+func writeAll(path string, db *MemDB, create func(string) (*Writer, error)) error {
+	return checkpoint.AtomicWrite(path, func(tmp string) error {
+		w, err := create(tmp)
 		if err != nil {
 			return err
 		}
@@ -411,30 +378,35 @@ func WriteFile(path string, db *MemDB) error {
 	})
 }
 
-// atomicWrite runs write against a temp file in path's directory, then
-// renames it over path. The temp file is removed on any failure.
-func atomicWrite(path string, write func(tmp string) error) error {
-	dir := filepath.Dir(path)
-	tmpf, err := os.CreateTemp(dir, ".lsqtmp-*")
+// OpenAuto opens a database of any format: a comma-separated list of paths
+// as one shard set (OpenShardSet), otherwise one file, dispatched on its
+// magic bytes (openOne). A single path is opened as given, uncleaned, so the
+// path a checkpoint recorded for it still matches.
+func OpenAuto(path string) (Scanner, error) {
+	if paths := shardSetPaths(path); len(paths) > 1 {
+		return OpenShardSet(paths)
+	}
+	return openOne(path)
+}
+
+// openOne opens one database file: an append log read-only (a mining job
+// scans the intact prefix while the owning appender keeps writing), any
+// other format through OpenFile.
+func openOne(path string) (Scanner, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("seqdb: temp file: %w", err)
+		return nil, fmt.Errorf("seqdb: open: %w", err)
 	}
-	tmp := tmpf.Name()
-	tmpf.Close()
-	if err := write(tmp); err != nil {
-		os.Remove(tmp)
-		return err
+	var magic [4]byte
+	_, err = io.ReadFull(f, magic[:])
+	f.Close()
+	if err != nil {
+		return nil, fmt.Errorf("seqdb: read magic: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("seqdb: rename: %w", err)
+	if magic == appendMagic {
+		return OpenAppendRead(path)
 	}
-	// Best-effort directory sync so the rename itself survives a crash.
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	return OpenFile(path)
 }
 
 // LoadFile reads an on-disk database fully into memory.

@@ -56,8 +56,8 @@ func TestLSQ2RoundTripAndVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.Version() != 2 {
-		t.Errorf("Version=%d", db.Version())
+	if db.magic != diskMagicV2 {
+		t.Errorf("magic=%q", db.magic)
 	}
 	back, err := LoadFile(path)
 	if err != nil {
@@ -97,8 +97,8 @@ func TestLegacyLSQ1StillReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.Version() != 1 {
-		t.Errorf("Version=%d", db.Version())
+	if db.magic != diskMagic {
+		t.Errorf("magic=%q", db.magic)
 	}
 	if err := scanAll(db); err != nil {
 		t.Fatal(err)
@@ -302,7 +302,7 @@ func TestWriteFileIsAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), ".lsqtmp-") {
+		if e.Name() != "db.lsq" {
 			t.Errorf("temp file %s left behind", e.Name())
 		}
 	}

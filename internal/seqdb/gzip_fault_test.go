@@ -28,7 +28,7 @@ func writeGzipSample(t *testing.T) (string, []byte) {
 
 func TestGzipDetectsCorruptDeflateStream(t *testing.T) {
 	path, raw := writeGzipSample(t)
-	db, err := OpenGzipFile(path)
+	db, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestGzipDetectsCorruptDeflateStream(t *testing.T) {
 
 func TestGzipDetectsPrematureEOF(t *testing.T) {
 	path, raw := writeGzipSample(t)
-	db, err := OpenGzipFile(path)
+	db, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestGzipRejectsTrailingGarbageInStream(t *testing.T) {
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	db, err := OpenGzipFile(path)
+	db, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestGzipWriterRejectsWriteAfterClose(t *testing.T) {
 
 func TestGzipScanContextCancels(t *testing.T) {
 	path, _ := writeGzipSample(t)
-	db, err := OpenGzipFile(path)
+	db, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func TestGzipRoundTrip(t *testing.T) {
 	if err := WriteGzipFile(path, orig); err != nil {
 		t.Fatal(err)
 	}
-	db, err := OpenGzipFile(path)
+	db, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestGzipAbortedScanDoesNotCount(t *testing.T) {
 	if err := WriteGzipFile(path, sampleDB()); err != nil {
 		t.Fatal(err)
 	}
-	db, err := OpenGzipFile(path)
+	db, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +155,5 @@ func TestOpenAutoDispatch(t *testing.T) {
 	}
 	if _, err := OpenAuto(filepath.Join(dir, "missing")); err == nil {
 		t.Error("missing file accepted")
-	}
-	if _, err := OpenGzipFile(plain); err == nil {
-		t.Error("plain file accepted by gzip opener")
 	}
 }

@@ -192,8 +192,9 @@ func (r *RetryScanner) retryPass(ctx context.Context, setup PassFunc, run func(f
 }
 
 // Path returns the wrapped scanner's backing file path when it has one
-// (DiskDB, GzipDB), empty otherwise — so identity checks (e.g. a resumed
-// run verifying it scans the same database) see through the retry layer.
+// (DiskDB, AppendDB, Sharded), empty otherwise — so identity checks (e.g. a
+// resumed run verifying it scans the same database) see through the retry
+// layer.
 func (r *RetryScanner) Path() string {
 	if p, ok := r.Inner.(interface{ Path() string }); ok {
 		return p.Path()

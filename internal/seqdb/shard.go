@@ -232,7 +232,7 @@ func (o *offsetScanner) ScanRangeContext(ctx context.Context, lo, hi int, fn fun
 }
 
 // byteReader mirrors the telemetry layer's real-I/O interface without
-// importing it (DiskDB, GzipDB).
+// importing it (DiskDB, AppendDB).
 type byteReader interface {
 	BytesRead() int64
 }
@@ -348,7 +348,7 @@ func WriteShardFiles(db Scanner, base string, n int) ([]string, error) {
 
 // OpenShardSet opens the files of one shard set, in shard order, as a single
 // Sharded database: shard i's sequences get the global ids following shard
-// i-1's. Any mix of LSQ formats is accepted (OpenAuto).
+// i-1's. Each path names one file, of any format (openOne).
 func OpenShardSet(paths []string) (*Sharded, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("seqdb: empty shard set")
@@ -361,7 +361,7 @@ func OpenShardSet(paths []string) (*Sharded, error) {
 	}
 	off := 0
 	for i, p := range paths {
-		db, err := OpenAuto(p)
+		db, err := openOne(p)
 		if err != nil {
 			return nil, fmt.Errorf("seqdb: shard %d: %w", i, err)
 		}
@@ -522,9 +522,9 @@ func RealBytes(db Scanner) (n int64, ok bool) {
 	return br.BytesRead(), true
 }
 
-// ShardSetPaths expands a comma-separated path list into a shard set's file
-// list (a convenience for CLI -db flags; single paths pass through).
-func ShardSetPaths(arg string) []string {
+// shardSetPaths expands OpenAuto's comma-separated path list into a shard
+// set's file list.
+func shardSetPaths(arg string) []string {
 	parts := strings.Split(arg, ",")
 	out := parts[:0]
 	for _, p := range parts {

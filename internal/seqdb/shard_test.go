@@ -294,11 +294,11 @@ func TestShardedRetryRangePass(t *testing.T) {
 }
 
 func TestShardSetPaths(t *testing.T) {
-	got := ShardSetPaths("a.lsq, b.lsq,,c.lsq")
+	got := shardSetPaths("a.lsq, b.lsq,,c.lsq")
 	if len(got) != 3 || got[0] != "a.lsq" || got[1] != "b.lsq" || got[2] != "c.lsq" {
-		t.Errorf("ShardSetPaths: %v", got)
+		t.Errorf("shardSetPaths: %v", got)
 	}
-	if got := ShardSetPaths("only.lsq"); len(got) != 1 {
+	if got := shardSetPaths("only.lsq"); len(got) != 1 {
 		t.Errorf("single path: %v", got)
 	}
 }

@@ -8,6 +8,7 @@
 package support
 
 import (
+	"repro/internal/match"
 	"repro/internal/pattern"
 	"repro/internal/seqdb"
 )
@@ -48,24 +49,7 @@ func Occurs(p pattern.Pattern, seq []pattern.Symbol) bool {
 	return false
 }
 
-// DB computes the support of each pattern in one full scan.
+// DB computes the support of each pattern in one full scan (match.DB).
 func DB(db seqdb.Scanner, ps []pattern.Pattern) ([]float64, error) {
-	counts := make([]float64, len(ps))
-	err := db.Scan(func(id int, seq []pattern.Symbol) error {
-		for i, p := range ps {
-			if Occurs(p, seq) {
-				counts[i]++
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if n := db.Len(); n > 0 {
-		for i := range counts {
-			counts[i] /= float64(n)
-		}
-	}
-	return counts, nil
+	return match.DB(db, Support{}, ps)
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // ByteReporter is implemented by stores that can report real I/O bytes
-// consumed so far (seqdb.DiskDB, seqdb.GzipDB). Stores without it get a
+// consumed so far (seqdb.DiskDB, seqdb.AppendDB). Stores without it get a
 // 4-bytes-per-symbol estimate (the in-memory size of pattern.Symbol).
 //
 // A store may additionally implement ReportsBytes() bool to disclaim its
