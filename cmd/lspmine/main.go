@@ -113,7 +113,6 @@ func main() {
 	budget := flag.Int("budget", 10000, "Phase 3 pattern counters per scan")
 	maxCand := flag.Int("max-candidates", 50000, "Phase 2 per-level candidate cap (0 = unlimited; dense matrices explode without one)")
 	finalizer := flag.String("finalizer", "collapse", "Phase 3 strategy: collapse, levelwise or none")
-	engine := flag.String("engine", "candidates", "Phase 2 pipeline: candidates (level-wise or pattern growth, picked from the sample) or sweep (sparse matrices)")
 	workers := flag.Int("workers", -1, "worker goroutines sharding Phase 2's sample and Phase 3's probe counting (-1 = all cores, 0/1 = sequential, though 0 still scans a shard set's files concurrently; results are identical for every count)")
 	retries := flag.Int("retries", 0, "retry transient scan failures up to this many times per pass (0 = no retrying); also caps shard RPC attempts with -phase3-nodes")
 	retryBase := flag.Duration("retry-base", 0, "base delay of retry backoff — both the retrying scanner's and the shard RPC's (0 = 10ms)")
@@ -207,15 +206,6 @@ func main() {
 		fatal(err)
 	}
 
-	mine := core.MineContext
-	switch *engine {
-	case "candidates":
-	case "sweep":
-		mine = core.MineSweepContext
-	default:
-		fatal(fmt.Errorf("unknown engine %q", *engine))
-	}
-
 	// SIGINT/SIGTERM cancel the mining context: the run aborts within one
 	// sequence block, flushes a final checkpoint when -checkpoint is set,
 	// and reports the partial result instead of dying mid-scan. A second
@@ -305,7 +295,7 @@ func main() {
 		}
 		res, err = core.Resume(ctx, *ckptPath, db, c, cfg)
 	} else {
-		res, err = mine(ctx, db, c, cfg)
+		res, err = core.MineContext(ctx, db, c, cfg)
 	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) {

@@ -1,12 +1,12 @@
 // lspverify is the conformance gate for the mining stack: it replays the
 // committed differential corpus and a deterministic batch of fresh seeds,
-// cross-checking the 19 engines of oracle.Battery (core.Mine under both
-// Phase 2 engines and several worker counts, sharded and remote Phase 3,
-// the border-collapsing and level-wise finalizers, the streaming pipeline,
-// the exhaustive miner, Max-Miner, and both support miners) against the
-// brute-force oracle of internal/oracle, plus the metamorphic property
-// harness. It exits nonzero on any divergence, printing the failing seed
-// and a minimized reproduction.
+// cross-checking the 20 engines of oracle.Battery (core.Mine under both
+// Phase 2 engines, several worker counts and the sparse matrix form,
+// sharded and remote Phase 3, the border-collapsing and level-wise
+// finalizers, the streaming pipeline, the exhaustive miner, Max-Miner, and
+// both support miners) against the brute-force oracle of internal/oracle,
+// plus the metamorphic property harness. It exits nonzero on any
+// divergence, printing the failing seed and a minimized reproduction.
 //
 // Usage:
 //

@@ -1,7 +1,9 @@
 // Catalog demonstrates the paper's §6 future-work direction — mining with a
 // huge number of distinct symbols (an E-commerce catalog) — using the
-// sparse compatibility representation and the window-sweep pipeline
-// (lsp.MineSweep), which never materializes an m×m matrix.
+// sparse compatibility representation with lsp.Mine. The matrix is stored
+// as its non-zero cells; Phase 2 still expands each SKU's row densely while
+// it mines. The example exits non-zero when the planted habit is not on the
+// mined border.
 //
 // The store has thousands of SKUs. Each SKU has a handful of substitutes
 // (same product, different brand/size) that fulfillment may ship instead.
@@ -93,7 +95,7 @@ func main() {
 	fmt.Printf("catalog: %d SKUs (%d substitutes each), %d orders, %.0f%% substitution\n\n",
 		nSKUs, substitutes, nOrders, substitution*100)
 
-	res, err := lsp.MineSweep(orders, matrix, lsp.Config{
+	res, err := lsp.Mine(orders, matrix, lsp.Config{
 		MinMatch:   minMatch,
 		SampleSize: 3000,
 		MaxLen:     3,
@@ -121,9 +123,6 @@ func main() {
 		}
 		fmt.Printf("  %v%s\n", p, marker)
 	}
-	if !found {
-		fmt.Println("  (habit not on the border)")
-	}
 
 	vals, err := lsp.MatchInDB(orders, matrix, []lsp.Pattern{habit})
 	if err != nil {
@@ -135,4 +134,7 @@ func main() {
 	}
 	fmt.Printf("\nhabit %v: observed exactly %.3f of orders, intent-adjusted match %.3f\n",
 		habit, sups[0], vals[0])
+	if !found {
+		log.Fatalf("the planted habit %v is not on the border", habit)
+	}
 }

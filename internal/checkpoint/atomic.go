@@ -6,11 +6,12 @@ import (
 )
 
 // AtomicWriteFile writes data to path with the same crash-atomic discipline
-// as Save (temp file in path's directory, fsync, rename, best-effort
+// as Save (AtomicWrite: temp file beside path, fsync, rename, best-effort
 // directory sync): a crash at any point leaves either the previous file or
-// the complete new one, never a torn mix. It is the write primitive for
-// small durable records that live next to checkpoints — the serving layer's
-// job journal uses it for every job-state transition.
+// the complete new one, never a torn mix. The file gets the mode
+// os.WriteFile would give it with perm. It is the write primitive for small
+// durable records that live next to checkpoints — the serving layer's job
+// journal uses it for every job-state transition.
 func AtomicWriteFile(path string, data []byte, perm os.FileMode) error {
 	return AtomicWrite(path, func(tmp string) error {
 		f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_TRUNC|os.O_CREATE, perm)

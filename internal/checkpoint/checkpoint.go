@@ -882,25 +882,25 @@ func Load(path string) (*Snapshot, error) {
 	return s, nil
 }
 
-// AtomicWrite runs write against a temp file in path's directory, then
+// AtomicWrite runs write against a temp path in path's directory, then
 // renames it over path; the temp file is removed on any failure. write must
-// fsync what it writes, so the rename publishes only complete data.
-// Snapshots, job records, the seqdb stores and the append log's head sidecar
-// are all written through it.
+// create the file at the temp path and fsync what it writes, so the rename
+// publishes only complete data. The temp path lies in a fresh private
+// directory, so write creates the file as it would create path: with the
+// mode it asks for, under the process umask. Snapshots, job records, the
+// seqdb stores and the append log's head sidecar are all written through it.
 func AtomicWrite(path string, write func(tmp string) error) error {
 	dir := filepath.Dir(path)
-	tmpf, err := os.CreateTemp(dir, ".lckptmp-*")
+	tmpDir, err := os.MkdirTemp(dir, ".lckptmp-*")
 	if err != nil {
-		return fmt.Errorf("checkpoint: temp file: %w", err)
+		return fmt.Errorf("checkpoint: temp dir: %w", err)
 	}
-	tmp := tmpf.Name()
-	tmpf.Close()
+	defer os.RemoveAll(tmpDir)
+	tmp := filepath.Join(tmpDir, filepath.Base(path))
 	if err := write(tmp); err != nil {
-		os.Remove(tmp)
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("checkpoint: rename: %w", err)
 	}
 	// Best-effort directory sync so the rename itself survives a crash.

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -251,5 +252,32 @@ func TestLoadMissingFile(t *testing.T) {
 	var ce *CorruptError
 	if errors.As(err, &ce) {
 		t.Errorf("missing file misreported as corruption: %v", err)
+	}
+}
+
+// TestAtomicWriteFileHonoursPerm: AtomicWriteFile gives its file the mode
+// os.WriteFile gives a sibling with the same perm under the same umask.
+func TestAtomicWriteFileHonoursPerm(t *testing.T) {
+	dir := t.TempDir()
+	for _, perm := range []os.FileMode{0o644, 0o600, 0o666} {
+		path := filepath.Join(dir, fmt.Sprintf("atomic-%o", perm))
+		plain := filepath.Join(dir, fmt.Sprintf("plain-%o", perm))
+		if err := AtomicWriteFile(path, []byte("x\n"), perm); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(plain, []byte("x\n"), perm); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.Stat(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Mode().Perm() != want.Mode().Perm() {
+			t.Errorf("perm %o: mode %v, want %v", perm, got.Mode().Perm(), want.Mode().Perm())
+		}
 	}
 }

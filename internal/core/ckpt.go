@@ -325,22 +325,23 @@ func stateFromSnapshot(ps *checkpoint.ProbeState) (*border.State, error) {
 // error wrapping ErrIncompatible when the configuration hash, database
 // length, or database path disagree. cfg.Rng may be nil — the generator is
 // rebuilt from the snapshot's recorded seed and fast-forwarded past the
-// draws Phase 1 consumed. The pipeline (Mine vs MineSweep) is recorded in
-// the snapshot, so Resume serves both. Checkpointing continues (and the
-// snapshot keeps advancing) when cfg.Checkpoint is set, which a resumed run
-// normally wants; phase budgets in cfg.PhaseTimeouts apply to the phases
-// actually run.
+// draws Phase 1 consumed. A snapshot of the retired window-sweep pipeline
+// (engine "sweep") is rejected with an error wrapping ErrIncompatible that
+// names it. Checkpointing continues (and the snapshot keeps advancing) when
+// cfg.Checkpoint is set, which a resumed run normally wants; phase budgets
+// in cfg.PhaseTimeouts apply to the phases actually run.
 func Resume(ctx context.Context, path string, db seqdb.Scanner, c compat.Source, cfg Config) (*Result, error) {
 	snap, err := checkpoint.Load(path)
 	if err != nil {
 		return nil, err
 	}
-	var engine string
-	switch snap.Engine {
-	case engineCandidates, engineSweep, engineGrowth:
-		engine = snap.Engine
+	engine := snap.Engine
+	switch engine {
+	case engineCandidates, engineGrowth:
+	case "sweep":
+		return nil, fmt.Errorf("%w: checkpoint engine %q is retired; mine afresh with Mine", ErrIncompatible, engine)
 	default:
-		return nil, fmt.Errorf("core: checkpoint engine %q unknown", snap.Engine)
+		return nil, fmt.Errorf("core: checkpoint engine %q unknown", engine)
 	}
 	if cfg.Rng == nil {
 		rng := rand.New(rand.NewSource(snap.Seed))

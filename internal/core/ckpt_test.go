@@ -4,12 +4,13 @@ import (
 	"context"
 	"errors"
 	"math"
-	"math/rand"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/pattern"
 	"repro/internal/seqdb"
 	"repro/internal/telemetry"
@@ -127,57 +128,6 @@ func scansOf(r *Result) int {
 	return r.Phase3.Scans
 }
 
-// TestResumeSweepEngine drives the same kill/resume cycle through the sweep
-// pipeline: the snapshot records the engine, so Resume dispatches to it.
-func TestResumeSweepEngine(t *testing.T) {
-	sweepCfg := func(path string) Config {
-		cfg := Config{
-			MinMatch: 0.06, SampleSize: 600, MaxLen: 3, MemBudget: 1000,
-			Finalizer: BorderCollapsing,
-			Rng:       rand.New(rand.NewSource(2)),
-		}
-		if path != "" {
-			cfg.Checkpoint = &CheckpointPolicy{Path: path, Seed: 2}
-		}
-		return cfg
-	}
-	db, c := sparseWorld(t, 30, 600, 31)
-	want, err := MineSweepContext(context.Background(), db, c, sweepCfg(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Kill right after the Phase 2 checkpoint.
-	db2, c2 := sparseWorld(t, 30, 600, 31)
-	path := filepath.Join(t.TempDir(), "sweep.lckp")
-	ctx, cancel := context.WithCancel(context.Background())
-	cfg := sweepCfg(path)
-	cfg.Checkpoint.AfterWrite = func(phase int) {
-		if phase == 2 {
-			cancel()
-		}
-	}
-	if _, err := MineSweepContext(ctx, db2, c2, cfg); !errors.Is(err, context.Canceled) {
-		cancel()
-		t.Fatalf("err=%v, want cancellation", err)
-	}
-	cancel()
-
-	db3, c3 := sparseWorld(t, 30, 600, 31)
-	got, err := Resume(context.Background(), path, db3, c3, sweepCfg(path))
-	if err != nil {
-		t.Fatalf("Resume: %v", err)
-	}
-	setsEqual(t, got.Frequent, want.Frequent, "Frequent(sweep)")
-	setsEqual(t, got.Border, want.Border, "Border(sweep)")
-	if got.Scans != want.Scans {
-		t.Errorf("Scans=%d, want %d", got.Scans, want.Scans)
-	}
-	if got.ResumedFrom != 2 {
-		t.Errorf("ResumedFrom=%d, want 2", got.ResumedFrom)
-	}
-}
-
 // TestResumeRejectsIncompatibleRun covers the compatibility gate: a changed
 // configuration or a different database must be refused, not silently mixed
 // with the snapshot.
@@ -204,6 +154,22 @@ func TestResumeRejectsIncompatibleRun(t *testing.T) {
 			t.Errorf("err=%v, want ErrIncompatible", err)
 		}
 	})
+	t.Run("retired sweep engine", func(t *testing.T) {
+		snap, err := checkpoint.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.Engine = "sweep"
+		sweepPath := filepath.Join(t.TempDir(), "sweep.lckp")
+		if _, err := checkpoint.Save(sweepPath, snap); err != nil {
+			t.Fatal(err)
+		}
+		db2, c2 := noisyProteinDB(t, 77, 60, 0.2)
+		_, err = Resume(context.Background(), sweepPath, db2, c2, ckptConfig(2, sweepPath))
+		if !errors.Is(err, ErrIncompatible) || !strings.Contains(err.Error(), `"sweep" is retired`) {
+			t.Errorf("err=%v, want ErrIncompatible naming the retired engine", err)
+		}
+	})
 	t.Run("missing snapshot", func(t *testing.T) {
 		db2, c2 := noisyProteinDB(t, 77, 60, 0.2)
 		_, err := Resume(context.Background(), filepath.Join(t.TempDir(), "nope.lckp"), db2, c2, ckptConfig(2, path))
@@ -224,11 +190,8 @@ func TestConfigHashPinned(t *testing.T) {
 		want   uint64
 	}{
 		{BorderCollapsing, engineCandidates, 0xbbc32f203549e070},
-		{BorderCollapsing, engineSweep, 0x44954b1c245d298e},
 		{LevelWise, engineCandidates, 0x85408a189534a32e},
-		{LevelWise, engineSweep, 0x74e45746cb7b9aa4},
 		{None, engineCandidates, 0xc7535530383c1603},
-		{None, engineSweep, 0xbfb05ea9cc12b12b},
 	} {
 		cfg := Config{MinMatch: 0.3, SampleSize: 200, MaxLen: 6, MaxGap: 2,
 			MaxCandidatesPerLevel: 50000, MemBudget: 500, Finalizer: tc.fin}

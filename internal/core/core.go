@@ -78,13 +78,11 @@ func ParseFinalizer(name string) (Finalizer, error) {
 	}
 }
 
-// Pipeline names, recorded in checkpoints so Resume can dispatch to the
-// pipeline that wrote the snapshot. engineGrowth only appears in snapshots
-// written while the growth engine was a user-selected option; those resume
-// through the candidates pipeline.
+// Pipeline names, recorded in checkpoints and in their config hash.
+// engineGrowth only appears in snapshots written while the growth engine was
+// a user-selected option; those resume through the candidates pipeline.
 const (
 	engineCandidates = "candidates"
-	engineSweep      = "sweep"
 	engineGrowth     = "growth"
 )
 
@@ -343,10 +341,10 @@ type Result struct {
 	// Phase2 is the sample-mining result (labels, borders, level counts).
 	Phase2 *miner.Result
 	// Phase2Engine names the engine that produced Phase2: "levelwise" or
-	// "growth" (Phase2Engine.String), or "sweep" for MineSweep. A growth
-	// run that handed a capped level back is "levelwise". The name is
-	// derived from the sample and Phase2 alone, so a run resumed past
-	// Phase 2 reports the engine the interrupted run used.
+	// "growth" (Phase2Engine.String). A growth run that handed a capped
+	// level back is "levelwise". The name is derived from the sample and
+	// Phase2 alone, so a run resumed past Phase 2 reports the engine the
+	// interrupted run used.
 	Phase2Engine string
 	// Phase3 is the finalization result (nil when Finalizer is None or no
 	// ambiguous patterns remained).

@@ -65,18 +65,6 @@ func TestMineFailsCleanlyWhenProbeScanFails(t *testing.T) {
 	}
 }
 
-func TestMineSweepFailsCleanlyOnScanFailure(t *testing.T) {
-	db, c := flakyWorld(t)
-	boom := errors.New("disk gone")
-	flaky := &flakyScanner{inner: db, good: 0, err: boom}
-	_, err := MineSweep(flaky, c.Sparse(), Config{
-		MinMatch: 0.1, SampleSize: 10, MaxLen: 3, Rng: rand.New(rand.NewSource(3)),
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err=%v, want the scan failure", err)
-	}
-}
-
 func TestExhaustiveFailsCleanlyOnScanFailure(t *testing.T) {
 	db, c := flakyWorld(t)
 	boom := errors.New("disk gone")

@@ -218,33 +218,32 @@ func TestMineCancellationNotRetried(t *testing.T) {
 	}
 }
 
-func TestMineSweepTransientFaultHealed(t *testing.T) {
-	// The sweep needs ε < min_match, so it gets the larger sparse world the
-	// other sweep tests use; a full-coverage sample keeps the retried Phase
-	// 1 deterministic (a sampler that needs everything draws no randomness).
-	sweepCfg := func() Config {
-		return Config{
-			MinMatch: 0.06, SampleSize: 600, MaxLen: 3, MemBudget: 1000,
-			Finalizer: BorderCollapsing,
-			Rng:       rand.New(rand.NewSource(2)),
-		}
+// TestMineSurvivesTransientPhase1Fault: a transient fault in Phase 1's scan
+// is retried, and the result equals a fault-free run's. A full-coverage
+// sample keeps the retried Phase 1 deterministic (a sampler that needs
+// every sequence draws no randomness).
+func TestMineSurvivesTransientPhase1Fault(t *testing.T) {
+	cfg := func() Config {
+		cfg := faultConfig(2)
+		cfg.SampleSize = 60
+		return cfg
 	}
-	db, c := sparseWorld(t, 30, 600, 31)
-	want, err := MineSweepContext(context.Background(), db, c, sweepCfg())
+	db, c := noisyProteinDB(t, 77, 60, 0.2)
+	want, err := MineContext(context.Background(), db, c, cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	db2, c2 := sparseWorld(t, 30, 600, 31)
+	db2, c2 := noisyProteinDB(t, 77, 60, 0.2)
 	retry := &seqdb.RetryScanner{
 		Inner: faults.New(db2, faults.TransientOn(1, 5)),
 		Sleep: func(time.Duration) {},
 	}
-	got, err := MineSweepContext(context.Background(), retry, c2, sweepCfg())
+	got, err := MineContext(context.Background(), retry, c2, cfg())
 	if err != nil {
 		t.Fatalf("transient fault not healed: %v", err)
 	}
-	setsEqual(t, got.Frequent, want.Frequent, "Frequent(sweep)")
-	setsEqual(t, got.Border, want.Border, "Border(sweep)")
+	setsEqual(t, got.Frequent, want.Frequent, "Frequent")
+	setsEqual(t, got.Border, want.Border, "Border")
 	if got.Scans != want.Scans {
 		t.Errorf("Scans=%d, want %d", got.Scans, want.Scans)
 	}

@@ -1,8 +1,7 @@
-// The unified three-phase pipeline behind Mine, MineSweep, and Resume: one
-// orchestration loop handles phase timing and attribution, checkpointing,
-// resume (skipping every scan a snapshot records), per-phase deadline
-// budgets, and Phase 3's graceful degradation; the engines differ only in
-// how Phase 2 classifies the sample.
+// The three-phase pipeline behind Mine and Resume: one orchestration loop
+// handles phase timing and attribution, checkpointing, resume (skipping
+// every scan a snapshot records), per-phase deadline budgets, and Phase 3's
+// graceful degradation.
 package core
 
 import (
@@ -39,9 +38,10 @@ func phaseCtx(parent context.Context, d time.Duration) (context.Context, context
 	return context.WithTimeout(parent, d)
 }
 
-// mineContext runs the candidates or sweep pipeline (engine), fresh (snap
-// nil) or resumed from a snapshot whose compatibility the caller has
-// verified. cfg must already be defaulted and validated.
+// mineContext runs the pipeline, fresh (snap nil) or resumed from a
+// snapshot whose compatibility the caller has verified; engine is the
+// pipeline name the snapshot records. cfg must already be defaulted and
+// validated.
 func mineContext(ctx context.Context, db seqdb.Scanner, c compat.Source, cfg Config, engine string, snap *checkpoint.Snapshot) (*Result, error) {
 	if db.Len() == 0 {
 		return nil, fmt.Errorf("core: empty database")
@@ -114,11 +114,7 @@ func mineContext(ctx context.Context, db seqdb.Scanner, c compat.Source, cfg Con
 		}
 	} else {
 		pctx, cancel := phaseCtx(ctx, cfg.PhaseTimeouts.Phase2)
-		if engine == engineSweep {
-			p2, err = phase2Sweep(pctx, c, &cfg, symbolMatch, sample)
-		} else {
-			p2, err = phase2Candidates(pctx, c, &cfg, symbolMatch, sample)
-		}
+		p2, err = phase2Candidates(pctx, c, &cfg, symbolMatch, sample)
 		cancel()
 		if err != nil {
 			cfg.Metrics.PhaseTime(2, time.Since(start))
@@ -129,13 +125,10 @@ func mineContext(ctx context.Context, db seqdb.Scanner, c compat.Source, cfg Con
 		}
 	}
 	res.Phase2 = p2
-	res.Phase2Engine = "sweep"
-	if engine != engineSweep {
-		ran := cfg.phase2Ran(sample, c.Size(), p2)
-		res.Phase2Engine = ran.String()
-		if snap != nil && snap.Phase >= 2 && ran == Phase2Levelwise {
-			p2.Scans = len(p2.CandidatesPerLevel) // one sample-valuer call per level
-		}
+	ran := cfg.phase2Ran(sample, c.Size(), p2)
+	res.Phase2Engine = ran.String()
+	if snap != nil && snap.Phase >= 2 && ran == Phase2Levelwise {
+		p2.Scans = len(p2.CandidatesPerLevel) // one sample-valuer call per level
 	}
 	res.Phase2Time = time.Since(start)
 	cfg.Metrics.PhaseTime(2, res.Phase2Time)

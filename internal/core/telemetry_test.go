@@ -79,34 +79,6 @@ func TestMineTelemetryAgreesWithResult(t *testing.T) {
 	}
 }
 
-func TestMineSweepTelemetry(t *testing.T) {
-	db, c := noisyProteinDB(t, 21, 120, 0.05)
-	m := &telemetry.Metrics{}
-	res, err := MineSweep(db, c, Config{
-		MinMatch:   0.3,
-		Delta:      1e-2,
-		SampleSize: 100,
-		MaxLen:     3,
-		MaxGap:     0,
-		MemBudget:  20,
-		Rng:        rand.New(rand.NewSource(22)),
-		Metrics:    m,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := m.Snapshot()
-	if snap.TotalScans != int64(res.Scans) {
-		t.Errorf("telemetry TotalScans=%d, Result.Scans=%d", snap.TotalScans, res.Scans)
-	}
-	if snap.Levels != int64(len(res.Phase2.CandidatesPerLevel)) {
-		t.Errorf("Levels=%d, want %d", snap.Levels, len(res.Phase2.CandidatesPerLevel))
-	}
-	if snap.SampleSize != int64(res.SampleSize) {
-		t.Errorf("SampleSize=%d, want %d", snap.SampleSize, res.SampleSize)
-	}
-}
-
 func TestReportEmbedsTelemetry(t *testing.T) {
 	db, c := noisyProteinDB(t, 11, 80, 0.1)
 	m := &telemetry.Metrics{}

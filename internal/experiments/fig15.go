@@ -38,8 +38,6 @@ func (c *Fig15Config) setDefaults() {
 		c.Alpha = 0.2
 	}
 	if c.MinMatch == 0 {
-		// High enough that even the smallest alphabet's wide Chernoff bound
-		// (symbol matches near 1 at m=20) leaves ε below the threshold.
 		c.MinMatch = 0.05
 	}
 	if c.SampleSize == 0 {
@@ -66,10 +64,11 @@ type Fig15Result struct {
 }
 
 // Fig15 measures scans and response time versus the number of distinct
-// symbols. The compatibility matrix is held in the sparse representation
-// (O(non-zeros) storage), which is this implementation's answer to the
-// paper's §6 remark that dense storage degrades at very large m; Phase 2
-// runs as a window sweep, so the pipeline never materializes an m×m array.
+// symbols, mining each database with core.Mine. The compatibility matrix is
+// held in the sparse representation (O(non-zeros) storage), this
+// implementation's answer to the paper's §6 remark that dense storage
+// degrades at very large m. Phase 2's kernel (match.Projector) still
+// expands every row densely, m² floats in all.
 func Fig15(cfg Fig15Config) (*Fig15Result, error) {
 	cfg.setDefaults()
 	const maxLen, maxGap = 3, 0
@@ -99,7 +98,7 @@ func Fig15(cfg Fig15Config) (*Fig15Result, error) {
 		}
 
 		start := time.Now()
-		run, err := core.MineSweep(test, comp, core.Config{
+		run, err := core.Mine(test, comp, core.Config{
 			MinMatch:   cfg.MinMatch,
 			SampleSize: cfg.SampleSize,
 			MaxLen:     maxLen,

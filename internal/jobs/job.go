@@ -76,8 +76,8 @@ type Spec struct {
 	// Finalizer is the Phase 3 strategy: collapse (default), levelwise or
 	// none (see core.ParseFinalizer).
 	Finalizer string `json:"finalizer,omitempty"`
-	// Engine is the pipeline: candidates (default; its Phase 2 engine is
-	// picked from the sample, see core.PickPhase2Engine) or sweep.
+	// Engine is the pipeline: candidates, the default and only one (its
+	// Phase 2 engine is picked from the sample, see core.PickPhase2Engine).
 	Engine string `json:"engine,omitempty"`
 	// Workers is the number of worker slots the job wants to keep from the
 	// global semaphore for its whole run (default 1, capped by the manager's
@@ -155,12 +155,11 @@ func (s *Spec) Normalize() error {
 	if _, err := core.ParseFinalizer(s.Finalizer); err != nil {
 		return err
 	}
-	switch s.Engine {
-	case "":
+	if s.Engine == "" {
 		s.Engine = "candidates"
-	case "candidates", "sweep":
-	default:
-		return fmt.Errorf("jobs: unknown engine %q (want candidates or sweep)", s.Engine)
+	}
+	if err := checkEngine(s.Engine); err != nil {
+		return err
 	}
 	if s.Workers == 0 {
 		s.Workers = 1
@@ -187,6 +186,20 @@ func (s *Spec) Normalize() error {
 		return fmt.Errorf("jobs: negative spec.phase3_timeout_ms")
 	}
 	return nil
+}
+
+// checkEngine accepts the one pipeline a spec may name, candidates, or an
+// empty name for that default. The window-sweep pipeline is retired: its
+// name, sweep, is rejected with an error that names the replacement.
+func checkEngine(name string) error {
+	switch name {
+	case "", "candidates":
+		return nil
+	case "sweep":
+		return fmt.Errorf("jobs: engine %q is retired; use %q", name, "candidates")
+	default:
+		return fmt.Errorf("jobs: unknown engine %q (want candidates)", name)
+	}
 }
 
 // record is the journaled form of one job: its normalized spec plus the
@@ -252,7 +265,7 @@ type Result struct {
 	SampleSize int     `json:"sample_size"`
 	Scans      int     `json:"scans"`
 	// Phase2Engine names the engine that ran Phase 2: levelwise or growth
-	// (picked from the sample), or sweep.
+	// (picked from the sample).
 	Phase2Engine string `json:"phase2_engine"`
 	Degraded     bool   `json:"degraded,omitempty"`
 	// Frequent lists every frequent pattern (border members flagged),

@@ -17,8 +17,8 @@ import (
 // nor hang, every job it lists must settle within a deadline, the valid
 // record must still be listed, and Shutdown must return. The corpus seeds
 // a valid queued record, a running record, one naming the retired implicit
-// finalizer, torn JSON, an ID that does not match the file name and an
-// unknown state.
+// finalizer, a running one naming the retired sweep engine, torn JSON, an
+// ID that does not match the file name and an unknown state.
 func FuzzJournalReplay(f *testing.F) {
 	spec := Spec{DB: "db.lsq", Matrix: "m.txt", MinMatch: 0.2, MaxLen: 4}
 	if err := spec.Normalize(); err != nil {

@@ -549,10 +549,13 @@ func (m *Manager) startJob(j *job, workers int) bool {
 func (m *Manager) mine(ctx context.Context, j *job, workers int) (*core.Result, []byte, error) {
 	spec := j.rec.Spec
 	// A journaled spec was valid when it was accepted, but a replayed one
-	// may name a finalizer retired since: the job then fails with the
-	// retirement error instead of running.
+	// may name a finalizer or engine retired since: the job then fails with
+	// the retirement error instead of running or resuming.
 	fin, err := core.ParseFinalizer(spec.Finalizer)
 	if err != nil {
+		return nil, nil, err
+	}
+	if err := checkEngine(spec.Engine); err != nil {
 		return nil, nil, err
 	}
 	db, err := m.opts.OpenDB(spec)
@@ -609,11 +612,7 @@ func (m *Manager) mine(ctx context.Context, j *job, workers int) (*core.Result, 
 	}
 	if res == nil && err == nil {
 		cfg.Rng = mrand.New(mrand.NewSource(spec.Seed))
-		if spec.Engine == "sweep" {
-			res, err = core.MineSweepContext(ctx, db, c, cfg)
-		} else {
-			res, err = core.MineContext(ctx, db, c, cfg)
-		}
+		res, err = core.MineContext(ctx, db, c, cfg)
 	}
 	if err != nil {
 		return res, nil, err

@@ -752,53 +752,68 @@ func TestJournalRecordWithRetiredFieldReplays(t *testing.T) {
 	}
 }
 
+// retiredSpecs are the spec values retired after specs naming them were
+// accepted, each with the text its rejection must carry: the retired value
+// and its replacement.
+var retiredSpecs = []struct {
+	name        string
+	retire      func(*Spec)
+	retired     string
+	replacement string
+}{
+	{"finalizer", func(s *Spec) { s.Finalizer = "implicit" }, `"implicit" is retired`, `"collapse"`},
+	{"engine", func(s *Spec) { s.Engine = "sweep" }, `"sweep" is retired`, `"candidates"`},
+}
+
 // TestJournaledRetiredFinalizer: records journaled before the implicit
-// finalizer was retired replay by their state. A queued or running one
-// settles as failed with the retirement error, which names the value and
-// its replacement, although its database and matrix open fine; a done one
-// stays queryable as it was, result document included.
+// finalizer or the sweep engine was retired replay by their state. A queued
+// or running one settles as failed with the retirement error, which names
+// the value and its replacement, although its database and matrix open
+// fine; a done one stays queryable as it was, result document included.
 func TestJournaledRetiredFinalizer(t *testing.T) {
 	dbPath, matrixPath := testWorld(t, testutil.Seed(t), 40, 0.2)
-	dir := t.TempDir()
-	spec := testSpec(dbPath, matrixPath)
-	if err := spec.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	spec.Finalizer = "implicit"
-	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	doc := []byte(`{"schema":"old"}` + "\n")
-	for i, state := range []State{StateQueued, StateRunning, StateDone} {
-		rec := record{ID: string(state), Spec: spec, State: state, SubmittedMs: int64(i + 1)}
-		if state == StateDone {
-			rec.FinishedMs = 10
-			if err := os.WriteFile(filepath.Join(dir, "jobs", rec.ID+".result.json"), doc, 0o644); err != nil {
+	for _, tc := range retiredSpecs {
+		dir := t.TempDir()
+		spec := testSpec(dbPath, matrixPath)
+		if err := spec.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		tc.retire(&spec)
+		if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		doc := []byte(`{"schema":"old"}` + "\n")
+		for i, state := range []State{StateQueued, StateRunning, StateDone} {
+			rec := record{ID: string(state), Spec: spec, State: state, SubmittedMs: int64(i + 1)}
+			if state == StateDone {
+				rec.FinishedMs = 10
+				if err := os.WriteFile(filepath.Join(dir, "jobs", rec.ID+".result.json"), doc, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			data, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "jobs", rec.ID+".json"), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
-		data, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
+		m := newTestManager(t, Options{Dir: dir})
+		for _, id := range []string{string(StateQueued), string(StateRunning)} {
+			st := waitDone(t, m, id)
+			if st.State != StateFailed || !strings.Contains(st.Error, tc.retired) || !strings.Contains(st.Error, tc.replacement) {
+				t.Errorf("%s: replayed %s record: state %s, error %q; want failed with the retirement error", tc.name, id, st.State, st.Error)
+			}
 		}
-		if err := os.WriteFile(filepath.Join(dir, "jobs", rec.ID+".json"), data, 0o644); err != nil {
-			t.Fatal(err)
+		if st, err := m.Status(string(StateDone)); err != nil || st.State != StateDone {
+			t.Errorf("%s: done record: %+v, %v", tc.name, st, err)
 		}
-	}
-	m := newTestManager(t, Options{Dir: dir})
-	for _, id := range []string{string(StateQueued), string(StateRunning)} {
-		st := waitDone(t, m, id)
-		if st.State != StateFailed || !strings.Contains(st.Error, `"implicit" is retired`) || !strings.Contains(st.Error, `"collapse"`) {
-			t.Errorf("replayed %s record: state %s, error %q; want failed with the retirement error", id, st.State, st.Error)
+		if got, err := m.Result(string(StateDone)); err != nil || !bytes.Equal(got, doc) {
+			t.Errorf("%s: done record's result = %q, %v; want %q", tc.name, got, err, doc)
 		}
-	}
-	if st, err := m.Status(string(StateDone)); err != nil || st.State != StateDone {
-		t.Errorf("done record: %+v, %v", st, err)
-	}
-	if got, err := m.Result(string(StateDone)); err != nil || !bytes.Equal(got, doc) {
-		t.Errorf("done record's result = %q, %v; want %q", got, err, doc)
-	}
-	if c := m.Counters(); c.Failed != 2 {
-		t.Errorf("counters = %+v, want 2 failed", c)
+		if c := m.Counters(); c.Failed != 2 {
+			t.Errorf("%s: counters = %+v, want 2 failed", tc.name, c)
+		}
 	}
 }

@@ -358,33 +358,36 @@ func TestServerCancelEndpoint(t *testing.T) {
 }
 
 // TestServerRejectsRetiredFinalizer: a submit naming the retired implicit
-// finalizer is a 400 whose error names the value and its replacement, and
-// nothing is accepted.
+// finalizer or the retired sweep engine is a 400 whose error names the
+// value and its replacement, and nothing is accepted.
 func TestServerRejectsRetiredFinalizer(t *testing.T) {
 	dbPath, matrixPath := testWorld(t, testutil.Seed(t), 10, 0.2)
 	m, srv := startTestServer(t, Options{})
-	spec := testSpec(dbPath, matrixPath)
-	spec.Finalizer = "implicit"
-	body, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", resp.StatusCode)
-	}
-	var eb struct {
-		Error string `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
-		t.Fatalf("error body does not parse: %v", err)
-	}
-	if !strings.Contains(eb.Error, `"implicit" is retired`) || !strings.Contains(eb.Error, `"collapse"`) {
-		t.Errorf("error %q does not name the retired finalizer and its replacement", eb.Error)
+	for _, tc := range retiredSpecs {
+		spec := testSpec(dbPath, matrixPath)
+		tc.retire(&spec)
+		body, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400", tc.name, resp.StatusCode)
+		}
+		if err != nil {
+			t.Fatalf("%s: error body does not parse: %v", tc.name, err)
+		}
+		if !strings.Contains(eb.Error, tc.retired) || !strings.Contains(eb.Error, tc.replacement) {
+			t.Errorf("%s: error %q does not name the retired value and its replacement", tc.name, eb.Error)
+		}
 	}
 	if c := m.Counters(); c.Accepted != 0 {
 		t.Errorf("rejected spec counted as accepted: %+v", c)

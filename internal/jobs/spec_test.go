@@ -15,7 +15,7 @@ func TestSpecNormalizeRoundTrip(t *testing.T) {
 	every := Spec{
 		Tenant: "t1", DB: "db.lsq", Matrix: "m.txt", MinMatch: 0.3, MaxLen: 5, MaxGap: 2,
 		Delta: 0.01, Sample: 50, MaxCandidates: 7, MemBudget: 9, Finalizer: "levelwise",
-		Engine: "sweep", Workers: 3, Seed: 42, Retries: 2, RetryBaseMillis: 5,
+		Engine: "candidates", Workers: 3, Seed: 42, Retries: 2, RetryBaseMillis: 5,
 		RetryCapMillis: 50, Phase3TimeoutMillis: 1000,
 	}
 	v := reflect.ValueOf(every)

@@ -201,7 +201,18 @@ func caseRng(cs *Case) *rand.Rand {
 func MineEngine(fin core.Finalizer, workers int) Engine {
 	name := fmt.Sprintf("core.Mine/%s/workers=%d", fin, workers)
 	return Engine{Name: name, Ref: RefMatch, Mine: func(cs *Case) (*pattern.Set, error) {
-		return mineCase(cs, seqdb.NewMemDB(cs.DB), core.Config{Finalizer: fin, Workers: workers})
+		return mineCase(cs, seqdb.NewMemDB(cs.DB), cs.C, core.Config{Finalizer: fin, Workers: workers})
+	}}
+}
+
+// MineEngineSparse is MineEngine over the case's matrix in its sparse form
+// (compat.SparseMatrix, the representation for huge alphabets). A matrix
+// and its sparse form are one matrix, so the frequent set must equal every
+// other engine's.
+func MineEngineSparse(fin core.Finalizer, workers int) Engine {
+	name := MineEngine(fin, workers).Name + "/sparse"
+	return Engine{Name: name, Ref: RefMatch, Mine: func(cs *Case) (*pattern.Set, error) {
+		return mineCase(cs, seqdb.NewMemDB(cs.DB), cs.C.Sparse(), core.Config{Finalizer: fin, Workers: workers})
 	}}
 }
 
@@ -213,7 +224,7 @@ func MineEngineSharded(fin core.Finalizer, workers, shards int) Engine {
 	name := fmt.Sprintf("%s/shards=%d", MineEngine(fin, workers).Name, shards)
 	return Engine{Name: name, Ref: RefMatch, Mine: func(cs *Case) (*pattern.Set, error) {
 		db := seqdb.ShardScanner(seqdb.NewMemDB(cs.DB), shards)
-		return mineCase(cs, db, core.Config{Finalizer: fin, Workers: workers})
+		return mineCase(cs, db, cs.C, core.Config{Finalizer: fin, Workers: workers})
 	}}
 }
 
@@ -224,7 +235,7 @@ func MineEngineSharded(fin core.Finalizer, workers, shards int) Engine {
 func MinePhase2Engine(e core.Phase2Engine, fin core.Finalizer, workers int) Engine {
 	name := fmt.Sprintf("core.Mine/%s/%s/workers=%d", e, fin, workers)
 	return Engine{Name: name, Ref: RefMatch, Mine: func(cs *Case) (*pattern.Set, error) {
-		return mineCase(cs, seqdb.NewMemDB(cs.DB), core.Config{
+		return mineCase(cs, seqdb.NewMemDB(cs.DB), cs.C, core.Config{
 			Finalizer: fin, Workers: workers, Phase2Engine: e,
 		})
 	}}
@@ -244,17 +255,17 @@ func RemoteShardEngine(fin core.Finalizer, nodes int) Engine {
 			return seqdb.NewMemDB(cs.DB), nil
 		})
 		cfg := core.Config{Finalizer: fin, Remote: h.Pool(shardrpc.RetryPolicy{})}
-		return mineCase(cs, seqdb.NewMemDB(cs.DB), cfg)
+		return mineCase(cs, seqdb.NewMemDB(cs.DB), cs.C, cfg)
 	}}
 }
 
-// mineCase runs core.Mine over db with the case's parameters filled into
-// cfg.
-func mineCase(cs *Case, db seqdb.Scanner, cfg core.Config) (*pattern.Set, error) {
+// mineCase runs core.Mine over db and the matrix c with the case's
+// parameters filled into cfg.
+func mineCase(cs *Case, db seqdb.Scanner, c compat.Source, cfg core.Config) (*pattern.Set, error) {
 	cfg.MinMatch, cfg.Delta, cfg.SampleSize = cs.MinMatch, cs.Delta, len(cs.DB)
 	cfg.MaxLen, cfg.MaxGap, cfg.MemBudget = cs.MaxLen, cs.MaxGap, cs.MemBudget
 	cfg.Rng = caseRng(cs)
-	res, err := core.Mine(db, cs.C, cfg)
+	res, err := core.Mine(db, c, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -355,18 +366,19 @@ func SupportExhaustiveEngine() Engine {
 	}}
 }
 
-// Battery returns the standard cross-check battery of 19 engines: the full
+// Battery returns the standard cross-check battery of 20 engines: the full
 // pipeline with its Phase 2 engine picked from the case and forced onto
-// each engine, several worker counts, sharded and remote-worker Phase 3
-// probe scans, both resolving finalizers (border collapsing and
-// level-wise), the streaming pipeline, the exhaustive miner, Max-Miner, and
-// both support miners.
+// each engine, several worker counts, the sparse matrix form, sharded and
+// remote-worker Phase 3 probe scans, both resolving finalizers (border
+// collapsing and level-wise), the streaming pipeline, the exhaustive miner,
+// Max-Miner, and both support miners.
 func Battery() []Engine {
 	return []Engine{
 		MineEngine(core.BorderCollapsing, 0),
 		MineEngine(core.BorderCollapsing, 3),
 		MineEngine(core.BorderCollapsing, 2),
 		MineEngine(core.LevelWise, 2),
+		MineEngineSparse(core.BorderCollapsing, 2),
 		MineEngineSharded(core.BorderCollapsing, 0, 4),
 		MineEngineSharded(core.BorderCollapsing, 2, 3),
 		MinePhase2Engine(core.Phase2Levelwise, core.BorderCollapsing, 2),

@@ -178,10 +178,12 @@ func recoverAppend(path string, f *os.File, rw bool) (*AppendDB, error) {
 
 // indexRecords decodes the records in f from the last offset in offsets
 // up to size, appending each intact record's end offset. A torn tail ends
-// the index; any other failure is returned.
+// the index; any other failure is returned. Its reads are not scan
+// traffic, so it tallies them into a counter of its own.
 func indexRecords(path string, f *os.File, offsets []int64, size int64) ([]int64, error) {
 	end := offsets[len(offsets)-1]
-	rr := recordReader{br: bufio.NewReaderSize(io.NewSectionReader(f, end, size-end), 1<<20), path: path, checksum: true}
+	src := &countingReader{r: io.NewSectionReader(f, end, size-end), n: new(atomic.Int64)}
+	rr := recordReader{br: bufio.NewReaderSize(src, 1<<20), path: path, checksum: true}
 	for end < size {
 		_, n, err := rr.next(len(offsets) - 1)
 		if err != nil {

@@ -222,7 +222,10 @@ func (db *DiskDB) Path() string { return db.path }
 // decompression) — the telemetry layer's real-I/O counter.
 func (db *DiskDB) BytesRead() int64 { return db.bytes.Load() }
 
-// countingReader tallies bytes pulled from the underlying reader.
+// countingReader reads the backing file, tallying the bytes it pulls into
+// n. It marks every read error but io.EOF as a readError, so the record
+// decoder reports a failed read as I/O, not as corruption; gzip passes the
+// mark through, while its own data errors stay unmarked.
 type countingReader struct {
 	r io.Reader
 	n *atomic.Int64
@@ -231,6 +234,9 @@ type countingReader struct {
 func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n.Add(int64(n))
+	if err != nil && err != io.EOF {
+		err = &readError{err}
+	}
 	return n, err
 }
 

@@ -313,6 +313,56 @@ func TestWriteFileIsAtomic(t *testing.T) {
 	}
 }
 
+// TestWrittenFilesGetTheUmaskMode: the crash-atomic writers give their
+// files the mode a plain create gives under the same umask, as a sibling
+// written by os.WriteFile shows: the stores that of CreateLegacyFile
+// (0666), the append log's head sidecar that of CreateAppend (0644).
+func TestWrittenFilesGetTheUmaskMode(t *testing.T) {
+	dir := t.TempDir()
+	mode := func(path string) os.FileMode {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Mode().Perm()
+	}
+	sibling := func(name string, perm os.FileMode) os.FileMode {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, nil, perm); err != nil {
+			t.Fatal(err)
+		}
+		return mode(path)
+	}
+	store := sibling("plain.lsq", 0o666)
+	for name, write := range map[string]func(string, *MemDB) error{"db.lsq": WriteFile, "db.lsqz": WriteGzipFile} {
+		path := filepath.Join(dir, name)
+		if err := write(path, sampleDB()); err != nil {
+			t.Fatal(err)
+		}
+		if got := mode(path); got != store {
+			t.Errorf("%s: mode %v, want %v", name, got, store)
+		}
+	}
+	log, err := CreateAppend(filepath.Join(dir, "db.lsa"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	for i := 0; i < 2; i++ {
+		if _, err := log.Append(sampleDB().Seq(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.ExpireBefore(1); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := mode(log.Path()+headSuffix), sibling("plain.head", 0o644); got != want {
+		t.Errorf("head sidecar: mode %v, want %v", got, want)
+	}
+}
+
 func TestDiskScanContextCancels(t *testing.T) {
 	path, _ := writeSample(t, false)
 	db, err := OpenFile(path)

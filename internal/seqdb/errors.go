@@ -73,11 +73,7 @@ type CorruptError struct {
 }
 
 func (e *CorruptError) Error() string {
-	where := "file"
-	if e.Seq >= 0 {
-		where = fmt.Sprintf("sequence %d", e.Seq)
-	}
-	s := fmt.Sprintf("seqdb: %s: corrupt %s: %s", e.Path, where, e.Msg)
+	s := fmt.Sprintf("seqdb: %s: corrupt %s: %s", e.Path, place(e.Seq), e.Msg)
 	if e.Err != nil {
 		s += ": " + e.Err.Error()
 	}
@@ -86,7 +82,31 @@ func (e *CorruptError) Error() string {
 
 func (e *CorruptError) Unwrap() error { return e.Err }
 
-// corrupt builds a CorruptError.
+// place names sequence seq, or the file for -1.
+func place(seq int) string {
+	if seq < 0 {
+		return "file"
+	}
+	return fmt.Sprintf("sequence %d", seq)
+}
+
+// readError marks an error the backing file's Read returned, as opposed to
+// damage found in the bytes it did return (see countingReader).
+type readError struct{ err error }
+
+func (e *readError) Error() string { return e.err.Error() }
+
+func (e *readError) Unwrap() error { return e.err }
+
+// corrupt builds a CorruptError for damage found at sequence seq (-1 for
+// the file). When err is a read error of the file itself, no damaged bytes
+// were seen, so it returns an I/O error naming the same place instead:
+// IsTransient then classifies the cause (an EIO is retried) rather than
+// calling it corruption.
 func corrupt(path string, seq int, msg string, err error) error {
+	var re *readError
+	if errors.As(err, &re) {
+		return fmt.Errorf("seqdb: %s: read %s: %w", path, place(seq), err)
+	}
 	return &CorruptError{Path: path, Seq: seq, Msg: msg, Err: err}
 }

@@ -38,7 +38,8 @@ func appendRecord(dst []byte, seq []pattern.Symbol, checksum bool) ([]byte, erro
 }
 
 // recordReader decodes consecutive records from br. A damaged record is
-// reported as a *CorruptError naming the sequence id it was read as.
+// reported as a *CorruptError naming the sequence id it was read as; a
+// failed read of the file (a readError) as an I/O error naming the same id.
 type recordReader struct {
 	br       *bufio.Reader
 	path     string

@@ -1,14 +1,23 @@
 package seqdb
 
 import (
+	"bufio"
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/binary"
+	"errors"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync/atomic"
+	"syscall"
 	"testing"
+	"testing/iotest"
+	"time"
 
 	"repro/internal/pattern"
 )
@@ -258,5 +267,90 @@ func TestDamagedLengthAllocatesLittle(t *testing.T) {
 		}
 	}); got > 2<<20 {
 		t.Errorf("recovering a %d-byte log allocated %d bytes", 12+len(length), got)
+	}
+}
+
+// eioOnceScanner scans an LSQ2 or LSQZ file image as DiskDB does, through
+// countingReader and the record decoder (under gzip for LSQZ), but its
+// first pass's file reads fail with EIO once failAt bytes are read.
+type eioOnceScanner struct {
+	image  []byte
+	n      int
+	failAt int
+	passes int
+}
+
+func (s *eioOnceScanner) Len() int    { return s.n }
+func (s *eioOnceScanner) Scans() int  { return s.passes }
+func (s *eioOnceScanner) ResetScans() { s.passes = 0 }
+
+func (s *eioOnceScanner) Scan(fn func(id int, seq []pattern.Symbol) error) error {
+	s.passes++
+	var file io.Reader = bytes.NewReader(s.image)
+	if s.passes == 1 {
+		eio := &fs.PathError{Op: "read", Path: "db", Err: syscall.EIO}
+		file = io.MultiReader(bytes.NewReader(s.image[:s.failAt]), iotest.ErrReader(eio))
+	}
+	body := bufio.NewReader(&countingReader{r: file, n: new(atomic.Int64)})
+	if _, err := body.Discard(12); err != nil {
+		return err
+	}
+	if [4]byte(s.image[:4]) == gzipMagic {
+		zr, err := gzip.NewReader(body)
+		if err != nil {
+			return err
+		}
+		body = bufio.NewReader(zr)
+	}
+	rr := recordReader{br: body, path: "db", checksum: [4]byte(s.image[:4]) == diskMagicV2}
+	for i := 0; i < s.n; i++ {
+		seq, _, err := rr.next(i)
+		if err != nil {
+			return err
+		}
+		if err := fn(i, seq); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestEIOInsideRecordIsRetried: a file read that fails with EIO in the
+// middle of a record is an I/O error, not corruption, so a RetryScanner
+// runs the pass again and delivers every sequence intact. In LSQZ the EIO
+// reaches the decoder through gzip.
+func TestEIOInsideRecordIsRetried(t *testing.T) {
+	want := goldenSeqs()
+	paths := writeFormats(t, t.TempDir(), want)
+	for _, format := range []string{"lsq2", "lsqz"} {
+		image, err := os.ReadFile(paths[format])
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner := &eioOnceScanner{image: image, n: len(want), failAt: len(image) / 2}
+		var first error
+		r := &RetryScanner{Inner: inner, Sleep: func(time.Duration) {},
+			Classify: func(err error) bool { first = err; return IsTransient(err) }}
+		var got [][]pattern.Symbol
+		err = ScanPass(r, func() (func(int, []pattern.Symbol) error, error) {
+			got = got[:0]
+			return func(_ int, seq []pattern.Symbol) error {
+				got = append(got, append([]pattern.Symbol(nil), seq...))
+				return nil
+			}, nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", format, err)
+		}
+		var ce *CorruptError
+		if !errors.Is(first, syscall.EIO) || errors.As(first, &ce) {
+			t.Errorf("%s: the failed pass reported %v; want an EIO that is not a CorruptError", format, first)
+		}
+		if st := r.ScanStats(); st.Retries != 1 || inner.passes != 2 {
+			t.Errorf("%s: %+v over %d passes, want one retry", format, st, inner.passes)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the retried pass delivered other sequences", format)
+		}
 	}
 }

@@ -174,15 +174,6 @@ func Mine(db Scanner, c MatrixSource, cfg Config) (*Result, error) {
 	return core.Mine(db, c, cfg)
 }
 
-// MineSweep is the window-sweep variant of Mine for sparse compatibility
-// matrices and very large alphabets: Phase 2 enumerates the sample's
-// compatible windows instead of generating candidates, so no m×m structure
-// is ever materialized. It requires a sample large enough that the Chernoff
-// band sits below MinMatch (an error says so otherwise).
-func MineSweep(db Scanner, c MatrixSource, cfg Config) (*Result, error) {
-	return core.MineSweep(db, c, cfg)
-}
-
 // LearnMatrix estimates a compatibility matrix from aligned (true,
 // observed) training sequence pairs, with additive smoothing.
 func LearnMatrix(m int, truth, observed [][]Symbol, smoothing float64) (*Matrix, error) {
