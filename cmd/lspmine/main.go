@@ -51,10 +51,17 @@
 // mine, lspmine tails the log read-only, consuming newly appended sequences
 // every -poll interval and re-mining incrementally — stationary batches skip
 // Phase 2 entirely and serve Phase 3 probes from cached exact sums. Each
-// processed batch prints one summary line; -follow-batches N exits after N
-// advances (0 = run until signalled). With -checkpoint the stream state is
-// persisted after every advance and -resume continues a killed follower
-// bit-identically, catching up on sequences appended while it was down.
+// processed batch prints one summary line; with -v it also prints the set
+// whenever it differs from the set last printed (Phase 3 resolves ambiguous
+// patterns against the grown window on every batch, so the set can change
+// on a batch that did not re-mine) and on the last batch of a bounded run.
+// -follow-batches N exits after N advances (0 = run until signalled). A
+// follower's re-mines value the sample from kept per-member matches, not
+// through the projection kernel, so its -metrics show stream_* counters
+// (stream_rescored_members among them) and no kernel_* fields. With
+// -checkpoint the stream state is persisted after every advance and -resume
+// continues a killed follower bit-identically, catching up on sequences
+// appended while it was down.
 // Sliding-window expiry belongs to the log's writer (lspappend -window,
 // lspserve -append-window); the read-only follower inherits it.
 //
@@ -85,11 +92,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -99,6 +108,7 @@ import (
 	"repro/internal/pattern"
 	"repro/internal/seqdb"
 	"repro/internal/shardrpc"
+	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
 
@@ -357,11 +367,10 @@ func main() {
 	finish(metrics, res, *metricsOut)
 }
 
-// runFollow tails the append log: one Advance per -poll tick, one summary
-// line per tick, patterns printed when the batch re-mined (the set cannot
-// have changed otherwise). A signal stops the follower cleanly — with
-// -checkpoint every advance is already persisted, so the next -follow -resume
-// picks up where this one stopped, including anything appended in between.
+// runFollow tails the append log: one Advance per -poll tick, reported by
+// followReport. A signal stops the follower cleanly — with -checkpoint every
+// advance is already persisted, so the next -follow -resume picks up where
+// this one stopped, including anything appended in between.
 func runFollow(ctx context.Context, db *seqdb.AppendDB, c compat.Source, cfg core.StreamConfig, resume bool, poll time.Duration, maxBatches int, all, verbose bool, metrics *telemetry.Metrics, metricsOut string) {
 	var st *core.Stream
 	var err error
@@ -376,7 +385,7 @@ func runFollow(ctx context.Context, db *seqdb.AppendDB, c compat.Source, cfg cor
 	if err != nil {
 		fatal(err)
 	}
-	a := pattern.GenericAlphabet(c.Size())
+	rep := &followReport{w: os.Stdout, a: pattern.GenericAlphabet(c.Size()), all: all, verbose: verbose}
 	for batch := 1; ; batch++ {
 		res, err := st.Advance(ctx)
 		if err != nil {
@@ -385,26 +394,7 @@ func runFollow(ctx context.Context, db *seqdb.AppendDB, c compat.Source, cfg cor
 			}
 			fatal(err)
 		}
-		phase2 := "cached"
-		if res.Remined {
-			phase2 = "remined"
-		}
-		fmt.Printf("batch %d: +%d/-%d sequences (cursor %d), %d frequent, %d border, phase2 %s, %d reprobes avoided, %d scans\n",
-			batch, res.Appended, res.Expired, res.Total, res.Frequent.Len(), res.Border.Len(), phase2, res.ReprobesAvoided, res.Scans)
-		// The set only changes when a batch re-mines, so print it then — and
-		// on a bounded run's last batch, so scripts get the final set even
-		// when that batch was served from cache.
-		if verbose && (res.Remined || (maxBatches > 0 && batch == maxBatches)) {
-			set, label := res.Border, "border"
-			if all {
-				set, label = res.Frequent, "frequent"
-			}
-			fmt.Printf("  %s:", label)
-			for _, p := range set.Patterns() {
-				fmt.Printf(" %s", a.Format(p))
-			}
-			fmt.Println()
-		}
+		rep.batch(batch, res, maxBatches > 0 && batch == maxBatches)
 		if maxBatches > 0 && batch >= maxBatches {
 			break
 		}
@@ -427,6 +417,44 @@ stopped:
 			fmt.Fprintln(os.Stderr, "lspmine: metrics:", err)
 		}
 	}
+}
+
+// followReport prints a follower's batches: one summary line each and, with
+// verbose, the border (the frequent set with all) whenever it differs from
+// the set last printed, and on a bounded run's last batch, so scripts get the
+// final set even when it did not change.
+type followReport struct {
+	w            io.Writer
+	a            *pattern.Alphabet
+	all, verbose bool
+	shown        []pattern.Pattern // the set last printed
+	any          bool              // a set has been printed
+}
+
+func (r *followReport) batch(n int, res *stream.Result, last bool) {
+	phase2 := "cached"
+	if res.Remined {
+		phase2 = "remined"
+	}
+	fmt.Fprintf(r.w, "batch %d: +%d/-%d sequences (cursor %d), %d frequent, %d border, phase2 %s, %d reprobes avoided, %d scans\n",
+		n, res.Appended, res.Expired, res.Total, res.Frequent.Len(), res.Border.Len(), phase2, res.ReprobesAvoided, res.Scans)
+	if !r.verbose {
+		return
+	}
+	set, label := res.Border, "border"
+	if r.all {
+		set, label = res.Frequent, "frequent"
+	}
+	ps := set.Patterns()
+	if r.any && !last && slices.EqualFunc(ps, r.shown, pattern.Pattern.Equal) {
+		return
+	}
+	r.shown, r.any = ps, true
+	fmt.Fprintf(r.w, "  %s:", label)
+	for _, p := range ps {
+		fmt.Fprintf(r.w, " %s", r.a.Format(p))
+	}
+	fmt.Fprintln(r.w)
 }
 
 // degradeCause names what forced the graceful degradation.

@@ -1,16 +1,19 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/compat"
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/pattern"
 	"repro/internal/seqdb"
@@ -177,5 +180,68 @@ func TestRetiredFinalizerRejected(t *testing.T) {
 	}
 	if !strings.Contains(stderr, `"implicit" is retired`) || !strings.Contains(stderr, `"collapse"`) {
 		t.Errorf("stderr does not name the retired finalizer and its replacement:\n%s", stderr)
+	}
+}
+
+// TestFollowPrintsEveryChangedSet drives the follower's report over
+// one-sequence batches alternating "d1 d2" and "d2 d1" under the identity
+// matrix at min_match 0.5: Phase 3 moves "d2 d1" in and out of the frequent
+// set on batches that do not re-mine. With -v -all the report must print the
+// set on the first batch, on every batch whose set differs from the one
+// printed last, and on the last batch.
+func TestFollowPrintsEveryChangedSet(t *testing.T) {
+	log, err := seqdb.CreateAppend(filepath.Join(t.TempDir(), "live.lsa"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	st, err := core.NewStream(log, compat.Identity(2), core.StreamConfig{
+		Config: core.Config{MinMatch: 0.5, Delta: 0.2, MaxLen: 2}, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := pattern.GenericAlphabet(2)
+	var out strings.Builder
+	rep := &followReport{w: &out, a: a, all: true, verbose: true}
+	const batches = 12
+	var want []string
+	prev, cachedMoves := "", 0
+	for i := 1; i <= batches; i++ {
+		seq := []pattern.Symbol{0, 1}
+		if i%2 == 0 {
+			seq = []pattern.Symbol{1, 0}
+		}
+		if _, err := log.Append(seq); err != nil {
+			t.Fatal(err)
+		}
+		res, err := st.Advance(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := "  frequent:"
+		for _, p := range res.Frequent.Patterns() {
+			line += " " + a.Format(p)
+		}
+		if i == 1 || line != prev || i == batches {
+			want = append(want, line)
+		}
+		if i > 1 && line != prev && !res.Remined {
+			cachedMoves++
+		}
+		prev = line
+		rep.batch(i, res, i == batches)
+	}
+	if cachedMoves == 0 {
+		t.Fatal("no batch changed the frequent set without re-mining")
+	}
+	var got []string
+	for _, l := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(l, "  frequent:") {
+			got = append(got, l)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("printed sets:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -46,6 +46,26 @@ const DefaultCacheBudget int64 = 256 << 20
 // so the shard-order merge makes results independent of parallelism.
 const defaultShardSize = 32
 
+// ShardMean forms a sample match from per-sequence matches the way the
+// Phase 2 kernel does: summed per defaultShardSize-sequence shard in
+// sequence order, shard sums merged in ascending shard order, divided by
+// len(matches). Given each sequence's Compiled.Match it returns
+// Projector.Value's float for the pattern bit for bit (0 for no matches).
+func ShardMean(matches []float64) float64 {
+	total := 0.0
+	for lo := 0; lo < len(matches); lo += defaultShardSize {
+		part := 0.0
+		for _, v := range matches[lo:min(lo+defaultShardSize, len(matches))] {
+			part += v
+		}
+		total += part
+	}
+	if n := len(matches); n > 0 {
+		total /= float64(n)
+	}
+	return total
+}
+
 // entryOverhead approximates the fixed per-entry bookkeeping charged against
 // the budget (struct, slice headers, map slot).
 const entryOverhead = 96

@@ -291,3 +291,64 @@ func TestKernelsNegativeZeroMatrix(t *testing.T) {
 		}
 	}
 }
+
+// TestShardMeanMatchesKernel: ShardMean over each sequence's match, taken
+// one destination per sequence with SoASet.AccumulateEach, is the Phase 2
+// kernel's value bit for bit: Projector.Value's and the level-wise
+// ValueLevel's, on samples that end inside, at and past a 32-sequence
+// shard, under a ramp-mode and a sparse-mode matrix.
+func TestShardMeanMatchesKernel(t *testing.T) {
+	const m = 4
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 31, 32, 33, 67, 96} {
+		sample := randSample(rng, n, m)
+		for _, c := range projectorMatrices(t, m) {
+			pj := NewProjector(c, sample, 0)
+			inc := NewIncremental(c, sample, IncrementalOptions{})
+			level := make([]pattern.Pattern, 0, m)
+			for d := 0; d < m; d++ {
+				level = append(level, pattern.Pattern{pattern.Symbol(d)})
+			}
+			for k := 1; k <= 3; k++ {
+				want, _, err := inc.ValueLevel(level)
+				if err != nil {
+					t.Fatal(err)
+				}
+				set, err := CompileSoA(c, level)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dsts := make([][]float64, n)
+				for i := range dsts {
+					dsts[i] = make([]float64, len(level))
+				}
+				set.AccumulateEach(dsts, sample)
+				col := make([]float64, n)
+				for p, q := range level {
+					for i := range col {
+						col[i] = dsts[i][p]
+					}
+					got := ShardMean(col)
+					v, err := pj.Value(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want[p] || got != v {
+						t.Fatalf("n=%d ramp=%v %s: ShardMean %v, ValueLevel %v, Value %v", n, pj.ramp, q.Key(), got, want[p], v)
+					}
+				}
+				var next []pattern.Pattern
+				for _, p := range level {
+					for gap := 0; gap <= 1; gap++ {
+						next = append(next, pattern.Extend(p, gap, pattern.Symbol(rng.Intn(m))))
+					}
+				}
+				level = next
+			}
+			inc.Release()
+		}
+	}
+	if ShardMean(nil) != 0 {
+		t.Fatal("ShardMean of no matches is not 0")
+	}
+}

@@ -41,6 +41,19 @@ func (s *SoASet) Accumulate(sums []float64, seqs [][]pattern.Symbol) {
 	a.flush(s)
 }
 
+// AccumulateEach adds sequence i's match of pattern p to dsts[i][p]: one
+// destination per sequence, so zeroed destinations receive each sequence's
+// own matches, bit-identical to Compiled.Match. len(dsts) must be len(seqs)
+// and each len(dsts[i]) must be Len(). Safe for concurrent use with distinct
+// destinations.
+func (s *SoASet) AccumulateEach(dsts [][]float64, seqs [][]pattern.Symbol) {
+	var a accumulator
+	for i, seq := range seqs {
+		a.get().add(s.tree, dsts[i], seq)
+	}
+	a.flush(s)
+}
+
 // accumulator holds a pooled run while sequences are queued on it.
 type accumulator struct {
 	r *run

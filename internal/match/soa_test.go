@@ -481,3 +481,48 @@ func TestTreeDeepPattern(t *testing.T) {
 		}
 	}
 }
+
+// TestSoAAccumulateEach: AccumulateEach gives each sequence its own
+// destination, so zeroed destinations hold each sequence's Compiled.Match,
+// and a destination already holding a value is added to, across runs and a
+// sequence longer than a run.
+func TestSoAAccumulateEach(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	const m = 7
+	for trial := 0; trial < 24; trial++ {
+		c := batchMatrix(r, m, trial)
+		ps := sharedPrefixBatch(r, m, 10)
+		set, err := CompileSoA(c, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs := make([][]pattern.Symbol, 1+r.Intn(2*RunSeqs))
+		for i := range seqs {
+			seqs[i] = windowSeq(r, m, ps[r.Intn(len(ps))], windowCounts[r.Intn(len(windowCounts))])
+		}
+		if trial%6 == 3 {
+			seqs[r.Intn(len(seqs))] = windowSeq(r, m, ps[0], RunSymbols+r.Intn(RunSymbols))
+		}
+		dsts := make([][]float64, len(seqs))
+		for i := range dsts {
+			dsts[i] = make([]float64, len(ps))
+			dsts[i][0] = 1
+		}
+		set.AccumulateEach(dsts, seqs)
+		for i, p := range ps {
+			cp, err := Compile(c, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, seq := range seqs {
+				want := cp.Match(seq)
+				if i == 0 {
+					want += 1
+				}
+				if dsts[k][i] != want {
+					t.Fatalf("trial %d pattern %v sequence %d: %v, want %v", trial, p, k, dsts[k][i], want)
+				}
+			}
+		}
+	}
+}

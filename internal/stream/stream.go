@@ -10,17 +10,20 @@
 //     stateless — each offer's draw is derived from (Seed, window-relative
 //     index) alone — so a restored or rebuilt stream reproduces the exact
 //     sample the uninterrupted stream holds, with no RNG replay.
-//   - Phase 2: per-pattern sample match sums for every candidate the last
-//     mine evaluated are extended sequence by sequence, in sample order, so
-//     they stay bit-identical to a fresh in-order scan of the sample. On each
-//     batch the unclamped Chernoff labels are recomputed from the maintained
-//     sums; only when some label changes (a border shift), the sample was
-//     perturbed by a reservoir replacement, or the candidate space was
-//     truncated does the stream fall back to a scoped re-mine of the
-//     in-memory sample — no database scan either way. The sums and the
-//     mine's raw-label baseline are built on first read, from the sample
-//     members and symbol matches the mine saw, so a sample the next batch
-//     perturbs is never re-scored.
+//   - Phase 2: for every candidate the last mine evaluated, the stream keeps
+//     its match in every sample slot, and it records which slots were
+//     appended or replaced since. A re-mine rescores only those slots for
+//     kept candidates and scores new candidates over the whole sample; each
+//     value is then formed as the Phase 2 kernel forms it (match.ShardMean),
+//     so it is bit-identical to a fresh match.Incremental mine of the same
+//     sample, and the re-mine costs the members a batch changed, not the
+//     whole sample. On a batch that replaced no member, the unclamped
+//     Chernoff labels are recomputed from straight in-order sample sums
+//     (built on first read by adding the kept matches in member order, then
+//     extended over the grown members); only when some label changes (a
+//     border shift), the sample was perturbed by a reservoir replacement, or
+//     the candidate space was truncated does the stream re-mine the
+//     in-memory sample — no database scan either way.
 //   - Phase 3: exact database match sums of previously probed patterns are
 //     extended with each appended sequence, so a pattern probed in an earlier
 //     batch is re-probed for free — its Chernoff interval is resolved from
@@ -35,12 +38,16 @@
 // window-relative index, the rebuilt state is identical to a fresh stream
 // over a database holding only the live window.
 //
+// The stream never runs the level-wise projection kernel (match.Incremental),
+// so its mines leave the match.kernel_* telemetry at zero; its re-mines
+// report stream_rescored_members instead.
+//
 // Equivalence: with SampleSize >= the window size, a re-mine values the
-// sample core.Mine draws over the consumed window with the same Phase 2
-// kernel, so its values are core.Mine's bit for bit. Values refreshed from
-// the maintained sums are straight in-order sums: bit-identical to the
-// kernel's shard-merged sums while the sample fits in one 32-sequence shard
-// (every Advance then yields results bit-identical to core.Mine), and within
+// sample core.Mine draws over the consumed window, bit for bit as the
+// kernel would, so its values are core.Mine's. Values refreshed from the
+// maintained sums are straight in-order sums: bit-identical to the kernel's
+// shard-merged sums while the sample fits in one 32-sequence shard (every
+// Advance then yields results bit-identical to core.Mine), and within
 // float64 sum reassociation beyond that, where labels agree away from exact
 // Chernoff boundaries.
 package stream
@@ -48,7 +55,9 @@ package stream
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 
 	"repro/internal/border"
 	"repro/internal/chernoff"
@@ -84,8 +93,9 @@ type Config struct {
 	// MemBudget is the number of pattern counters a probe round may hold.
 	// Default 10000.
 	MemBudget int
-	// Workers parallelizes the re-mine's projection kernel (0/1 sequential,
-	// negative = GOMAXPROCS).
+	// Workers splits a re-mine's scoring into contiguous sample-member
+	// ranges, one goroutine each (0/1 sequential, negative = GOMAXPROCS).
+	// Values do not depend on it.
 	Workers int
 	// Seed drives the stateless reservoir draws (required for
 	// reproducibility; any fixed value works).
@@ -181,6 +191,13 @@ type Stream struct {
 	acc    *match.SymbolAccumulator
 	sample [][]pattern.Symbol
 
+	// kept holds, per candidate of the last mine that fit the keep budget,
+	// its match in every sample slot as that mine saw it. changed lists the
+	// slots appended or replaced since, each once; marked[i] flags slot i.
+	kept    map[string][]float64
+	changed []int
+	marked  []bool
+
 	symbolMatch []float64
 	lastMine    *miner.Result
 	evaluated   []pattern.Pattern  // last mine's candidates, key-sorted
@@ -194,14 +211,21 @@ type Stream struct {
 	probed      []pattern.Pattern  // exactSums keys as patterns, key-sorted
 	probedKeys  []string           // probed's keys
 	dirty       bool               // sample perturbed: maintained sums invalid
+	scratch     []float64          // member-major matches of one score chunk
 }
 
-// mineView is what the last mine saw: the sample members (their headers
-// copied, so a later replacement does not reach them), the symbol matches
-// and a classifier for that sample size. The maintained sample sums and the
-// raw-label baseline are built from it when first read.
+// keepBudget bounds the kept matches in bytes, 8 per candidate per sample
+// member. A variable only so that tests can force it low.
+var keepBudget = match.DefaultCacheBudget
+
+// mineView is what the last mine saw: its sample size, the straight sums of
+// the candidates whose matches were not kept, the symbol matches and a
+// classifier for that sample size. The maintained sample sums and the
+// raw-label baseline are built from it, and from the kept matches, when
+// first read.
 type mineView struct {
-	sample      [][]pattern.Symbol
+	n           int
+	unkept      map[string]float64
 	symbolMatch []float64
 	cls         *chernoff.Classifier
 }
@@ -218,6 +242,7 @@ func New(db *seqdb.AppendDB, cfg Config) (*Stream, error) {
 		cursor:      db.Start(),
 		windowStart: db.Start(),
 		acc:         match.NewSymbolAccumulator(cfg.C),
+		kept:        make(map[string][]float64),
 		exactSums:   make(map[string]float64),
 		dirty:       true,
 	}
@@ -266,7 +291,8 @@ func (s *Stream) State() *State {
 }
 
 // LastMine exposes the current sample-mining state for checkpointing (nil
-// before the first mine).
+// before the first mine, and after an empty window, a window rebuild or a
+// failed re-mine until the next mine).
 func (s *Stream) LastMine() *miner.Result { return s.lastMine }
 
 // Cursor returns the absolute id of the next unconsumed sequence.
@@ -277,7 +303,9 @@ func (s *Stream) WindowStart() int { return s.windowStart }
 
 // Restore rebuilds a stream from a captured State and the mine that was live
 // when it was captured (nil forces a re-mine on the next Advance). The state
-// must have been captured under the same Config and log.
+// must have been captured under the same Config and log. A State carries no
+// per-member matches, so the restored stream's next re-mine scores every
+// member; its values are the uninterrupted stream's all the same.
 func Restore(db *seqdb.AppendDB, cfg Config, st *State, mine *miner.Result) (*Stream, error) {
 	s, err := New(db, cfg)
 	if err != nil {
@@ -297,6 +325,7 @@ func Restore(db *seqdb.AppendDB, cfg Config, st *State, mine *miner.Result) (*St
 	s.sample = make([][]pattern.Symbol, len(st.Sample))
 	for i, seq := range st.Sample {
 		s.sample[i] = append([]pattern.Symbol(nil), seq...)
+		s.mark(i) // no matches are kept: the next re-mine scores every member
 	}
 	s.symbolMatch = s.acc.Matches(s.cursor - s.windowStart)
 	for k, v := range st.ExactSums {
@@ -376,9 +405,7 @@ func (s *Stream) Advance(ctx context.Context) (*Result, error) {
 	res.SampleSize = len(s.sample)
 	if n == 0 {
 		// An empty window mines nothing; the frequent set is trivially empty.
-		s.lastMine, s.evaluated, s.evalKeys, s.evalSet, s.mined = nil, nil, nil, nil, nil
-		s.sampleSums, s.prevRaw = nil, nil
-		s.dirty = true
+		s.forgetMine()
 		res.Frequent = pattern.NewSet()
 		res.Border = pattern.NewSet()
 		s.cfg.Metrics.StreamBatch(res.Appended, res.Expired, res.Replaced, false, false)
@@ -387,7 +414,8 @@ func (s *Stream) Advance(ctx context.Context) (*Result, error) {
 
 	// Phase 2: skip the re-mine when the maintained labels prove the border
 	// did not move; otherwise re-mine the in-memory sample.
-	need := s.dirty || s.lastMine == nil || s.lastMine.Truncated
+	truncated := !s.dirty && s.lastMine != nil && s.lastMine.Truncated
+	need := s.dirty || s.lastMine == nil || truncated
 	if !need {
 		s.sums()
 		cls, err := s.classifier()
@@ -404,6 +432,9 @@ func (s *Stream) Advance(ctx context.Context) (*Result, error) {
 			return nil, err
 		}
 		res.Remined = true
+		if truncated {
+			s.cfg.Metrics.Add(telemetry.StreamTruncatedRemines, 1)
+		}
 	} else {
 		s.refreshMine()
 	}
@@ -451,15 +482,14 @@ func (s *Stream) ingest(ctx context.Context, res *Result) error {
 		// The window moved (sliding-window expiry, here or externally):
 		// rebuild from the live window. Stateless draws keyed by the new
 		// window-relative indices make this identical to a fresh stream over
-		// a log holding only the live window.
-		res.Expired = start - s.windowStart
-		oldCursor := s.cursor
-		s.windowStart = start
+		// a log holding only the live window. The window start moves only
+		// once the rebuild has read the whole window, so a failed rebuild
+		// is redone by the next Advance.
 		s.acc = match.NewSymbolAccumulator(s.cfg.C)
-		s.sample = s.sample[:0]
+		s.sample, s.marked, s.changed = s.sample[:0], s.marked[:0], s.changed[:0]
+		s.forgetMine()
 		s.exactSums = make(map[string]float64)
 		s.probed, s.probedKeys = s.probed[:0], s.probedKeys[:0]
-		s.dirty = true
 		delivered := 0
 		err := s.db.ScanContext(ctx, func(id int, seq []pattern.Symbol) error {
 			s.acc.Observe(seq)
@@ -470,10 +500,11 @@ func (s *Stream) ingest(ctx context.Context, res *Result) error {
 		if err != nil {
 			return err
 		}
-		s.cursor = s.windowStart + delivered
-		if s.cursor > oldCursor {
-			res.Appended = s.cursor - oldCursor
+		res.Expired = start - s.windowStart
+		if cursor := start + delivered; cursor > s.cursor {
+			res.Appended = cursor - s.cursor
 		}
+		s.windowStart, s.cursor = start, start+delivered
 		return nil
 	}
 
@@ -512,13 +543,14 @@ func (s *Stream) ingest(ctx context.Context, res *Result) error {
 }
 
 // offer presents the sequence with window-relative index rel to the
-// reservoir (Algorithm R with stateless per-index draws). It returns the
-// copy the reservoir keeps, nil when the draw passes the sequence over, and
-// whether the copy replaced a member. Members are read-only, so the caller
-// may share the copy.
+// reservoir (Algorithm R with stateless per-index draws) and marks the slot
+// it fills as changed. It returns the copy the reservoir keeps, nil when the
+// draw passes the sequence over, and whether the copy replaced a member.
+// Members are read-only, so the caller may share the copy.
 func (s *Stream) offer(rel int, seq []pattern.Symbol) (kept []pattern.Symbol, replaced bool) {
 	if rel < s.cfg.SampleSize {
 		kept = append([]pattern.Symbol(nil), seq...)
+		s.mark(len(s.sample))
 		s.sample = append(s.sample, kept)
 		return kept, false
 	}
@@ -527,9 +559,34 @@ func (s *Stream) offer(rel int, seq []pattern.Symbol) (kept []pattern.Symbol, re
 		return nil, false
 	}
 	kept = append([]pattern.Symbol(nil), seq...)
+	s.mark(j)
 	s.sample[j] = kept
 	s.dirty = true // a member was replaced: maintained sample sums are stale
 	return kept, true
+}
+
+// mark records that sample slot i, at most len(s.sample), was appended or
+// replaced since the last mine.
+func (s *Stream) mark(i int) {
+	if i == len(s.marked) {
+		s.marked = append(s.marked, false)
+	}
+	if !s.marked[i] {
+		s.marked[i] = true
+		s.changed = append(s.changed, i)
+	}
+}
+
+// forgetMine drops the last mine and everything derived from it, the kept
+// matches included, so the next Advance re-mines every member.
+func (s *Stream) forgetMine() {
+	s.lastMine, s.evaluated, s.evalKeys, s.evalSet, s.mined = nil, nil, nil, nil, nil
+	s.sampleSums, s.prevRaw = nil, nil
+	clear(s.kept)
+	for i := range s.sample {
+		s.mark(i)
+	}
+	s.dirty = true
 }
 
 // accumulate extends each pattern's running sum by its matches in seqs, with
@@ -551,7 +608,9 @@ func accumulate(sums map[string]float64, set *match.SoASet, keys []string, seqs 
 
 // sums brings the maintained sample sums up to the current sample. On the
 // first read after a mine it builds them, and the raw-label baseline, from
-// the members and symbol matches the mine saw; it then adds the members
+// what the mine saw: each kept candidate's matches added in member order
+// (the terms, in the order, that SoASet.Accumulate adds them over the mined
+// sample) and the straight sums of the others; it then adds the members
 // appended since, unless a replacement has made the sums stale (the next
 // Advance re-mines). It cannot fail: the candidates were compiled and the
 // classifier built when the mine ran.
@@ -559,8 +618,14 @@ func (s *Stream) sums() {
 	if v := s.mined; v != nil {
 		s.mined = nil
 		s.sampleSums = make(map[string]float64, len(s.evaluated))
-		accumulate(s.sampleSums, s.evalSet, s.evalKeys, v.sample)
-		s.summed = len(v.sample)
+		for _, key := range s.evalKeys {
+			if row, ok := s.kept[key]; ok {
+				s.sampleSums[key] = straightSum(row)
+			} else {
+				s.sampleSums[key] = v.unkept[key]
+			}
+		}
+		s.summed = v.n
 		s.prevRaw = s.rawLabels(v.cls, v.symbolMatch)
 	}
 	if s.lastMine != nil && !s.dirty && s.summed < len(s.sample) {
@@ -613,10 +678,12 @@ func sameLabels(a, b map[string]chernoff.Label) bool {
 
 // remine reruns the sample classification (Phase 2) over the maintained
 // sample — the scoped fallback when the incremental path cannot prove the
-// border stayed put. It records what the mine saw; the maintained sums and
-// the raw-label baseline over the fresh candidate space are built from that
-// record when first read, so a sample the next batch perturbs is never
-// re-scored.
+// border stayed put — valuing candidates from the kept matches
+// (keptValuer). It records what the mine saw; the maintained sums and the
+// raw-label baseline over the fresh candidate space are built from that
+// record when first read, so a sample the next batch perturbs never costs
+// them. A failed or cancelled re-mine forgets the last mine, since the kept
+// matches it was updating in place are no longer any mine's.
 func (s *Stream) remine(ctx context.Context) error {
 	opts := miner.Options{
 		MaxLen:                s.cfg.MaxLen,
@@ -624,16 +691,38 @@ func (s *Stream) remine(ctx context.Context) error {
 		MaxCandidatesPerLevel: s.cfg.MaxCandidatesPerLevel,
 		Metrics:               s.cfg.Metrics,
 	}
-	valuer, inc := miner.IncrementalSampleValuer(s.cfg.C, s.sample, miner.IncrementalConfig{
-		Workers: s.cfg.Workers,
-		Metrics: s.cfg.Metrics,
-	})
-	defer inc.Release()
-	r, err := miner.SampleChernoffContext(ctx, s.cfg.C.Size(), valuer,
+	rescored := len(s.changed)
+	v := &keptValuer{s: s, rows: int(keepBudget / int64(8*len(s.sample))), unkept: make(map[string]float64)}
+	for key := range s.kept { // the sample grew past what the budget holds
+		if len(s.kept) <= v.rows {
+			break
+		}
+		delete(s.kept, key)
+	}
+	r, err := miner.SampleChernoffContext(ctx, s.cfg.C.Size(), v.value,
 		s.symbolMatch, s.cfg.MinMatch, s.cfg.Delta, len(s.sample), opts)
+	if err == nil {
+		err = s.adopt(r, v.unkept)
+	}
 	if err != nil {
+		s.forgetMine()
 		return err
 	}
+	s.cfg.Metrics.Add(telemetry.StreamRescored, int64(rescored))
+	return nil
+}
+
+// adopt makes r the last mine: the kept matches of candidates r did not
+// evaluate are dropped, the changed slots cleared, and what r saw recorded
+// for the deferred sums.
+func (s *Stream) adopt(r *miner.Result, unkept map[string]float64) error {
+	for key := range s.kept {
+		if _, ok := r.Values[key]; !ok {
+			delete(s.kept, key)
+		}
+	}
+	clear(s.marked)
+	s.changed = s.changed[:0]
 	s.lastMine = r
 	if err := s.adoptCandidates(); err != nil {
 		return err
@@ -642,16 +731,151 @@ func (s *Stream) remine(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	// The sample sums are rebuilt with one straight in-order pass over these
-	// members, so they (and every label derived from them later) do not
-	// depend on how the re-mine summed them.
 	s.mined = &mineView{
-		sample:      append([][]pattern.Symbol(nil), s.sample...),
+		n:           len(s.sample),
+		unkept:      unkept,
 		symbolMatch: append([]float64(nil), s.symbolMatch...),
 		cls:         cls,
 	}
 	s.sampleSums, s.prevRaw = nil, nil
 	s.dirty = false
+	return nil
+}
+
+// keptValuer is one re-mine's Phase 2 valuer. A candidate of the last mine
+// has its changed slots rescored; a new one is scored over every member and
+// kept while the budget holds rows more. Each value is match.ShardMean of
+// the candidate's per-member matches: the Phase 2 kernel's float.
+type keptValuer struct {
+	s      *Stream
+	rows   int                // candidates the keep budget holds at this sample size
+	unkept map[string]float64 // straight sums of the candidates not kept
+	row    []float64          // an unkept candidate's matches
+}
+
+func (v *keptValuer) value(ps []pattern.Pattern) ([]float64, error) {
+	s := v.s
+	n := len(s.sample)
+	keys := make([]string, len(ps))
+	var old, fresh []pattern.Pattern
+	var oldKeys []string
+	var freshIdx []int
+	for i, p := range ps {
+		keys[i] = p.Key()
+		if _, ok := s.kept[keys[i]]; ok {
+			old, oldKeys = append(old, p), append(oldKeys, keys[i])
+		} else {
+			fresh, freshIdx = append(fresh, p), append(freshIdx, i)
+		}
+	}
+	out := make([]float64, len(ps))
+	if len(old) > 0 && len(s.changed) > 0 {
+		members := make([][]pattern.Symbol, len(s.changed))
+		for j, slot := range s.changed {
+			members[j] = s.sample[slot]
+		}
+		err := s.score(old, members, func(lo int, m [][]float64) {
+			for k, key := range oldKeys[lo : lo+len(m[0])] {
+				row := s.kept[key]
+				if len(row) < n { // appended slots are among the changed
+					row = append(row, make([]float64, n-len(row))...)
+					s.kept[key] = row
+				}
+				for j, slot := range s.changed {
+					row[slot] = m[j][k]
+				}
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	if len(fresh) > 0 {
+		err := s.score(fresh, s.sample, func(lo int, m [][]float64) {
+			for k, i := range freshIdx[lo : lo+len(m[0])] {
+				row, keep := v.row, len(s.kept) < v.rows
+				if keep {
+					row = make([]float64, n)
+					s.kept[keys[i]] = row
+				} else if row == nil {
+					row = make([]float64, n)
+					v.row = row
+				}
+				for j := range row {
+					row[j] = m[j][k]
+				}
+				if !keep {
+					out[i], v.unkept[keys[i]] = match.ShardMean(row), straightSum(row)
+				}
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	for i, key := range keys {
+		if row, ok := s.kept[key]; ok {
+			out[i] = match.ShardMean(row)
+		}
+	}
+	return out, nil
+}
+
+// straightSum adds xs in order from 0: the sum SoASet.Accumulate forms over
+// the members whose matches xs holds.
+func straightSum(xs []float64) float64 {
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum
+}
+
+// scoreBytes bounds the member-major matches one score chunk holds. A
+// variable only so that tests can force it low.
+var scoreBytes = 4 << 20
+
+// score scores ps over members, compiled in chunks whose member-major
+// matches fit scoreBytes, and calls put(lo, m) per chunk: m[j][k] is
+// members[j]'s match of ps[lo+k], valid until put returns. Contiguous member
+// ranges are scored on up to Workers goroutines; every match is the
+// kernel's, whatever the split.
+func (s *Stream) score(ps []pattern.Pattern, members [][]pattern.Symbol, put func(lo int, m [][]float64)) error {
+	workers := s.cfg.Workers
+	if workers < 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(max(workers, 1), len(members))
+	step := max(1, scoreBytes/(8*len(members)))
+	m := make([][]float64, len(members))
+	for lo := 0; lo < len(ps); lo += step {
+		chunk := ps[lo:min(lo+step, len(ps))]
+		set, err := match.CompileSoA(s.cfg.C, chunk)
+		if err != nil {
+			return err
+		}
+		w := len(chunk)
+		if need := len(members) * w; cap(s.scratch) < need {
+			s.scratch = make([]float64, need)
+		} else {
+			s.scratch = s.scratch[:need]
+			clear(s.scratch)
+		}
+		for j := range m {
+			m[j] = s.scratch[j*w : (j+1)*w : (j+1)*w]
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			a, b := g*len(members)/workers, (g+1)*len(members)/workers
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				set.AccumulateEach(m[a:b], members[a:b])
+			}()
+		}
+		wg.Wait()
+		put(lo, m)
+	}
 	return nil
 }
 

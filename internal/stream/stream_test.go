@@ -740,3 +740,43 @@ func compareDeferred(t *testing.T, tc *testCase, batches []int, sampleSize int) 
 	}
 	return shifts
 }
+
+// TestFrequentSetMovesWithoutRemine pins a frequent set that changes on a
+// batch that does not re-mine: one-sequence batches alternate [0 1] and
+// [1 0] under the identity matrix at min_match 0.5, so the ambiguous [1 0]
+// has an exact match of 0.5 after every even batch and just below it after
+// every odd one. Phase 3 resolves it against the grown window on every
+// batch, while the raw labels, hence Phase 2, stay put from batch 5 on.
+// Every batch's set equals a batch mine of the prefix.
+func TestFrequentSetMovesWithoutRemine(t *testing.T) {
+	tc := &testCase{c: compat.Identity(2), minMatch: 0.5, delta: 0.2, maxLen: 2}
+	for i := 0; i < 12; i++ {
+		tc.db = append(tc.db, []pattern.Symbol{pattern.Symbol(i % 2), pattern.Symbol(1 - i%2)})
+	}
+	log := newLog(t)
+	s, err := stream.New(log, tc.streamConfig(0, len(tc.db)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev []string
+	for i := range tc.db {
+		appendBatch(t, log, tc.db[i:i+1])
+		res, err := s.Advance(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := setKeys(res.Frequent)
+		if want := setKeys(batchMine(t, tc, tc.db[:i+1], 0, len(tc.db)).Frequent); !reflect.DeepEqual(got, want) {
+			t.Fatalf("batch %d: frequent %v, batch mine %v", i+1, got, want)
+		}
+		if i+1 >= 5 {
+			if res.Remined {
+				t.Fatalf("batch %d re-mined", i+1)
+			}
+			if reflect.DeepEqual(got, prev) {
+				t.Fatalf("batch %d: frequent set %v did not move", i+1, got)
+			}
+		}
+		prev = got
+	}
+}

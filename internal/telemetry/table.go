@@ -53,6 +53,8 @@ const (
 	StreamReprobesSaved
 	StreamBorderShifts
 	StreamRemines
+	StreamTruncatedRemines
+	StreamRescored
 	CheckpointWrites
 	CheckpointBytes
 	CheckpointMillis
@@ -194,6 +196,10 @@ var table = [numIDs]entry{
 		help: "Stream batches whose raw-label border shifted.", field: func(s *Snapshot) any { return &s.StreamBorderShifts }},
 	StreamRemines: {name: "stream_remines", kind: counter, unit: "batches",
 		help: "Scoped Phase 2 re-mines of the stream.", field: func(s *Snapshot) any { return &s.StreamRemines }},
+	StreamTruncatedRemines: {name: "stream_truncated_remines", kind: counter, unit: "batches",
+		help: "Stream re-mines forced only because the last mine's candidate space was truncated.", field: func(s *Snapshot) any { return &s.StreamTruncatedRemines }},
+	StreamRescored: {name: "stream_rescored_members", kind: counter, unit: "sequences",
+		help: "Sample members the stream's re-mines re-valued: the slots changed since each one's previous mine.", field: func(s *Snapshot) any { return &s.StreamRescored }},
 	CheckpointWrites: {name: "checkpoint_writes", kind: counter, unit: "snapshots",
 		help: "Checkpoint snapshots written.", field: func(s *Snapshot) any { return &s.CheckpointWrites }},
 	CheckpointBytes: {name: "checkpoint_bytes", kind: counter, unit: "bytes",

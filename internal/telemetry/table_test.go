@@ -137,6 +137,9 @@ func record(m *Metrics) {
 	m.StreamBatch(1, 2, 1, true, false)
 	m.Add(StreamReprobesSaved, 17)
 	m.Add(StreamReprobesSaved, 4)
+	m.Add(StreamTruncatedRemines, 1)
+	m.Add(StreamRescored, 20)
+	m.Add(StreamRescored, 7)
 	m.ResumeHit(2, 3)
 	m.Add(SlotsBorrowed, 2)
 	m.Add(SlotsBorrowed, 1)

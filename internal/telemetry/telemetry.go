@@ -362,6 +362,11 @@ type Snapshot struct {
 	StreamReprobesSaved int64 `json:"stream_reprobes_avoided,omitempty"`
 	StreamBorderShifts  int64 `json:"stream_border_shifts,omitempty"`
 	StreamRemines       int64 `json:"stream_remines,omitempty"`
+	// StreamTruncatedRemines counts the re-mines a truncated candidate space
+	// (miner.Result.Truncated) forced when nothing else did.
+	StreamTruncatedRemines int64 `json:"stream_truncated_remines,omitempty"`
+	// StreamRescored counts the sample members re-mines re-valued.
+	StreamRescored int64 `json:"stream_rescored_members,omitempty"`
 
 	CheckpointWrites int64   `json:"checkpoint_writes,omitempty"`
 	CheckpointBytes  int64   `json:"checkpoint_bytes,omitempty"`
