@@ -49,12 +49,14 @@
 // -follow turns the run into a streaming session over an append-only log
 // (.lsa, written by lspappend or lspserve -append-log): instead of one batch
 // mine, lspmine tails the log read-only, consuming newly appended sequences
-// every -poll interval and re-mining incrementally — stationary batches skip
-// Phase 2 entirely and serve Phase 3 probes from cached exact sums. Each
-// processed batch prints one summary line; with -v it also prints the set
-// whenever it differs from the set last printed (Phase 3 resolves ambiguous
-// patterns against the grown window on every batch, so the set can change
-// on a batch that did not re-mine) and on the last batch of a bounded run.
+// every -poll interval and re-mining incrementally — a batch that brings
+// sequences re-mines the sample from the members it changed, an empty one
+// keeps the last mine ("phase2 cached"), and both serve Phase 3 probes from
+// cached exact sums. Each processed batch prints one summary line; with -v
+// it also prints the set whenever it differs from the set last printed
+// (Phase 3 resolves ambiguous patterns against the grown window on every
+// batch, so the set can change while Phase 2's labels stay put) and on the
+// last batch of a bounded run.
 // -follow-batches N exits after N advances (0 = run until signalled). A
 // follower's re-mines value the sample from kept per-member matches, not
 // through the projection kernel, so its -metrics show stream_* counters

@@ -186,7 +186,7 @@ func TestRetiredFinalizerRejected(t *testing.T) {
 // TestFollowPrintsEveryChangedSet drives the follower's report over
 // one-sequence batches alternating "d1 d2" and "d2 d1" under the identity
 // matrix at min_match 0.5: Phase 3 moves "d2 d1" in and out of the frequent
-// set on batches that do not re-mine. With -v -all the report must print the
+// set on every batch from the fifth. With -v -all the report must print the
 // set on the first batch, on every batch whose set differs from the one
 // printed last, and on the last batch.
 func TestFollowPrintsEveryChangedSet(t *testing.T) {
@@ -206,7 +206,7 @@ func TestFollowPrintsEveryChangedSet(t *testing.T) {
 	rep := &followReport{w: &out, a: a, all: true, verbose: true}
 	const batches = 12
 	var want []string
-	prev, cachedMoves := "", 0
+	prev := ""
 	for i := 1; i <= batches; i++ {
 		seq := []pattern.Symbol{0, 1}
 		if i%2 == 0 {
@@ -226,14 +226,8 @@ func TestFollowPrintsEveryChangedSet(t *testing.T) {
 		if i == 1 || line != prev || i == batches {
 			want = append(want, line)
 		}
-		if i > 1 && line != prev && !res.Remined {
-			cachedMoves++
-		}
 		prev = line
 		rep.batch(i, res, i == batches)
-	}
-	if cachedMoves == 0 {
-		t.Fatal("no batch changed the frequent set without re-mining")
 	}
 	var got []string
 	for _, l := range strings.Split(out.String(), "\n") {

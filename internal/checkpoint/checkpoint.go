@@ -123,18 +123,19 @@ type ProbeState struct {
 
 // StreamState is the incremental streaming session's progress beyond the
 // phase sections: the consumed window, the raw Phase 1 symbol sums (the
-// pre-division form a restored accumulator continues from), and the
-// maintained per-pattern sums — sample sums for the live mine's candidates
-// and exact window sums for every probed pattern. The reservoir sample
-// itself rides in the phase1 section and the live mine in the phase2
-// section; reservoir draws are stateless, so no RNG state is recorded.
+// pre-division form a restored accumulator continues from), and the exact
+// window sum of every probed pattern. The reservoir sample itself rides in
+// the phase1 section and the live mine in the phase2 section; reservoir
+// draws are stateless, so no RNG state is recorded.
+//
+// The section's layout keeps a map of sample sums between the symbol sums
+// and the exact sums. Writers emit it empty; readers read and drop it, so
+// snapshots whose map is full still load.
 type StreamState struct {
 	// Cursor and WindowStart delimit the consumed window [WindowStart, Cursor).
 	Cursor, WindowStart int
 	// SymbolSums are the accumulator's raw per-symbol sums over the window.
 	SymbolSums []float64
-	// SampleSums holds the maintained sample match sum per live candidate.
-	SampleSums map[string]float64
 	// ExactSums holds the exact window match sum per probed pattern.
 	ExactSums map[string]float64
 }
@@ -341,7 +342,7 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 		for _, v := range st.SymbolSums {
 			sw.float(v)
 		}
-		sw.floatMap(st.SampleSums)
+		sw.floatMap(nil) // the sample sums: empty, for the layout
 		sw.floatMap(st.ExactSums)
 		k, err = emit(w, secStream, sw.buf.Bytes())
 		total += k
@@ -617,9 +618,6 @@ func (s *Snapshot) validate() error {
 		if s.Probe != nil {
 			return corrupt("stream", "stream snapshots carry probe sums in the stream section, not a probe section", nil)
 		}
-		if s.Phase >= 2 && len(st.SampleSums) == 0 && len(s.Phase2.Values) > 0 {
-			return corrupt("stream", "phase2 candidates present but stream sample sums are empty", nil)
-		}
 	}
 	return nil
 }
@@ -804,7 +802,7 @@ func (s *Snapshot) readStream(r *sectionReader) error {
 		}
 		st.SymbolSums = append(st.SymbolSums, v)
 	}
-	if st.SampleSums, err = r.floatMap(); err != nil {
+	if _, err = r.floatMap(); err != nil { // the sample sums: dropped
 		return err
 	}
 	if st.ExactSums, err = r.floatMap(); err != nil {

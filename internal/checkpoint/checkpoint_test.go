@@ -244,6 +244,100 @@ func TestPhaseSectionConsistency(t *testing.T) {
 	mustCorrupt(t, err, "phase2")
 }
 
+// streamSnapshot is a stream session's snapshot with a live mine: phase1,
+// phase2 and stream sections, no probe section.
+func streamSnapshot() *Snapshot {
+	s := sampleSnapshot()
+	s.Engine = "stream"
+	s.Phase = 2
+	s.Probe = nil
+	s.Stream = &StreamState{
+		Cursor:      40,
+		WindowStart: 10,
+		SymbolSums:  []float64{15, 7.5, 3.75},
+		ExactSums:   map[string]float64{"0,1": 9.3, "1,2,0": 0.5},
+	}
+	return s
+}
+
+func TestRoundTripStream(t *testing.T) {
+	in := streamSnapshot()
+	out := roundTrip(t, in)
+	if !reflect.DeepEqual(in, out) {
+		t.Errorf("round trip mismatch:\n in: %+v\nout: %+v", in.Stream, out.Stream)
+	}
+}
+
+// olderLayout serializes s with its stream section written field by field,
+// sampleSums in the map between the symbol sums and the exact sums.
+func olderLayout(t *testing.T, s *Snapshot, sampleSums map[string]float64) []byte {
+	t.Helper()
+	st := s.Stream
+	dup := *s
+	dup.Stream = nil
+	var buf bytes.Buffer
+	if _, err := dup.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	buf.Truncate(buf.Len() - 6) // the end marker: tag, zero length, CRC
+	var sw sectionWriter
+	sw.uvarint(uint64(st.Cursor))
+	sw.uvarint(uint64(st.WindowStart))
+	sw.uvarint(uint64(len(st.SymbolSums)))
+	for _, v := range st.SymbolSums {
+		sw.float(v)
+	}
+	sw.floatMap(sampleSums)
+	sw.floatMap(st.ExactSums)
+	for _, sec := range []struct {
+		tag     byte
+		payload []byte
+	}{{secStream, sw.buf.Bytes()}, {secEnd, nil}} {
+		if _, err := emit(&buf, sec.tag, sec.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestStreamSectionLayout: the stream section keeps the layout that carried
+// each live candidate's sample sum. The writer leaves that map empty, and a
+// section whose map is full decodes to the same state with the sums dropped.
+func TestStreamSectionLayout(t *testing.T) {
+	in := streamSnapshot()
+	var buf bytes.Buffer
+	if _, err := in.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), olderLayout(t, in, nil)) {
+		t.Fatal("the stream section's layout changed")
+	}
+	out := &Snapshot{}
+	if err := out.readBytes(olderLayout(t, in, map[string]float64{"0": 20, "0,1": 12, "1,2": 0.25})); err != nil {
+		t.Fatalf("a section with sample sums: %v", err)
+	}
+	if !reflect.DeepEqual(in, out) {
+		t.Errorf("a section with sample sums decoded to\n%+v\nwant\n%+v", out.Stream, in.Stream)
+	}
+}
+
+// TestStreamSectionRules: a stream snapshot whose cursor precedes its window
+// start, or that carries a probe section, is corrupt.
+func TestStreamSectionRules(t *testing.T) {
+	for name, mutate := range map[string]func(*Snapshot){
+		"cursor before window start": func(s *Snapshot) { s.Stream.Cursor = s.Stream.WindowStart - 1 },
+		"probe section":              func(s *Snapshot) { s.Phase, s.Probe = 3, sampleSnapshot().Probe },
+	} {
+		s := streamSnapshot()
+		mutate(s)
+		var buf bytes.Buffer
+		if _, err := s.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) { mustCorrupt(t, new(Snapshot).readBytes(buf.Bytes()), "stream") })
+	}
+}
+
 func TestLoadMissingFile(t *testing.T) {
 	_, err := Load(filepath.Join(t.TempDir(), "nope.lckp"))
 	if err == nil {

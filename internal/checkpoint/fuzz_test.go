@@ -20,6 +20,7 @@ func FuzzCheckpointReadFrom(f *testing.F) {
 			SymbolMatch: []float64{0.1},
 			Sample:      nil,
 		},
+		streamSnapshot(),
 	}
 	for _, s := range seeds {
 		var buf bytes.Buffer

@@ -121,7 +121,6 @@ func ResumeStream(path string, db *seqdb.AppendDB, c compat.Source, cfg StreamCo
 		WindowStart: snap.Stream.WindowStart,
 		Sample:      snap.Sample,
 		SymbolSums:  snap.Stream.SymbolSums,
-		SampleSums:  snap.Stream.SampleSums,
 		ExactSums:   snap.Stream.ExactSums,
 	}
 	var mine *miner.Result
@@ -181,7 +180,6 @@ func (st *Stream) checkpoint() error {
 			Cursor:      state.Cursor,
 			WindowStart: state.WindowStart,
 			SymbolSums:  state.SymbolSums,
-			SampleSums:  state.SampleSums,
 			ExactSums:   state.ExactSums,
 		},
 	}

@@ -2,14 +2,18 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/compat"
 	"repro/internal/pattern"
 	"repro/internal/seqdb"
+	"repro/internal/stream"
 )
 
 func streamTestData(t *testing.T, seed int64, n int) (*compat.Matrix, [][]pattern.Symbol) {
@@ -226,5 +230,99 @@ func TestStreamResumeRejectsMismatch(t *testing.T) {
 	defer short.Close()
 	if _, err := ResumeStream(ckpt, short, c, streamTestConfig(ckpt)); err == nil {
 		t.Fatal("resume accepted a log shorter than the snapshot cursor")
+	}
+}
+
+// TestResumeSnapshotWithSampleSums resumes testdata/stream-samplesums.lckp,
+// a snapshot whose stream section carries the sample sums of its 36 live
+// candidates, as stream snapshots once did, beside a Phase 2 section. It
+// was written by a session under streamTestConfig after Advances over 40,
+// 40 and 20 sequences of streamTestData(5, 180), appended to a log named
+// live.lsa in the working directory. The first, idle Advance of the resumed
+// session must return the snapshot's mine without re-mining, and the frequent
+// set of a session that never stopped; each Advance over the 80 sequences
+// that follow must equal that session's, values bit for bit.
+func TestResumeSnapshotWithSampleSums(t *testing.T) {
+	snapPath, err := filepath.Abs(filepath.Join("testdata", "stream-samplesums.lckp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.Load(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.Chdir(dir); err != nil { // the snapshot records the log as live.lsa
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+
+	c, data := streamTestData(t, 5, 180)
+	logs := make([]*seqdb.AppendDB, 2)
+	for i, name := range []string{"live.lsa", "ref.lsa"} {
+		if logs[i], err = seqdb.CreateAppend(name); err != nil {
+			t.Fatal(err)
+		}
+		defer logs[i].Close()
+	}
+	add := func(seqs [][]pattern.Symbol) {
+		for _, log := range logs {
+			for _, seq := range seqs {
+				if _, err := log.Append(seq); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	ref, err := NewStream(logs[1], c, streamTestConfig(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want *stream.Result
+	for _, lo := range []int{0, 40, 80} {
+		add(data[lo:min(lo+40, 100)])
+		if want, err = ref.Advance(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resumed, err := ResumeStream(snapPath, logs[0], c, streamTestConfig(filepath.Join(dir, "resumed.lckp")))
+	if err != nil {
+		t.Fatalf("resume from a snapshot with sample sums: %v", err)
+	}
+	got, err := resumed.Advance(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Remined || got.Appended != 0 || !reflect.DeepEqual(got.Phase2.Values, snap.Phase2.Values) {
+		t.Fatalf("idle Advance after the resume: remined %v, %d appended, snapshot's mine %v",
+			got.Remined, got.Appended, reflect.DeepEqual(got.Phase2.Values, snap.Phase2.Values))
+	}
+	if !reflect.DeepEqual(got.Frequent.Patterns(), want.Frequent.Patterns()) {
+		t.Fatalf("idle Advance after the resume: frequent %v, uninterrupted %v", got.Frequent.Patterns(), want.Frequent.Patterns())
+	}
+	for lo := 100; lo < len(data); lo += 20 {
+		add(data[lo : lo+20])
+		if want, err = ref.Advance(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got, err = resumed.Advance(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Frequent.Patterns(), want.Frequent.Patterns()) ||
+			!reflect.DeepEqual(got.Border.Patterns(), want.Border.Patterns()) {
+			t.Fatalf("prefix %d: resumed frequent %v, uninterrupted %v", lo+20, got.Frequent.Patterns(), want.Frequent.Patterns())
+		}
+		if len(got.Phase2.Values) != len(want.Phase2.Values) {
+			t.Fatalf("prefix %d: %d candidates, uninterrupted %d", lo+20, len(got.Phase2.Values), len(want.Phase2.Values))
+		}
+		for key, w := range want.Phase2.Values {
+			if g, ok := got.Phase2.Values[key]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("prefix %d: value[%s] = %v, uninterrupted %v", lo+20, key, g, w)
+			}
+		}
 	}
 }

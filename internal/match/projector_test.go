@@ -296,11 +296,12 @@ func TestKernelsNegativeZeroMatrix(t *testing.T) {
 // one destination per sequence with SoASet.AccumulateEach, is the Phase 2
 // kernel's value bit for bit: Projector.Value's and the level-wise
 // ValueLevel's, on samples that end inside, at and past a 32-sequence
-// shard, under a ramp-mode and a sparse-mode matrix.
+// shard and past groups of four shards, under a ramp-mode and a
+// sparse-mode matrix.
 func TestShardMeanMatchesKernel(t *testing.T) {
 	const m = 4
 	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{1, 31, 32, 33, 67, 96} {
+	for _, n := range []int{1, 31, 32, 33, 67, 96, 128, 161, 300} {
 		sample := randSample(rng, n, m)
 		for _, c := range projectorMatrices(t, m) {
 			pj := NewProjector(c, sample, 0)

@@ -3,6 +3,7 @@ package miner
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/chernoff"
@@ -385,6 +386,64 @@ func TestMaxGapRun(t *testing.T) {
 		if got := c.p.MaxGapRun(); got != c.want {
 			t.Errorf("MaxGapRun(%v)=%d, want %d", c.p, got, c.want)
 		}
+	}
+}
+
+// TestWeakestSubpatternMatchesReference checks the engine's subpattern
+// lookups against pattern.ImmediateSubpatterns, which builds and keys each
+// subpattern: for random patterns with eternal runs, 1-patterns included,
+// random partial labelings of their subpatterns and MaxGap 0–2, the Apriori
+// admission and the monotonicity clamp read the same labels. A lookup
+// allocates nothing.
+func TestWeakestSubpatternMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	all3 := []chernoff.Label{chernoff.Infrequent, chernoff.Ambiguous, chernoff.Frequent}
+	for iter := 0; iter < 5000; iter++ {
+		p := pattern.Pattern{pattern.Symbol(rng.Intn(4))}
+		for k := rng.Intn(6); k > 0; k-- {
+			p = pattern.Extend(p, rng.Intn(4), pattern.Symbol(rng.Intn(4)))
+		}
+		e := &Engine{Opts: Options{MaxGap: rng.Intn(3)}}
+		labels := make(map[string]chernoff.Label)
+		for _, sub := range p.ImmediateSubpatterns() {
+			if rng.Intn(4) > 0 {
+				labels[sub.Key()] = all3[rng.Intn(3)]
+			}
+		}
+		weakest, all := e.weakestSubpattern(p, labels)
+		alive := true
+		for _, sub := range p.ImmediateSubpatterns() {
+			if sub.MaxGapRun() > e.Opts.MaxGap {
+				continue
+			}
+			if l, ok := labels[sub.Key()]; !ok || l == chernoff.Infrequent {
+				alive = false
+			}
+		}
+		if got := all && weakest != chernoff.Infrequent; got != alive {
+			t.Fatalf("%v at MaxGap %d under %v: admitted %v, reference %v", p, e.Opts.MaxGap, labels, got, alive)
+		}
+		for _, label := range all3 {
+			want := label
+			for _, sub := range p.ImmediateSubpatterns() {
+				if l, ok := labels[sub.Key()]; ok && sub.MaxGapRun() <= e.Opts.MaxGap && l < want {
+					want = l
+				}
+			}
+			if got := min(label, weakest); got != want {
+				t.Fatalf("%v at MaxGap %d under %v: %v clamps to %v, reference %v", p, e.Opts.MaxGap, labels, label, got, want)
+			}
+		}
+	}
+
+	p := pattern.MustNew(d1, et, d2, d3, et, et, d4)
+	labels := make(map[string]chernoff.Label)
+	for _, sub := range p.ImmediateSubpatterns() {
+		labels[sub.Key()] = chernoff.Ambiguous
+	}
+	e := &Engine{Opts: Options{MaxGap: 2}}
+	if n := testing.AllocsPerRun(100, func() { e.weakestSubpattern(p, labels) }); n != 0 {
+		t.Fatalf("a lookup of %v's subpatterns allocates %v times", p, n)
 	}
 }
 

@@ -108,7 +108,11 @@ func (p Pattern) Equal(q Pattern) bool {
 // Key returns a compact canonical representation usable as a map key. Two
 // patterns have the same Key iff they are Equal.
 func (p Pattern) Key() string {
-	buf := make([]byte, 0, len(p)*3)
+	return string(p.AppendKey(make([]byte, 0, len(p)*3)))
+}
+
+// AppendKey appends p's Key to buf and returns the extended buffer.
+func (p Pattern) AppendKey(buf []byte) []byte {
 	for i, s := range p {
 		if i > 0 {
 			buf = append(buf, ',')
@@ -119,7 +123,7 @@ func (p Pattern) Key() string {
 			buf = strconv.AppendInt(buf, int64(int32(s)), 10)
 		}
 	}
-	return string(buf)
+	return buf
 }
 
 // ParseKey reverses Key: it rebuilds the pattern from its canonical

@@ -12,12 +12,22 @@ import (
 
 // BenchmarkAdvance times one round of the ingest-follow shape: a
 // 1,000-member reservoir over a log that starts at 20,000 sequences and
-// grows by 1,000 before each Advance. Sequences are 24–40 symbols over 20,
-// carry three planted length-5 motifs and 5% uniform noise; the stream mines
-// at min_match 0.2 and max_len 6 on GOMAXPROCS workers. Appending is not
-// timed.
-func BenchmarkAdvance(b *testing.B) {
-	const m, round = 20, 1000
+// grows by 1,000 before each Advance. Every round replaces reservoir
+// members.
+func BenchmarkAdvance(b *testing.B) { benchAdvance(b, 1000, 1000) }
+
+// BenchmarkAdvanceWholeWindow times one round over a reservoir that holds
+// the whole log: 2,000 sequences growing by 100 before each Advance, so no
+// round replaces a member and every one only appends to the sample.
+func BenchmarkAdvanceWholeWindow(b *testing.B) { benchAdvance(b, 100, 1<<20) }
+
+// benchAdvance appends 20 rounds of round sequences, advances once, and
+// then times one Advance per further round, with a reservoir of sampleSize.
+// Sequences are 24–40 symbols over 20, carry three planted length-5 motifs
+// and 5% uniform noise; the stream mines at min_match 0.2 and max_len 6 on
+// GOMAXPROCS workers. Appending is not timed.
+func benchAdvance(b *testing.B, round, sampleSize int) {
+	const m = 20
 	motifs := datagen.RandomMotifs(3, 5, m, rand.New(rand.NewSource(303)))
 	chunk := func(seed int64) [][]pattern.Symbol {
 		rng := rand.New(rand.NewSource(seed))
@@ -53,7 +63,7 @@ func BenchmarkAdvance(b *testing.B) {
 		add(j)
 	}
 	s, err := New(log, Config{
-		C: c, MinMatch: 0.2, SampleSize: 1000, MaxLen: 6, MaxCandidatesPerLevel: 50000,
+		C: c, MinMatch: 0.2, SampleSize: sampleSize, MaxLen: 6, MaxCandidatesPerLevel: 50000,
 		Workers: -1, Seed: 1,
 	})
 	if err != nil {

@@ -12,18 +12,15 @@
 //     sample the uninterrupted stream holds, with no RNG replay.
 //   - Phase 2: for every candidate the last mine evaluated, the stream keeps
 //     its match in every sample slot, and it records which slots were
-//     appended or replaced since. A re-mine rescores only those slots for
-//     kept candidates and scores new candidates over the whole sample; each
-//     value is then formed as the Phase 2 kernel forms it (match.ShardMean),
-//     so it is bit-identical to a fresh match.Incremental mine of the same
-//     sample, and the re-mine costs the members a batch changed, not the
-//     whole sample. On a batch that replaced no member, the unclamped
-//     Chernoff labels are recomputed from straight in-order sample sums
-//     (built on first read by adding the kept matches in member order, then
-//     extended over the grown members); only when some label changes (a
-//     border shift), the sample was perturbed by a reservoir replacement, or
-//     the candidate space was truncated does the stream re-mine the
-//     in-memory sample — no database scan either way.
+//     appended or replaced since. Every Advance that consumes a sequence
+//     re-mines the in-memory sample, with no database scan: kept candidates
+//     have only those slots rescored, new candidates are scored over the
+//     whole sample, and each value is then formed as the Phase 2 kernel
+//     forms it (match.ShardMean), so it is bit-identical to a fresh
+//     match.Incremental mine of the same sample, and the re-mine costs the
+//     members a batch changed, not the whole sample. An Advance that
+//     consumes nothing keeps the last mine: the sample and the symbol
+//     matches are unchanged, so a re-mine would return it again.
 //   - Phase 3: exact database match sums of previously probed patterns are
 //     extended with each appended sequence, so a pattern probed in an earlier
 //     batch is re-probed for free — its Chernoff interval is resolved from
@@ -44,12 +41,9 @@
 //
 // Equivalence: with SampleSize >= the window size, a re-mine values the
 // sample core.Mine draws over the consumed window, bit for bit as the
-// kernel would, so its values are core.Mine's. Values refreshed from the
-// maintained sums are straight in-order sums: bit-identical to the kernel's
-// shard-merged sums while the sample fits in one 32-sequence shard (every
-// Advance then yields results bit-identical to core.Mine), and within
-// float64 sum reassociation beyond that, where labels agree away from exact
-// Chernoff boundaries.
+// kernel would, so after every Advance, at any window size, Phase 2's
+// values, labels and sets are those of core.Mine with the level-wise Phase 2
+// engine.
 package stream
 
 import (
@@ -60,7 +54,6 @@ import (
 	"sync"
 
 	"repro/internal/border"
-	"repro/internal/chernoff"
 	"repro/internal/compat"
 	"repro/internal/match"
 	"repro/internal/miner"
@@ -86,9 +79,8 @@ type Config struct {
 	MaxLen int
 	// MaxGap bounds runs of eternal symbols inside a pattern.
 	MaxGap int
-	// MaxCandidatesPerLevel caps each re-mine level (0 = unlimited). A
-	// truncated mine disables the incremental skip (truncation depends on
-	// value ordering, not just labels), forcing a re-mine every batch.
+	// MaxCandidatesPerLevel caps each re-mine level (0 = unlimited); a
+	// truncated mine reports Phase2.Truncated.
 	MaxCandidatesPerLevel int
 	// MemBudget is the number of pattern counters a probe round may hold.
 	// Default 10000.
@@ -104,9 +96,10 @@ type Config struct {
 	// expires older sequences from the log (requires a writable AppendDB)
 	// before consuming the batch. 0 leaves expiry to the caller.
 	Window int
-	// Metrics, when non-nil, receives streaming telemetry (batches, appended
-	// and expired sequences, re-probes avoided, border shifts, re-mines) plus
-	// the probe-loop counters. Nil disables collection.
+	// Metrics, when non-nil, receives streaming telemetry (batches, appended,
+	// expired and replaced sequences, re-probes avoided, re-mines and the
+	// members they rescored) plus the probe-loop counters. Nil disables
+	// collection.
 	Metrics *telemetry.Metrics
 }
 
@@ -145,9 +138,7 @@ func (c *Config) validate() error {
 }
 
 // Result reports one Advance: the finalized frequent set over the consumed
-// window plus what the incremental machinery did to get there. Phase2 is the
-// stream's live mining state — it is updated in place by later Advances, so
-// callers retaining it across batches must copy what they need.
+// window plus what the incremental machinery did to get there.
 type Result struct {
 	// Frequent is the exact frequent set over the consumed window and Border
 	// its border (FQT).
@@ -157,20 +148,25 @@ type Result struct {
 	SymbolMatch []float64
 	// SampleSize is the current reservoir occupancy.
 	SampleSize int
-	// Phase2 is the current sample-mining state (values and spreads are
-	// refreshed in place on skipped batches). Nil for an empty window.
+	// Phase2 is the last mine: the one this batch ran, or for a batch that
+	// consumed nothing the one before. The stream shares it with later
+	// Results until the next re-mine, so callers must not modify it. Nil
+	// for an empty window.
 	Phase2 *miner.Result
 	// Phase3 reports the probe loop (nil when nothing was ambiguous).
 	Phase3 *border.Result
 	// Appended and Expired count the sequences consumed and dropped by this
 	// batch; Total is the absolute id past the last consumed sequence.
 	Appended, Expired, Total int
-	// Replaced counts the reservoir members this batch's appends replaced;
-	// each one forces a re-mine. A window rebuild redraws the whole reservoir
-	// and counts none (Expired shows why it re-mined).
+	// Replaced counts the reservoir members this batch's appends replaced,
+	// which its re-mine rescores with the members appended. A window rebuild
+	// redraws the whole reservoir and counts none (Expired shows why it
+	// re-mined).
 	Replaced int
-	// Remined reports that this batch fell back to a scoped re-mine of the
-	// sample; BorderShifted that a maintained label change forced it.
+	// Remined reports that this batch re-mined the sample: every Advance
+	// that consumes a sequence does, and so does the first after a window
+	// rebuild, a failed re-mine or a Restore without a mine. BorderShifted
+	// is always false; no label test decides a re-mine.
 	Remined       bool
 	BorderShifted bool
 	// ReprobesAvoided counts ambiguous patterns resolved from cached exact
@@ -200,35 +196,15 @@ type Stream struct {
 
 	symbolMatch []float64
 	lastMine    *miner.Result
-	evaluated   []pattern.Pattern  // last mine's candidates, key-sorted
-	evalKeys    []string           // evaluated's keys
-	evalSet     *match.SoASet      // evaluated, compiled
-	mined       *mineView          // what the last mine saw, until the sums are built
-	sampleSums  map[string]float64 // straight sample match sums per candidate
-	summed      int                // sampleSums cover sample[:summed]
-	prevRaw     map[string]chernoff.Label
 	exactSums   map[string]float64 // straight window match sums per probed pattern
 	probed      []pattern.Pattern  // exactSums keys as patterns, key-sorted
 	probedKeys  []string           // probed's keys
-	dirty       bool               // sample perturbed: maintained sums invalid
 	scratch     []float64          // member-major matches of one score chunk
 }
 
 // keepBudget bounds the kept matches in bytes, 8 per candidate per sample
 // member. A variable only so that tests can force it low.
 var keepBudget = match.DefaultCacheBudget
-
-// mineView is what the last mine saw: its sample size, the straight sums of
-// the candidates whose matches were not kept, the symbol matches and a
-// classifier for that sample size. The maintained sample sums and the
-// raw-label baseline are built from it, and from the kept matches, when
-// first read.
-type mineView struct {
-	n           int
-	unkept      map[string]float64
-	symbolMatch []float64
-	cls         *chernoff.Classifier
-}
 
 // New builds a stream over db. No data is consumed until Advance.
 func New(db *seqdb.AppendDB, cfg Config) (*Stream, error) {
@@ -244,7 +220,6 @@ func New(db *seqdb.AppendDB, cfg Config) (*Stream, error) {
 		acc:         match.NewSymbolAccumulator(cfg.C),
 		kept:        make(map[string][]float64),
 		exactSums:   make(map[string]float64),
-		dirty:       true,
 	}
 	return s, nil
 }
@@ -260,29 +235,21 @@ type State struct {
 	Sample [][]pattern.Symbol
 	// SymbolSums are the accumulator's raw per-symbol sums.
 	SymbolSums []float64
-	// SampleSums and ExactSums are the maintained per-pattern sums.
-	SampleSums map[string]float64
-	ExactSums  map[string]float64
+	// ExactSums are the window match sums of the probed patterns.
+	ExactSums map[string]float64
 }
 
 // State captures the stream's current progress. Slices and maps are copies.
-// It builds the sample sums first if no Advance has read them since the
-// last mine.
 func (s *Stream) State() *State {
-	s.sums()
 	st := &State{
 		Cursor:      s.cursor,
 		WindowStart: s.windowStart,
 		Sample:      make([][]pattern.Symbol, len(s.sample)),
 		SymbolSums:  s.acc.Sums(),
-		SampleSums:  make(map[string]float64, len(s.sampleSums)),
 		ExactSums:   make(map[string]float64, len(s.exactSums)),
 	}
 	for i, seq := range s.sample {
 		st.Sample[i] = append([]pattern.Symbol(nil), seq...)
-	}
-	for k, v := range s.sampleSums {
-		st.SampleSums[k] = v
 	}
 	for k, v := range s.exactSums {
 		st.ExactSums[k] = v
@@ -303,7 +270,8 @@ func (s *Stream) WindowStart() int { return s.windowStart }
 
 // Restore rebuilds a stream from a captured State and the mine that was live
 // when it was captured (nil forces a re-mine on the next Advance). The state
-// must have been captured under the same Config and log. A State carries no
+// must have been captured under the same Config and log. A first Advance
+// that consumes nothing returns mine as it is. A State carries no
 // per-member matches, so the restored stream's next re-mine scores every
 // member; its values are the uninterrupted stream's all the same.
 func Restore(db *seqdb.AppendDB, cfg Config, st *State, mine *miner.Result) (*Stream, error) {
@@ -331,61 +299,17 @@ func Restore(db *seqdb.AppendDB, cfg Config, st *State, mine *miner.Result) (*St
 	for k, v := range st.ExactSums {
 		s.exactSums[k] = v
 	}
-	if s.probedKeys, s.probed, err = parseSorted(st.ExactSums, "exact-sum"); err != nil {
+	if s.probedKeys, s.probed, err = parseSorted(st.ExactSums); err != nil {
 		return nil, err
 	}
-	if mine != nil {
-		s.lastMine = mine
-		if err := s.adoptSums(st.SampleSums); err != nil {
-			return nil, err
-		}
-		s.dirty = false
-	}
+	s.lastMine = mine
 	return s, nil
-}
-
-// adoptSums installs restored sample sums for the restored mine's candidates
-// and recomputes the raw-label baseline from them.
-func (s *Stream) adoptSums(sums map[string]float64) error {
-	if err := s.adoptCandidates(); err != nil {
-		return err
-	}
-	s.sampleSums = make(map[string]float64, len(s.evaluated))
-	for _, key := range s.evalKeys {
-		v, ok := sums[key]
-		if !ok {
-			return fmt.Errorf("stream: restored state misses sample sum for %q", key)
-		}
-		s.sampleSums[key] = v
-	}
-	s.summed = len(s.sample)
-	cls, err := s.classifier()
-	if err != nil {
-		return err
-	}
-	s.prevRaw = s.rawLabels(cls, s.symbolMatch)
-	return nil
-}
-
-// adoptCandidates makes the last mine's candidates the maintained ones:
-// parsed, key-sorted and compiled.
-func (s *Stream) adoptCandidates() error {
-	var err error
-	if s.evalKeys, s.evaluated, err = parseSorted(s.lastMine.Values, "candidate"); err != nil {
-		return err
-	}
-	set, err := match.CompileSoA(s.cfg.C, s.evaluated)
-	if err != nil {
-		return err
-	}
-	s.evalSet = set
-	return nil
 }
 
 // Advance consumes every sequence appended since the last call (applying the
 // configured sliding window first), updates the maintained phase state, and
 // returns the finalized frequent set over the consumed window. An Advance
-// with nothing new and no border shift costs no window scan at all.
+// with nothing new costs no window scan at all.
 func (s *Stream) Advance(ctx context.Context) (*Result, error) {
 	res := &Result{}
 	if s.cfg.Window > 0 {
@@ -408,35 +332,19 @@ func (s *Stream) Advance(ctx context.Context) (*Result, error) {
 		s.forgetMine()
 		res.Frequent = pattern.NewSet()
 		res.Border = pattern.NewSet()
-		s.cfg.Metrics.StreamBatch(res.Appended, res.Expired, res.Replaced, false, false)
+		s.cfg.Metrics.StreamBatch(res.Appended, res.Expired, res.Replaced, false)
 		return res, nil
 	}
 
-	// Phase 2: skip the re-mine when the maintained labels prove the border
-	// did not move; otherwise re-mine the in-memory sample.
-	truncated := !s.dirty && s.lastMine != nil && s.lastMine.Truncated
-	need := s.dirty || s.lastMine == nil || truncated
-	if !need {
-		s.sums()
-		cls, err := s.classifier()
-		if err != nil {
-			return nil, err
-		}
-		if !sameLabels(s.rawLabels(cls, s.symbolMatch), s.prevRaw) {
-			res.BorderShifted = true
-			need = true
-		}
-	}
-	if need {
+	// Phase 2: re-mine the in-memory sample if this batch consumed a
+	// sequence. One that consumed nothing keeps the last mine: the sample
+	// and the symbol matches are unchanged, so a re-mine would return it
+	// again, truncation included.
+	if s.lastMine == nil || res.Appended > 0 {
 		if err := s.remine(ctx); err != nil {
 			return nil, err
 		}
 		res.Remined = true
-		if truncated {
-			s.cfg.Metrics.Add(telemetry.StreamTruncatedRemines, 1)
-		}
-	} else {
-		s.refreshMine()
 	}
 	res.Phase2 = s.lastMine
 
@@ -462,15 +370,14 @@ func (s *Stream) Advance(ctx context.Context) (*Result, error) {
 		res.Border = p3.Border
 		res.Scans = scans0
 	}
-	s.cfg.Metrics.StreamBatch(res.Appended, res.Expired, res.Replaced, res.BorderShifted, res.Remined)
+	s.cfg.Metrics.StreamBatch(res.Appended, res.Expired, res.Replaced, res.Remined)
 	s.cfg.Metrics.Add(telemetry.StreamReprobesSaved, int64(res.ReprobesAvoided))
 	return res, nil
 }
 
 // ingest consumes appended sequences — or, when the window start moved,
 // rebuilds the whole Phase 1 state from the live window — extending the
-// exact sums along the way. Sample members it appends are added to the
-// sample sums when those are next read.
+// exact sums along the way.
 func (s *Stream) ingest(ctx context.Context, res *Result) error {
 	// A read-only handle caches the window start: re-read the log's head and
 	// sidecar first, so an expiry by the writer is seen before anything is
@@ -561,7 +468,6 @@ func (s *Stream) offer(rel int, seq []pattern.Symbol) (kept []pattern.Symbol, re
 	kept = append([]pattern.Symbol(nil), seq...)
 	s.mark(j)
 	s.sample[j] = kept
-	s.dirty = true // a member was replaced: maintained sample sums are stale
 	return kept, true
 }
 
@@ -580,13 +486,11 @@ func (s *Stream) mark(i int) {
 // forgetMine drops the last mine and everything derived from it, the kept
 // matches included, so the next Advance re-mines every member.
 func (s *Stream) forgetMine() {
-	s.lastMine, s.evaluated, s.evalKeys, s.evalSet, s.mined = nil, nil, nil, nil, nil
-	s.sampleSums, s.prevRaw = nil, nil
+	s.lastMine = nil
 	clear(s.kept)
 	for i := range s.sample {
 		s.mark(i)
 	}
-	s.dirty = true
 }
 
 // accumulate extends each pattern's running sum by its matches in seqs, with
@@ -606,84 +510,10 @@ func accumulate(sums map[string]float64, set *match.SoASet, keys []string, seqs 
 	}
 }
 
-// sums brings the maintained sample sums up to the current sample. On the
-// first read after a mine it builds them, and the raw-label baseline, from
-// what the mine saw: each kept candidate's matches added in member order
-// (the terms, in the order, that SoASet.Accumulate adds them over the mined
-// sample) and the straight sums of the others; it then adds the members
-// appended since, unless a replacement has made the sums stale (the next
-// Advance re-mines). It cannot fail: the candidates were compiled and the
-// classifier built when the mine ran.
-func (s *Stream) sums() {
-	if v := s.mined; v != nil {
-		s.mined = nil
-		s.sampleSums = make(map[string]float64, len(s.evaluated))
-		for _, key := range s.evalKeys {
-			if row, ok := s.kept[key]; ok {
-				s.sampleSums[key] = straightSum(row)
-			} else {
-				s.sampleSums[key] = v.unkept[key]
-			}
-		}
-		s.summed = v.n
-		s.prevRaw = s.rawLabels(v.cls, v.symbolMatch)
-	}
-	if s.lastMine != nil && !s.dirty && s.summed < len(s.sample) {
-		accumulate(s.sampleSums, s.evalSet, s.evalKeys, s.sample[s.summed:])
-		s.summed = len(s.sample)
-	}
-}
-
-// classifier is the Chernoff classifier for the current sample size.
-func (s *Stream) classifier() (*chernoff.Classifier, error) {
-	return chernoff.NewClassifier(s.cfg.MinMatch, s.cfg.Delta, len(s.sample))
-}
-
-// rawLabels computes the unclamped classification of every maintained
-// candidate from the sample sums, under cls (whose N is the sample size the
-// sums cover) and the given symbol matches: exact for 1-patterns (Phase 1's
-// symbol matches carry no sampling uncertainty), Chernoff with the
-// restricted spread otherwise. If none of these change, a fresh mine would
-// regenerate the same candidate space with the same labels, so the re-mine
-// is skipped.
-func (s *Stream) rawLabels(cls *chernoff.Classifier, symbolMatch []float64) map[string]chernoff.Label {
-	n := float64(cls.N)
-	out := make(map[string]chernoff.Label, len(s.evaluated))
-	for i, p := range s.evaluated {
-		key := s.evalKeys[i]
-		if p.K() == 1 {
-			if symbolMatch[p[0]] >= s.cfg.MinMatch {
-				out[key] = chernoff.Frequent
-			} else {
-				out[key] = chernoff.Infrequent
-			}
-			continue
-		}
-		out[key] = cls.Classify(s.sampleSums[key]/n, chernoff.RestrictedSpread(p, symbolMatch))
-	}
-	return out
-}
-
-func sameLabels(a, b map[string]chernoff.Label) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // remine reruns the sample classification (Phase 2) over the maintained
-// sample — the scoped fallback when the incremental path cannot prove the
-// border stayed put — valuing candidates from the kept matches
-// (keptValuer). It records what the mine saw; the maintained sums and the
-// raw-label baseline over the fresh candidate space are built from that
-// record when first read, so a sample the next batch perturbs never costs
-// them. A failed or cancelled re-mine forgets the last mine, since the kept
-// matches it was updating in place are no longer any mine's.
+// sample, valuing candidates from the kept matches (keptValuer). A failed or
+// cancelled re-mine forgets the last mine, since the kept matches it was
+// updating in place are no longer any mine's.
 func (s *Stream) remine(ctx context.Context) error {
 	opts := miner.Options{
 		MaxLen:                s.cfg.MaxLen,
@@ -692,7 +522,7 @@ func (s *Stream) remine(ctx context.Context) error {
 		Metrics:               s.cfg.Metrics,
 	}
 	rescored := len(s.changed)
-	v := &keptValuer{s: s, rows: int(keepBudget / int64(8*len(s.sample))), unkept: make(map[string]float64)}
+	v := &keptValuer{s: s, rows: int(keepBudget / int64(8*len(s.sample)))}
 	for key := range s.kept { // the sample grew past what the budget holds
 		if len(s.kept) <= v.rows {
 			break
@@ -701,21 +531,18 @@ func (s *Stream) remine(ctx context.Context) error {
 	}
 	r, err := miner.SampleChernoffContext(ctx, s.cfg.C.Size(), v.value,
 		s.symbolMatch, s.cfg.MinMatch, s.cfg.Delta, len(s.sample), opts)
-	if err == nil {
-		err = s.adopt(r, v.unkept)
-	}
 	if err != nil {
 		s.forgetMine()
 		return err
 	}
+	s.adopt(r)
 	s.cfg.Metrics.Add(telemetry.StreamRescored, int64(rescored))
 	return nil
 }
 
 // adopt makes r the last mine: the kept matches of candidates r did not
-// evaluate are dropped, the changed slots cleared, and what r saw recorded
-// for the deferred sums.
-func (s *Stream) adopt(r *miner.Result, unkept map[string]float64) error {
+// evaluate are dropped and the changed slots cleared.
+func (s *Stream) adopt(r *miner.Result) {
 	for key := range s.kept {
 		if _, ok := r.Values[key]; !ok {
 			delete(s.kept, key)
@@ -724,22 +551,6 @@ func (s *Stream) adopt(r *miner.Result, unkept map[string]float64) error {
 	clear(s.marked)
 	s.changed = s.changed[:0]
 	s.lastMine = r
-	if err := s.adoptCandidates(); err != nil {
-		return err
-	}
-	cls, err := s.classifier()
-	if err != nil {
-		return err
-	}
-	s.mined = &mineView{
-		n:           len(s.sample),
-		unkept:      unkept,
-		symbolMatch: append([]float64(nil), s.symbolMatch...),
-		cls:         cls,
-	}
-	s.sampleSums, s.prevRaw = nil, nil
-	s.dirty = false
-	return nil
 }
 
 // keptValuer is one re-mine's Phase 2 valuer. A candidate of the last mine
@@ -747,10 +558,9 @@ func (s *Stream) adopt(r *miner.Result, unkept map[string]float64) error {
 // kept while the budget holds rows more. Each value is match.ShardMean of
 // the candidate's per-member matches: the Phase 2 kernel's float.
 type keptValuer struct {
-	s      *Stream
-	rows   int                // candidates the keep budget holds at this sample size
-	unkept map[string]float64 // straight sums of the candidates not kept
-	row    []float64          // an unkept candidate's matches
+	s    *Stream
+	rows int       // candidates the keep budget holds at this sample size
+	row  []float64 // an unkept candidate's matches
 }
 
 func (v *keptValuer) value(ps []pattern.Pattern) ([]float64, error) {
@@ -805,7 +615,7 @@ func (v *keptValuer) value(ps []pattern.Pattern) ([]float64, error) {
 					row[j] = m[j][k]
 				}
 				if !keep {
-					out[i], v.unkept[keys[i]] = match.ShardMean(row), straightSum(row)
+					out[i] = match.ShardMean(row)
 				}
 			}
 		})
@@ -819,16 +629,6 @@ func (v *keptValuer) value(ps []pattern.Pattern) ([]float64, error) {
 		}
 	}
 	return out, nil
-}
-
-// straightSum adds xs in order from 0: the sum SoASet.Accumulate forms over
-// the members whose matches xs holds.
-func straightSum(xs []float64) float64 {
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum
 }
 
 // scoreBytes bounds the member-major matches one score chunk holds. A
@@ -877,18 +677,6 @@ func (s *Stream) score(ps []pattern.Pattern, members [][]pattern.Symbol, put fun
 		put(lo, m)
 	}
 	return nil
-}
-
-// refreshMine updates the skipped batch's values and spreads in place from
-// the maintained sums — the labels, sets and borders are unchanged by
-// construction (that is what the skip condition proved).
-func (s *Stream) refreshMine() {
-	n := float64(len(s.sample))
-	for i, p := range s.evaluated {
-		key := s.evalKeys[i]
-		s.lastMine.Values[key] = s.sampleSums[key] / n
-		s.lastMine.Spreads[key] = chernoff.RestrictedSpread(p, s.symbolMatch)
-	}
 }
 
 // hybridProbe is the Phase 3 valuer: patterns with cached exact sums are
@@ -968,9 +756,9 @@ func (s *Stream) pickCachedFirst(pending *pattern.Set, budget int) []pattern.Pat
 	return border.PickHalfway(pending, budget)
 }
 
-// parseSorted returns the keys of m in ascending order and the patterns they
-// parse to; what names the keys in an error.
-func parseSorted(m map[string]float64, what string) ([]string, []pattern.Pattern, error) {
+// parseSorted returns the keys of m, restored exact sums, in ascending order
+// and the patterns they parse to.
+func parseSorted(m map[string]float64) ([]string, []pattern.Pattern, error) {
 	keys := make([]string, 0, len(m))
 	for key := range m {
 		keys = append(keys, key)
@@ -980,7 +768,7 @@ func parseSorted(m map[string]float64, what string) ([]string, []pattern.Pattern
 	for i, key := range keys {
 		p, err := pattern.ParseKey(key)
 		if err != nil {
-			return nil, nil, fmt.Errorf("stream: %s key %q: %w", what, key, err)
+			return nil, nil, fmt.Errorf("stream: exact-sum key %q: %w", key, err)
 		}
 		ps[i] = p
 	}

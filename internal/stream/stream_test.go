@@ -2,6 +2,7 @@ package stream_test
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -29,6 +30,12 @@ type testCase struct {
 }
 
 func genCase(t *testing.T, seed int64) *testCase {
+	t.Helper()
+	return genCaseN(t, seed, 6, 10)
+}
+
+// genCaseN is genCase with a database of minN to minN+spanN-1 sequences.
+func genCaseN(t *testing.T, seed int64, minN, spanN int) *testCase {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	m := 3 + rng.Intn(3)
@@ -69,7 +76,7 @@ func genCase(t *testing.T, seed int64) *testCase {
 			t.Fatal(err)
 		}
 	}
-	n := 6 + rng.Intn(10)
+	n := minN + rng.Intn(spanN)
 	db := make([][]pattern.Symbol, n)
 	motif := make([]pattern.Symbol, 2+rng.Intn(2))
 	for i := range motif {
@@ -111,18 +118,21 @@ func (tc *testCase) streamConfig(workers, sampleSize int) stream.Config {
 }
 
 // batchMine runs the from-scratch pipeline over db with a full-window sample
-// — the reference every streamed prefix must match.
+// — the reference every streamed prefix must match. It pins the level-wise
+// Phase 2 engine, the stream's: the growth engine's Values omit the
+// candidates its bound prunes.
 func batchMine(t *testing.T, tc *testCase, db [][]pattern.Symbol, workers, sampleSize int) *core.Result {
 	t.Helper()
 	res, err := core.Mine(seqdb.NewMemDB(db), tc.c, core.Config{
-		MinMatch:   tc.minMatch,
-		Delta:      tc.delta,
-		SampleSize: sampleSize,
-		MaxLen:     tc.maxLen,
-		MaxGap:     tc.maxGap,
-		MemBudget:  3,
-		Workers:    workers,
-		Rng:        rand.New(rand.NewSource(1)),
+		MinMatch:     tc.minMatch,
+		Delta:        tc.delta,
+		SampleSize:   sampleSize,
+		MaxLen:       tc.maxLen,
+		MaxGap:       tc.maxGap,
+		MemBudget:    3,
+		Workers:      workers,
+		Phase2Engine: core.Phase2Levelwise,
+		Rng:          rand.New(rand.NewSource(1)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,48 +171,59 @@ func setKeys(s *pattern.Set) []string {
 // TestReplayMatchesBatchBitwise is the strict differential: feeding the
 // database in K-sequence batches must reproduce the from-scratch pipeline
 // bit-identically after every batch — frequent set, border, symbol matches,
-// and every sample value. Every case's database fits in one 32-sequence
-// shard of the Phase 2 kernel, whose sums are then the straight in-order
-// sums the stream maintains.
+// candidate count and every sample value. The small cases fit in one
+// 32-sequence shard of the Phase 2 kernel; the large ones, 40–100 sequences
+// in batches of 1, 3 and 7, span two to four, whose merged sums every
+// Advance must reproduce too.
 func TestReplayMatchesBatchBitwise(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		tc := genCase(t, seed)
 		for _, k := range []int{1, 2, 3, 5, len(tc.db)} {
-			log := newLog(t)
-			s, err := stream.New(log, tc.streamConfig(0, len(tc.db)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for lo := 0; lo < len(tc.db); lo += k {
-				hi := lo + k
-				if hi > len(tc.db) {
-					hi = len(tc.db)
-				}
-				appendBatch(t, log, tc.db[lo:hi])
-				res, err := s.Advance(context.Background())
-				if err != nil {
-					t.Fatalf("seed %d k %d batch [%d,%d): %v", seed, k, lo, hi, err)
-				}
-				ref := batchMine(t, tc, tc.db[:hi], 0, len(tc.db))
-				if got, want := setKeys(res.Frequent), setKeys(ref.Frequent); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d k %d prefix %d: frequent %v, batch mine %v", seed, k, hi, got, want)
-				}
-				if got, want := setKeys(res.Border), setKeys(ref.Border); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d k %d prefix %d: border %v, batch mine %v", seed, k, hi, got, want)
-				}
-				if !reflect.DeepEqual(res.SymbolMatch, ref.SymbolMatch) {
-					t.Fatalf("seed %d k %d prefix %d: symbol matches diverge\n got %v\nwant %v",
-						seed, k, hi, res.SymbolMatch, ref.SymbolMatch)
-				}
-				for key, want := range ref.Phase2.Values {
-					if got := res.Phase2.Values[key]; got != want {
-						t.Fatalf("seed %d k %d prefix %d: value[%s] = %v, batch mine %v", seed, k, hi, key, got, want)
-					}
-				}
-				if len(res.Phase2.Values) != len(ref.Phase2.Values) {
-					t.Fatalf("seed %d k %d prefix %d: %d candidates, batch mine %d",
-						seed, k, hi, len(res.Phase2.Values), len(ref.Phase2.Values))
-				}
+			replayBitwise(t, tc, seed, k)
+		}
+	}
+	for seed := int64(1); seed <= 16; seed++ {
+		tc := genCaseN(t, seed, 40, 61)
+		for _, k := range []int{1, 3, 7} {
+			replayBitwise(t, tc, seed, k)
+		}
+	}
+}
+
+// replayBitwise feeds tc.db to a fresh stream in k-sequence batches and
+// compares every Advance with batchMine of the prefix.
+func replayBitwise(t *testing.T, tc *testCase, seed int64, k int) {
+	t.Helper()
+	log := newLog(t)
+	s, err := stream.New(log, tc.streamConfig(0, len(tc.db)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < len(tc.db); lo += k {
+		hi := min(lo+k, len(tc.db))
+		appendBatch(t, log, tc.db[lo:hi])
+		res, err := s.Advance(context.Background())
+		if err != nil {
+			t.Fatalf("seed %d k %d batch [%d,%d): %v", seed, k, lo, hi, err)
+		}
+		ref := batchMine(t, tc, tc.db[:hi], 0, len(tc.db))
+		if got, want := setKeys(res.Frequent), setKeys(ref.Frequent); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d k %d prefix %d: frequent %v, batch mine %v", seed, k, hi, got, want)
+		}
+		if got, want := setKeys(res.Border), setKeys(ref.Border); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d k %d prefix %d: border %v, batch mine %v", seed, k, hi, got, want)
+		}
+		if !reflect.DeepEqual(res.SymbolMatch, ref.SymbolMatch) {
+			t.Fatalf("seed %d k %d prefix %d: symbol matches diverge\n got %v\nwant %v",
+				seed, k, hi, res.SymbolMatch, ref.SymbolMatch)
+		}
+		if len(res.Phase2.Values) != len(ref.Phase2.Values) {
+			t.Fatalf("seed %d k %d prefix %d: %d candidates, batch mine %d",
+				seed, k, hi, len(res.Phase2.Values), len(ref.Phase2.Values))
+		}
+		for key, want := range ref.Phase2.Values {
+			if got, ok := res.Phase2.Values[key]; !ok || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d k %d prefix %d: value[%s] = %v, batch mine %v", seed, k, hi, key, got, want)
 			}
 		}
 	}
@@ -244,17 +265,14 @@ func TestReplayMatchesBatchAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestStationarySkipsRemineAndServesCache drives a stationary two-sequence
+// TestStationaryServesProbeCache drives a stationary two-sequence
 // alternation under the identity matrix: every pattern value is exactly 0 or
-// 0.5 after each even-sized batch, so the only label movement comes from the
-// Chernoff interval tightening as the sample grows — which settles after the
-// first batches — while the pattern [0,1] (value 0.5, threshold 0.4) stays
-// ambiguous throughout. Later Advances must therefore skip the re-mine, and
-// every Phase 3 after the first must resolve [0,1] from the cached exact sum
-// without a window scan. Summed over the batches, the stream counts
-// strictly fewer probe patterns against the database than mining every
-// prefix from scratch does.
-func TestStationarySkipsRemineAndServesCache(t *testing.T) {
+// 0.5 after each even-sized batch, and the pattern [0,1] (value 0.5,
+// threshold 0.4) stays ambiguous throughout. Every Phase 3 after the first
+// must resolve [0,1] from the cached exact sum without a window scan.
+// Summed over the batches, the stream counts strictly fewer probe patterns
+// against the database than mining every prefix from scratch does.
+func TestStationaryServesProbeCache(t *testing.T) {
 	const batches, perBatch = 8, 2
 	tc := &testCase{
 		c:        compat.Identity(3),
@@ -272,7 +290,7 @@ func TestStationarySkipsRemineAndServesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	skips, cacheHits, probeBatches := 0, 0, 0
+	cacheHits, probeBatches := 0, 0
 	// Probe patterns counted against the database: the stream's exclude
 	// those its cache served.
 	streamProbed, batchProbed := 0, 0
@@ -295,12 +313,6 @@ func TestStationarySkipsRemineAndServesCache(t *testing.T) {
 		if lo == 0 {
 			continue
 		}
-		if !res.Remined {
-			skips++
-			if res.Scans != 0 {
-				t.Fatalf("prefix %d: skipped batch still scanned the window %d times", lo+perBatch, res.Scans)
-			}
-		}
 		if res.Phase3 != nil {
 			probeBatches++
 			if res.ReprobesAvoided == 0 {
@@ -308,9 +320,6 @@ func TestStationarySkipsRemineAndServesCache(t *testing.T) {
 			}
 			cacheHits += res.ReprobesAvoided
 		}
-	}
-	if skips == 0 {
-		t.Fatal("no later batch skipped the re-mine under stationary labels")
 	}
 	if probeBatches == 0 || cacheHits == 0 {
 		t.Fatalf("the persistently ambiguous pattern never exercised the probe cache (batches=%d hits=%d)", probeBatches, cacheHits)
@@ -479,8 +488,8 @@ func TestWindowExpirySubsampled(t *testing.T) {
 		if !reflect.DeepEqual(st.Sample, fst.Sample) {
 			t.Fatalf("window [%d,%d): slid sample %v, fresh %v", start, hi, st.Sample, fst.Sample)
 		}
-		if !reflect.DeepEqual(st.SampleSums, fst.SampleSums) {
-			t.Fatalf("window [%d,%d): maintained sample sums diverge", start, hi)
+		if !reflect.DeepEqual(res.Phase2.Values, fres.Phase2.Values) {
+			t.Fatalf("window [%d,%d): sample values diverge", start, hi)
 		}
 	}
 }
@@ -656,98 +665,14 @@ func TestReadOnlyFollowerSeesWriterExpiry(t *testing.T) {
 	}
 }
 
-// TestDeferredSampleSumsMatchEagerBuild: the maintained sample sums and the
-// raw-label baseline are built on first read, from the sample members and
-// symbol matches the last mine saw. A stream whose State() forces that build
-// after every Advance must decide exactly like one that leaves it to the
-// next Advance: same re-mines, border shifts, frequent sets and values, and
-// the same final State. The handmade schedule grows the sample, crosses
-// MinMatch with symbol 2's match on the batch after a mine (Infrequent at
-// the mine, Frequent now), then moves a 2-pattern's label by growth alone
-// on the batch after the next mine, and finally keeps a reservoir smaller
-// than the window; the generated cases add variety.
-func TestDeferredSampleSumsMatchEagerBuild(t *testing.T) {
-	a, b := []pattern.Symbol{0, 1}, []pattern.Symbol{2, 0, 1}
-	var db [][]pattern.Symbol
-	for _, run := range []struct {
-		seq []pattern.Symbol
-		n   int
-	}{{a, 4}, {b, 4}, {b, 8}, {a, 3}, {b, 1}, {a, 2}, {b, 6}, {a, 12}} {
-		for i := 0; i < run.n; i++ {
-			db = append(db, run.seq)
-		}
-	}
-	handmade := &testCase{c: compat.Identity(3), db: db, minMatch: 0.5, delta: 0.2, maxLen: 3, maxGap: 1}
-	shifts := compareDeferred(t, handmade, []int{4, 4, 8, 4, 4, 4, 4, 4, 4}, 24)
-	if !shifts[1] || !shifts[2] {
-		t.Fatalf("handmade schedule: border shifts %v, want the crossing (batch 2) and the growth move (batch 3)", shifts)
-	}
-	for seed := int64(1); seed <= 12; seed++ {
-		tc := genCase(t, seed)
-		compareDeferred(t, tc, []int{1, 2, 1, 3, 2, 1, 2, 4, 1, 2, 3}, len(tc.db)/2)
-	}
-}
-
-// compareDeferred replays tc.db in batches of the given sizes (the last
-// batch takes the rest) into two streams over their own logs, one calling
-// State() after every Advance, and fails on any difference between them. It
-// returns which batches shifted the border.
-func compareDeferred(t *testing.T, tc *testCase, batches []int, sampleSize int) []bool {
-	t.Helper()
-	cfg := tc.streamConfig(0, sampleSize)
-	logA, logB := newLog(t), newLog(t)
-	eager, err := stream.New(logA, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lazy, err := stream.New(logB, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var shifts []bool
-	lo := 0
-	for i := 0; lo < len(tc.db); i++ {
-		hi := len(tc.db)
-		if i < len(batches) {
-			hi = min(hi, lo+batches[i])
-		}
-		appendBatch(t, logA, tc.db[lo:hi])
-		appendBatch(t, logB, tc.db[lo:hi])
-		lo = hi
-		x, err := eager.Advance(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		eager.State()
-		y, err := lazy.Advance(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if x.Remined != y.Remined || x.BorderShifted != y.BorderShifted {
-			t.Fatalf("batch %d (prefix %d): eager build remined %v shifted %v, deferred remined %v shifted %v",
-				i+1, hi, x.Remined, x.BorderShifted, y.Remined, y.BorderShifted)
-		}
-		if !reflect.DeepEqual(setKeys(x.Frequent), setKeys(y.Frequent)) {
-			t.Fatalf("batch %d: frequent %v (eager) vs %v (deferred)", i+1, setKeys(x.Frequent), setKeys(y.Frequent))
-		}
-		if !reflect.DeepEqual(x.Phase2.Values, y.Phase2.Values) {
-			t.Fatalf("batch %d: sample values diverge: %v (eager) vs %v (deferred)", i+1, x.Phase2.Values, y.Phase2.Values)
-		}
-		shifts = append(shifts, x.BorderShifted)
-	}
-	if !reflect.DeepEqual(eager.State(), lazy.State()) {
-		t.Fatal("final states diverge")
-	}
-	return shifts
-}
-
-// TestFrequentSetMovesWithoutRemine pins a frequent set that changes on a
-// batch that does not re-mine: one-sequence batches alternate [0 1] and
-// [1 0] under the identity matrix at min_match 0.5, so the ambiguous [1 0]
-// has an exact match of 0.5 after every even batch and just below it after
-// every odd one. Phase 3 resolves it against the grown window on every
-// batch, while the raw labels, hence Phase 2, stay put from batch 5 on.
-// Every batch's set equals a batch mine of the prefix.
+// TestFrequentSetMovesWithoutRemine pins a frequent set that changes on
+// batches whose re-mine changes nothing: one-sequence batches alternate
+// [0 1] and [1 0] under the identity matrix at min_match 0.5, so the
+// ambiguous [1 0] has an exact match of 0.5 after every even batch and just
+// below it after every odd one. From batch 5 on, every re-mine returns the
+// same Phase 2 frequent and ambiguous sets, while Phase 3, resolving [1 0]
+// against the grown window, moves the frequent set on every batch. Every
+// batch's set equals a batch mine of the prefix.
 func TestFrequentSetMovesWithoutRemine(t *testing.T) {
 	tc := &testCase{c: compat.Identity(2), minMatch: 0.5, delta: 0.2, maxLen: 2}
 	for i := 0; i < 12; i++ {
@@ -759,6 +684,7 @@ func TestFrequentSetMovesWithoutRemine(t *testing.T) {
 		t.Fatal(err)
 	}
 	var prev []string
+	var prevPhase2 [2][]string
 	for i := range tc.db {
 		appendBatch(t, log, tc.db[i:i+1])
 		res, err := s.Advance(context.Background())
@@ -769,14 +695,15 @@ func TestFrequentSetMovesWithoutRemine(t *testing.T) {
 		if want := setKeys(batchMine(t, tc, tc.db[:i+1], 0, len(tc.db)).Frequent); !reflect.DeepEqual(got, want) {
 			t.Fatalf("batch %d: frequent %v, batch mine %v", i+1, got, want)
 		}
+		phase2 := [2][]string{setKeys(res.Phase2.Frequent), setKeys(res.Phase2.Ambiguous)}
 		if i+1 >= 5 {
-			if res.Remined {
-				t.Fatalf("batch %d re-mined", i+1)
+			if i+1 > 5 && !reflect.DeepEqual(phase2, prevPhase2) {
+				t.Fatalf("batch %d: Phase 2 sets %v, the batch before %v", i+1, phase2, prevPhase2)
 			}
 			if reflect.DeepEqual(got, prev) {
 				t.Fatalf("batch %d: frequent set %v did not move", i+1, got)
 			}
 		}
-		prev = got
+		prev, prevPhase2 = got, phase2
 	}
 }

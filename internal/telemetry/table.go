@@ -51,9 +51,7 @@ const (
 	StreamExpired
 	StreamReplaced
 	StreamReprobesSaved
-	StreamBorderShifts
 	StreamRemines
-	StreamTruncatedRemines
 	StreamRescored
 	CheckpointWrites
 	CheckpointBytes
@@ -189,15 +187,11 @@ var table = [numIDs]entry{
 	StreamExpired: {name: "stream_expired", kind: counter, unit: "sequences",
 		help: "Sequences expired out of the sliding window.", field: func(s *Snapshot) any { return &s.StreamExpired }},
 	StreamReplaced: {name: "stream_replaced", kind: counter, unit: "sequences",
-		help: "Reservoir members replaced by appended sequences; each forces a re-mine.", field: func(s *Snapshot) any { return &s.StreamReplaced }},
+		help: "Reservoir members replaced by appended sequences; the batch's re-mine rescores them.", field: func(s *Snapshot) any { return &s.StreamReplaced }},
 	StreamReprobesSaved: {name: "stream_reprobes_avoided", kind: counter, unit: "patterns",
 		help: "Probe valuations served from the stream's cached exact sums.", field: func(s *Snapshot) any { return &s.StreamReprobesSaved }},
-	StreamBorderShifts: {name: "stream_border_shifts", kind: counter, unit: "batches",
-		help: "Stream batches whose raw-label border shifted.", field: func(s *Snapshot) any { return &s.StreamBorderShifts }},
 	StreamRemines: {name: "stream_remines", kind: counter, unit: "batches",
 		help: "Scoped Phase 2 re-mines of the stream.", field: func(s *Snapshot) any { return &s.StreamRemines }},
-	StreamTruncatedRemines: {name: "stream_truncated_remines", kind: counter, unit: "batches",
-		help: "Stream re-mines forced only because the last mine's candidate space was truncated.", field: func(s *Snapshot) any { return &s.StreamTruncatedRemines }},
 	StreamRescored: {name: "stream_rescored_members", kind: counter, unit: "sequences",
 		help: "Sample members the stream's re-mines re-valued: the slots changed since each one's previous mine.", field: func(s *Snapshot) any { return &s.StreamRescored }},
 	CheckpointWrites: {name: "checkpoint_writes", kind: counter, unit: "snapshots",

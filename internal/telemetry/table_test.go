@@ -132,12 +132,11 @@ func record(m *Metrics) {
 	m.CheckpointWrite(2048, 3*time.Millisecond+456*time.Microsecond)
 	m.CheckpointWrite(1024, time.Millisecond)
 	m.CheckpointWrite(512, 25*time.Microsecond)
-	m.StreamBatch(8, 2, 0, true, false)
-	m.StreamBatch(3, 0, 2, false, true)
-	m.StreamBatch(1, 2, 1, true, false)
+	m.StreamBatch(8, 2, 0, false)
+	m.StreamBatch(3, 0, 2, true)
+	m.StreamBatch(1, 2, 1, false)
 	m.Add(StreamReprobesSaved, 17)
 	m.Add(StreamReprobesSaved, 4)
-	m.Add(StreamTruncatedRemines, 1)
 	m.Add(StreamRescored, 20)
 	m.Add(StreamRescored, 7)
 	m.ResumeHit(2, 3)

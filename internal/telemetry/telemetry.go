@@ -264,16 +264,12 @@ func (m *Metrics) GrowthNode(valued, pruned int64) {
 
 // StreamBatch records one streaming Advance: the sequences it appended, the
 // sequences the sliding window expired, the reservoir members its appends
-// replaced, whether the raw-label border shifted, and whether the batch fell
-// back to a scoped re-mine.
-func (m *Metrics) StreamBatch(appended, expired, replaced int, borderShift, remine bool) {
+// replaced, and whether the batch re-mined the sample.
+func (m *Metrics) StreamBatch(appended, expired, replaced int, remine bool) {
 	m.Add(StreamBatches, 1)
 	m.Add(StreamAppended, int64(appended))
 	m.Add(StreamExpired, int64(expired))
 	m.Add(StreamReplaced, int64(replaced))
-	if borderShift {
-		m.Add(StreamBorderShifts, 1)
-	}
 	if remine {
 		m.Add(StreamRemines, 1)
 	}
@@ -360,11 +356,7 @@ type Snapshot struct {
 	StreamExpired       int64 `json:"stream_expired,omitempty"`
 	StreamReplaced      int64 `json:"stream_replaced,omitempty"`
 	StreamReprobesSaved int64 `json:"stream_reprobes_avoided,omitempty"`
-	StreamBorderShifts  int64 `json:"stream_border_shifts,omitempty"`
 	StreamRemines       int64 `json:"stream_remines,omitempty"`
-	// StreamTruncatedRemines counts the re-mines a truncated candidate space
-	// (miner.Result.Truncated) forced when nothing else did.
-	StreamTruncatedRemines int64 `json:"stream_truncated_remines,omitempty"`
 	// StreamRescored counts the sample members re-mines re-valued.
 	StreamRescored int64 `json:"stream_rescored_members,omitempty"`
 

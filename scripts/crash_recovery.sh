@@ -16,7 +16,10 @@
 #                              be identical to a follower that consumed the
 #                              whole log in one quiet advance (the stream
 #                              result depends only on log content + config,
-#                              never on batch boundaries or crashes).
+#                              never on batch boundaries or crashes); then
+#                              resume the caught-up follower over the idle
+#                              log and require it to keep its restored mine
+#                              and scan nothing.
 #
 # Both modes tolerate the kill landing after the work already finished (the
 # recovery then replays completed state instead of resuming, which must
@@ -309,6 +312,21 @@ stream_mode() {
   follow_final "$dir/log-c.lsa" "$dir/stream-resumed.txt" \
     -checkpoint "$dir/stream.lckp" "${resume_flags[@]}"
   diff -u "$dir/stream-baseline.txt" "$dir/stream-resumed.txt"
+
+  # Cell 3 — resume the caught-up follower once more over the idle log. Its
+  # one advance consumes nothing, so it must keep the restored mine
+  # ("phase2 cached"), resolve Phase 3 from the restored exact sums with no
+  # scan, and report the baseline set.
+  follow_final "$dir/log-c.lsa" "$dir/stream-idle.txt" \
+    -checkpoint "$dir/stream.lckp" -resume
+  if ! grep -Eq '^batch 1: \+0/-0 .*phase2 cached, [0-9]+ reprobes avoided, 0 scans$' \
+    "$dir/stream-idle.txt.raw"; then
+    echo "stream: the idle resumed advance re-mined or scanned" >&2
+    cat "$dir/stream-idle.txt.raw" >&2
+    exit 1
+  fi
+  diff -u "$dir/stream-baseline.txt" "$dir/stream-idle.txt"
+  echo "stream: an idle resumed advance keeps its restored mine and scans nothing"
   echo "stream crash recovery OK: killed appender and follower both recover to the baseline frequent set"
 }
 
