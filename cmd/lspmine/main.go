@@ -52,11 +52,13 @@
 // every -poll interval and re-mining incrementally — a batch that brings
 // sequences re-mines the sample from the members it changed, an empty one
 // keeps the last mine ("phase2 cached"), and both serve Phase 3 probes from
-// cached exact sums. Each processed batch prints one summary line; with -v
-// it also prints the set whenever it differs from the set last printed
-// (Phase 3 resolves ambiguous patterns against the grown window on every
-// batch, so the set can change while Phase 2's labels stay put) and on the
-// last batch of a bounded run.
+// cached exact sums. Each processed batch prints one summary line, which
+// says "(candidate cap hit)" after the border count when the mine behind it
+// stopped at -max-candidates, so its set is complete only for the explored
+// space; with -v it also prints the set whenever it differs from the set
+// last printed (Phase 3 resolves ambiguous patterns against the grown window
+// on every batch, so the set can change while Phase 2's labels stay put) and
+// on the last batch of a bounded run.
 // -follow-batches N exits after N advances (0 = run until signalled). A
 // follower's re-mines value the sample from kept per-member matches, not
 // through the projection kernel, so its -metrics show stream_* counters
@@ -438,8 +440,12 @@ func (r *followReport) batch(n int, res *stream.Result, last bool) {
 	if res.Remined {
 		phase2 = "remined"
 	}
-	fmt.Fprintf(r.w, "batch %d: +%d/-%d sequences (cursor %d), %d frequent, %d border, phase2 %s, %d reprobes avoided, %d scans\n",
-		n, res.Appended, res.Expired, res.Total, res.Frequent.Len(), res.Border.Len(), phase2, res.ReprobesAvoided, res.Scans)
+	capped := ""
+	if res.Phase2 != nil && res.Phase2.Truncated {
+		capped = " (candidate cap hit)"
+	}
+	fmt.Fprintf(r.w, "batch %d: +%d/-%d sequences (cursor %d), %d frequent, %d border%s, phase2 %s, %d reprobes avoided, %d scans\n",
+		n, res.Appended, res.Expired, res.Total, res.Frequent.Len(), res.Border.Len(), capped, phase2, res.ReprobesAvoided, res.Scans)
 	if !r.verbose {
 		return
 	}

@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -237,5 +238,55 @@ func TestFollowPrintsEveryChangedSet(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("printed sets:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestFollowShowsTruncation: a follower whose mine stops at the candidate
+// cap says so on every batch line it prints, the line of a batch that
+// consumed nothing included, and that line keeps the form
+// scripts/crash_recovery.sh's stream cell greps for. A follower without a
+// cap prints no such note.
+func TestFollowShowsTruncation(t *testing.T) {
+	cached := regexp.MustCompile(`^batch [0-9]+: \+0/-0 .*phase2 cached, [0-9]+ reprobes avoided, [0-9]+ scans$`)
+	for _, maxCand := range []int{2, 0} {
+		log, err := seqdb.CreateAppend(filepath.Join(t.TempDir(), "live.lsa"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer log.Close()
+		st, err := core.NewStream(log, compat.Identity(4), core.StreamConfig{
+			Config: core.Config{MinMatch: 0.3, Delta: 0.2, MaxLen: 3, MaxCandidatesPerLevel: maxCand}, Seed: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		rep := &followReport{w: &out, a: pattern.GenericAlphabet(4)}
+		for i := 1; i <= 3; i++ {
+			if i < 3 {
+				for _, seq := range [][]pattern.Symbol{{0, 1, 2, 3}, {1, 2, 3, 0}, {2, 3, 0, 1}} {
+					if _, err := log.Append(seq); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			res, err := st.Advance(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Phase2.Truncated != (maxCand > 0) {
+				t.Fatalf("cap %d: Phase2.Truncated is %v", maxCand, res.Phase2.Truncated)
+			}
+			rep.batch(i, res, i == 3)
+		}
+		lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+		for _, l := range lines {
+			if strings.Contains(l, "(candidate cap hit)") != (maxCand > 0) {
+				t.Fatalf("cap %d: batch line %q", maxCand, l)
+			}
+		}
+		if last := lines[len(lines)-1]; !cached.MatchString(last) {
+			t.Fatalf("cap %d: the idle batch's line %q lost the form the crash-recovery script greps for", maxCand, last)
+		}
 	}
 }

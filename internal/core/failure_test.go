@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/compat"
+	"repro/internal/match"
 	"repro/internal/miner"
 	"repro/internal/pattern"
 	"repro/internal/seqdb"
@@ -110,3 +111,22 @@ func (r *rowFailScanner) Scan(fn func(int, []pattern.Symbol) error) error {
 func (r *rowFailScanner) Len() int    { return r.inner.Len() }
 func (r *rowFailScanner) Scans() int  { return r.inner.Scans() }
 func (r *rowFailScanner) ResetScans() { r.inner.ResetScans() }
+
+// TestMineRejectsSymbolOutsideAlphabet: a database holding symbol 7, mined
+// with a 5-symbol matrix, fails Phase 1 with a *PhaseError whose cause is
+// the accumulator's *match.AlphabetError and whose message names the
+// sequence, the symbol and its position, instead of panicking.
+func TestMineRejectsSymbolOutsideAlphabet(t *testing.T) {
+	db := seqdb.NewMemDB([][]pattern.Symbol{{0, 1, 2}, {3, 4}, {1, 7, 2}, {0}})
+	_, err := Mine(db, compat.Identity(5), Config{
+		MinMatch: 0.1, SampleSize: 4, MaxLen: 3, Rng: rand.New(rand.NewSource(1)),
+	})
+	var pe *PhaseError
+	var ae *match.AlphabetError
+	if !errors.As(err, &pe) || pe.Phase != 1 || !errors.As(err, &ae) || ae.Symbol != 7 || ae.Pos != 1 {
+		t.Fatalf("err=%v, want a phase 1 error rejecting symbol 7 at position 1", err)
+	}
+	if want := "core: phase 1: sequence 2: match: symbol 7 at position 1 is outside the alphabet of 5 symbols"; err.Error() != want {
+		t.Fatalf("err=%q, want %q", err, want)
+	}
+}

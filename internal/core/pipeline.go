@@ -247,8 +247,10 @@ func phase1Run(ctx context.Context, db seqdb.Scanner, c compat.Source, n int, rn
 		acc, sampler = a, s
 		delivered = 0
 		return func(id int, seq []pattern.Symbol) error {
+			if err := a.Observe(seq); err != nil {
+				return fmt.Errorf("sequence %d: %w", id, err)
+			}
 			delivered++
-			a.Observe(seq)
 			s.Offer(seq)
 			return nil
 		}, nil

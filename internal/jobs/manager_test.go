@@ -817,3 +817,34 @@ func TestJournaledRetiredFinalizer(t *testing.T) {
 		}
 	}
 }
+
+// TestOutOfAlphabetJobFails: a job over a store holding symbol 9, mined with
+// the test world's 6-symbol matrix, ends failed with Phase 1's reason — the
+// sequence, the symbol and its position — instead of bringing the manager
+// down, and a job submitted after it still completes.
+func TestOutOfAlphabetJobFails(t *testing.T) {
+	dbPath, matrixPath := testWorld(t, testutil.Seed(t), 40, 0.2)
+	bad := filepath.Join(t.TempDir(), "bad.lsq")
+	if err := seqdb.WriteFile(bad, seqdb.NewMemDB([][]pattern.Symbol{{0, 1, 2}, {3, 4, 5}, {1, 9, 2}})); err != nil {
+		t.Fatal(err)
+	}
+	m := newTestManager(t, Options{})
+	st, err := m.Submit(testSpec(bad, matrixPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitDone(t, m, st.ID)
+	if want := "core: phase 1: sequence 2: match: symbol 9 at position 1 is outside the alphabet of 6 symbols"; final.State != StateFailed || final.Error != want {
+		t.Fatalf("state %s, error %q; want failed with %q", final.State, final.Error, want)
+	}
+	st, err = m.Submit(testSpec(dbPath, matrixPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitDone(t, m, st.ID); final.State != StateDone {
+		t.Fatalf("the job after it: state %s (error %q), want done", final.State, final.Error)
+	}
+	if c := m.Counters(); c.Failed != 1 || c.Completed != 1 {
+		t.Errorf("counters = %+v, want 1 failed, 1 completed", c)
+	}
+}

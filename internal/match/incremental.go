@@ -41,44 +41,47 @@ import (
 // need but a hard wall against dense-matrix blowup.
 const DefaultCacheBudget int64 = 256 << 20
 
-// defaultShardSize is the number of sample sequences per shard. Shard
-// boundaries are a function of the sample alone — never of the worker count —
-// so the shard-order merge makes results independent of parallelism.
-const defaultShardSize = 32
+// ShardSize is the number of sample sequences per shard. Shard boundaries
+// are a function of the sample alone — never of the worker count — so the
+// shard-order merge makes results independent of parallelism.
+const ShardSize = 32
 
 // ShardMean forms a sample match from per-sequence matches the way the
-// Phase 2 kernel does: summed per defaultShardSize-sequence shard in
+// Phase 2 kernel does: summed per ShardSize-sequence shard in
 // sequence order, shard sums merged in ascending shard order, divided by
 // len(matches). Given each sequence's Compiled.Match it returns
 // Projector.Value's float for the pattern bit for bit (0 for no matches).
 func ShardMean(matches []float64) float64 {
-	const s = defaultShardSize
-	total, lo := 0.0, 0
-	// Four shards at a time: each shard's sum is its own chain of additions
-	// in sequence order, so running four side by side changes no bit and
-	// does not wait on one addition to start the next.
-	for ; lo+4*s <= len(matches); lo += 4 * s {
-		m := matches[lo : lo+4*s]
-		var p0, p1, p2, p3 float64
-		for j := range s {
-			p0 += m[j]
-			p1 += m[s+j]
-			p2 += m[2*s+j]
-			p3 += m[3*s+j]
-		}
-		total += p0
-		total += p1
-		total += p2
-		total += p3
-	}
-	for ; lo < len(matches); lo += s {
-		part := 0.0
-		for _, v := range matches[lo:min(lo+s, len(matches))] {
-			part += v
-		}
-		total += part
+	total := 0.0
+	for k := 0; k*ShardSize < len(matches); k++ {
+		total += ShardSum(matches, k)
 	}
 	if n := len(matches); n > 0 {
+		total /= float64(n)
+	}
+	return total
+}
+
+// ShardSum returns shard k's share of ShardMean(matches): the sum of
+// matches[k*ShardSize : min((k+1)*ShardSize, len(matches))], from zero in
+// sequence order.
+func ShardSum(matches []float64, k int) float64 {
+	part := 0.0
+	for _, v := range matches[k*ShardSize : min((k+1)*ShardSize, len(matches))] {
+		part += v
+	}
+	return part
+}
+
+// MergeShards returns ShardMean of n matches from their shard sums
+// (ShardSum for every shard, in ascending order): the sums are added in
+// that order and the total divided by n, so the bits are ShardMean's.
+func MergeShards(sums []float64, n int) float64 {
+	total := 0.0
+	for _, part := range sums {
+		total += part
+	}
+	if n > 0 {
 		total /= float64(n)
 	}
 	return total

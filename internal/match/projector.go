@@ -55,7 +55,7 @@ type Projector struct {
 // projector is safe for concurrent use.
 func NewProjector(c compat.Source, sample [][]pattern.Symbol, shardSize int) *Projector {
 	if shardSize <= 0 {
-		shardSize = defaultShardSize
+		shardSize = ShardSize
 	}
 	pj := &Projector{
 		m:      c.Size(),

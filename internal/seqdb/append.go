@@ -183,9 +183,9 @@ func recoverAppend(path string, f *os.File, rw bool) (*AppendDB, error) {
 func indexRecords(path string, f *os.File, offsets []int64, size int64) ([]int64, error) {
 	end := offsets[len(offsets)-1]
 	src := &countingReader{r: io.NewSectionReader(f, end, size-end), n: new(atomic.Int64)}
-	rr := recordReader{br: bufio.NewReaderSize(src, 1<<20), path: path, checksum: true}
+	rr := recordReader{br: bufio.NewReaderSize(src, int(min(size-end, maxReadBuffer))), path: path, checksum: true}
 	for end < size {
-		_, n, err := rr.next(len(offsets) - 1)
+		_, n, err := decode(&rr, len(offsets)-1)
 		if err != nil {
 			if isTornTail(err) {
 				break
@@ -451,13 +451,13 @@ func (db *AppendDB) deliver(ctx context.Context, lo, hi int, fn func(abs int, se
 	db.mu.Lock()
 	from, to := db.offsets[lo], db.offsets[hi]
 	db.mu.Unlock()
-	br := bufio.NewReaderSize(&countingReader{r: io.NewSectionReader(f, from, to-from), n: &db.bytes}, 1<<20)
+	br := bufio.NewReaderSize(&countingReader{r: io.NewSectionReader(f, from, to-from), n: &db.bytes}, int(min(to-from, maxReadBuffer)))
 	rr := recordReader{br: br, path: db.path, checksum: true}
 	for i := lo; i < hi; i++ {
 		if err := ctxErr(ctx); err != nil {
 			return err
 		}
-		seq, _, err := rr.next(i)
+		seq, _, err := decode(&rr, i)
 		if err != nil {
 			return err
 		}

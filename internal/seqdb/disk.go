@@ -316,7 +316,7 @@ func (db *DiskDB) scanRange(ctx context.Context, lo, hi int, fn func(id int, seq
 		if err := ctxErr(ctx); err != nil {
 			return err
 		}
-		seq, _, err := rr.next(i)
+		seq, _, err := decode(&rr, i)
 		if err != nil {
 			return err
 		}

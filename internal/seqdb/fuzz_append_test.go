@@ -14,7 +14,8 @@ import (
 // fails cleanly or yields a consistent prefix of intact records — the same
 // prefix whether the log is opened read-write (with truncation) or read-only
 // (without). Truncation is never silent: whenever recovery drops bytes,
-// TruncatedBytes reports them.
+// TruncatedBytes reports them. Every input must give the reference
+// decoder's outcome (referenceNext) on opening and scanning.
 func FuzzAppendDBReadFrom(f *testing.F) {
 	dir := f.TempDir()
 	good := filepath.Join(dir, "seed.lsa")
@@ -47,6 +48,7 @@ func FuzzAppendDBReadFrom(f *testing.F) {
 		if err := os.WriteFile(roPath, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		requireReferenceOutcome(t, roPath, nil, nil, "fuzz input")
 		ro, roErr := OpenAppendRead(roPath)
 		var roSeqs [][]pattern.Symbol
 		if roErr == nil {

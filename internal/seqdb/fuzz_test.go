@@ -11,9 +11,10 @@ import (
 
 // FuzzDiskScan checks that scanning arbitrary bytes as a database file never
 // panics: it either errors cleanly or yields well-formed sequences, and after
-// a clean full scan a range scan delivers exactly that slice of it. Seeds
-// cover every format (LSQ2, legacy LSQ1, gzip-compressed LSQZ, the LSA1
-// append log).
+// a clean full scan a range scan delivers exactly that slice of it. Every
+// input must give the reference decoder's outcome (referenceNext): the same
+// sequences, or the same error with the same sequence id. Seeds cover every
+// format (LSQ2, legacy LSQ1, gzip-compressed LSQZ, the LSA1 append log).
 func FuzzDiskScan(f *testing.F) {
 	dir := f.TempDir()
 	seedDB := NewMemDB([][]pattern.Symbol{{0, 1, 2}, {3}})
@@ -86,6 +87,7 @@ func FuzzDiskScan(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		requireReferenceOutcome(t, path, nil, nil, "fuzz input")
 		db, err := OpenAuto(path)
 		if err != nil {
 			return

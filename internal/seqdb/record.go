@@ -44,9 +44,14 @@ type recordReader struct {
 	br       *bufio.Reader
 	path     string
 	checksum bool
-	raw      []byte           // the last record's length and symbol bytes
+	raw      []byte           // the bytes of the record being decoded byte by byte
 	seq      []pattern.Symbol // the last record's symbols
 }
+
+// decode decodes the next record of sequence id: every scan and index pass
+// calls it. A variable only so that tests can run the reference decoder in
+// its place.
+var decode = (*recordReader).next
 
 // maxPrealloc is how many symbols a record's declared length may allocate
 // before they are read.
@@ -83,9 +88,17 @@ func uvarint(br *bufio.Reader, raw []byte) (uint64, []byte, error) {
 }
 
 // next decodes the record of sequence id and returns its symbols (valid
-// until the next call) and its size in bytes. The decoded slice and the
-// recorded bytes live in locals while the record is read, not in fields
-// reloaded per symbol.
+// until the next call) and its size in bytes.
+//
+// A record whose bytes are buffered whole, whose symbols are all below
+// 0x80 (so each is a one-byte uvarint) and whose checksum holds is decoded
+// straight from the read buffer. Any other record — a longer varint, a
+// record not wholly buffered (one that straddles a refill, runs past the
+// end of the file or is longer than the buffer), a checksum mismatch —
+// goes through the byte-at-a-time decoder, which reports each fault, read
+// errors included, with its kind and sequence id. The decoded slice and
+// the recorded bytes live in locals while the record is read, not in
+// fields reloaded per symbol.
 func (r *recordReader) next(id int) ([]pattern.Symbol, int, error) {
 	br := r.br
 	l, raw, err := uvarint(br, r.raw[:0])
@@ -94,6 +107,10 @@ func (r *recordReader) next(id int) ([]pattern.Symbol, int, error) {
 	}
 	if l == 0 || l > MaxSequenceLen {
 		return nil, 0, corrupt(r.path, id, fmt.Sprintf("invalid length %d", l), nil)
+	}
+	if seq, ok := r.oneByte(raw, int(l)); ok {
+		r.raw = raw
+		return seq, len(raw) + len(seq) + r.tail(), nil
 	}
 	seq := r.seq[:0]
 	for len(seq) < int(l) {
@@ -126,6 +143,46 @@ func (r *recordReader) next(id int) ([]pattern.Symbol, int, error) {
 	}
 	br.Discard(4)
 	return seq, len(raw) + 4, nil
+}
+
+// tail is the size of a record's checksum: 4 bytes, or none.
+func (r *recordReader) tail() int {
+	if r.checksum {
+		return 4
+	}
+	return 0
+}
+
+// oneByte is next's fast path for a record of l symbols whose length bytes
+// lenBytes are read: when the symbol bytes and the checksum are buffered,
+// every symbol byte is below 0x80 and the checksum holds, it converts the
+// bytes and consumes the record. Otherwise it consumes nothing and reports
+// false. It never reads the file: the byte-at-a-time path then meets every
+// read, and every error, where the reference decoder does.
+func (r *recordReader) oneByte(lenBytes []byte, l int) ([]pattern.Symbol, bool) {
+	n := l + r.tail()
+	if n > r.br.Buffered() {
+		return nil, false
+	}
+	body, _ := r.br.Peek(n) // buffered, so no read and no error
+	seq := slices.Grow(r.seq[:0], l)[:l]
+	r.seq = seq
+	var high byte
+	for i, b := range body[:l] {
+		seq[i] = pattern.Symbol(b)
+		high |= b
+	}
+	if high >= 0x80 {
+		return nil, false
+	}
+	if r.checksum {
+		sum := crc32.Update(crc32.ChecksumIEEE(lenBytes), crc32.IEEETable, body[:l])
+		if sum != binary.LittleEndian.Uint32(body[l:]) {
+			return nil, false
+		}
+	}
+	r.br.Discard(n)
+	return seq, true
 }
 
 // isTornTail reports whether a record decode failure is consistent with a

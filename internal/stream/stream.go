@@ -9,22 +9,28 @@
 //     SampleSize sequences is kept over the live window. Reservoir draws are
 //     stateless — each offer's draw is derived from (Seed, window-relative
 //     index) alone — so a restored or rebuilt stream reproduces the exact
-//     sample the uninterrupted stream holds, with no RNG replay.
+//     sample the uninterrupted stream holds, with no RNG replay. An Advance
+//     reads its batch whole before it applies any of it, so one that fails
+//     (a read error, a cancelled context, a symbol outside the alphabet)
+//     consumes nothing and the next Advance reads the batch again.
 //   - Phase 2: for every candidate the last mine evaluated, the stream keeps
 //     its match in every sample slot, and it records which slots were
 //     appended or replaced since. Every Advance that consumes a sequence
 //     re-mines the in-memory sample, with no database scan: kept candidates
-//     have only those slots rescored, new candidates are scored over the
-//     whole sample, and each value is then formed as the Phase 2 kernel
-//     forms it (match.ShardMean), so it is bit-identical to a fresh
-//     match.Incremental mine of the same sample, and the re-mine costs the
-//     members a batch changed, not the whole sample. An Advance that
-//     consumes nothing keeps the last mine: the sample and the symbol
+//     have only those slots rescored and the sums of the shards holding
+//     them formed again, new candidates are scored over the whole sample,
+//     and each value is then formed as the Phase 2 kernel forms it
+//     (match.ShardMean, merged from the shard sums), so it is bit-identical
+//     to a fresh match.Incremental mine of the same sample, and the re-mine
+//     costs the members a batch changed, not the whole sample. An Advance
+//     that consumes nothing keeps the last mine: the sample and the symbol
 //     matches are unchanged, so a re-mine would return it again.
 //   - Phase 3: exact database match sums of previously probed patterns are
-//     extended with each appended sequence, so a pattern probed in an earlier
-//     batch is re-probed for free — its Chernoff interval is resolved from
-//     the cached sum without a scan. Only never-probed patterns cost a pass
+//     extended with each appended sequence (its matches scored on Workers
+//     goroutines, then added in arrival order, the additions of one
+//     in-order scan), so a pattern probed in an earlier batch is re-probed
+//     for free — its Chernoff interval is resolved from the cached sum
+//     without a scan. Only never-probed patterns cost a pass
 //     over the live window. Probe order never changes the final frequent set
 //     (exact values plus anti-monotone Apriori propagation), so serving
 //     cached probes first is purely an execution layout.
@@ -50,6 +56,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -86,8 +93,10 @@ type Config struct {
 	// Default 10000.
 	MemBudget int
 	// Workers splits a re-mine's scoring into contiguous sample-member
-	// ranges, one goroutine each (0/1 sequential, negative = GOMAXPROCS).
-	// Values do not depend on it.
+	// ranges, and the scoring of the probed patterns over a batch's
+	// appended sequences into contiguous ranges of them, one goroutine each
+	// (0/1 sequential, negative = GOMAXPROCS). Values and sums do not
+	// depend on it.
 	Workers int
 	// Seed drives the stateless reservoir draws (required for
 	// reproducibility; any fixed value works).
@@ -188,9 +197,10 @@ type Stream struct {
 	sample [][]pattern.Symbol
 
 	// kept holds, per candidate of the last mine that fit the keep budget,
-	// its match in every sample slot as that mine saw it. changed lists the
-	// slots appended or replaced since, each once; marked[i] flags slot i.
-	kept    map[string][]float64
+	// its match in every sample slot and its shard sums as that mine saw
+	// them. changed lists the slots appended or replaced since, each once;
+	// marked[i] flags slot i.
+	kept    map[string]*keptRow
 	changed []int
 	marked  []bool
 
@@ -202,8 +212,9 @@ type Stream struct {
 	scratch     []float64          // member-major matches of one score chunk
 }
 
-// keepBudget bounds the kept matches in bytes, 8 per candidate per sample
-// member. A variable only so that tests can force it low.
+// keepBudget bounds the kept rows in bytes, 8 per candidate per sample
+// member and 8 per candidate per shard of match.ShardSize members. A
+// variable only so that tests can force it low.
 var keepBudget = match.DefaultCacheBudget
 
 // New builds a stream over db. No data is consumed until Advance.
@@ -218,7 +229,7 @@ func New(db *seqdb.AppendDB, cfg Config) (*Stream, error) {
 		cursor:      db.Start(),
 		windowStart: db.Start(),
 		acc:         match.NewSymbolAccumulator(cfg.C),
-		kept:        make(map[string][]float64),
+		kept:        make(map[string]*keptRow),
 		exactSums:   make(map[string]float64),
 	}
 	return s, nil
@@ -377,7 +388,10 @@ func (s *Stream) Advance(ctx context.Context) (*Result, error) {
 
 // ingest consumes appended sequences — or, when the window start moved,
 // rebuilds the whole Phase 1 state from the live window — extending the
-// exact sums along the way.
+// exact sums along the way. It reads the batch whole before it applies any
+// of it, so a failed read, a cancelled context or a symbol outside the
+// alphabet leaves the stream as it was, and the next Advance reads the
+// batch again.
 func (s *Stream) ingest(ctx context.Context, res *Result) error {
 	// A read-only handle caches the window start: re-read the log's head and
 	// sidecar first, so an expiry by the writer is seen before anything is
@@ -386,89 +400,118 @@ func (s *Stream) ingest(ctx context.Context, res *Result) error {
 		return err
 	}
 	if start := s.db.Start(); start != s.windowStart {
-		// The window moved (sliding-window expiry, here or externally):
-		// rebuild from the live window. Stateless draws keyed by the new
-		// window-relative indices make this identical to a fresh stream over
-		// a log holding only the live window. The window start moves only
-		// once the rebuild has read the whole window, so a failed rebuild
-		// is redone by the next Advance.
-		s.acc = match.NewSymbolAccumulator(s.cfg.C)
-		s.sample, s.marked, s.changed = s.sample[:0], s.marked[:0], s.changed[:0]
-		s.forgetMine()
-		s.exactSums = make(map[string]float64)
-		s.probed, s.probedKeys = s.probed[:0], s.probedKeys[:0]
-		delivered := 0
-		err := s.db.ScanContext(ctx, func(id int, seq []pattern.Symbol) error {
-			s.acc.Observe(seq)
-			s.offer(id, seq)
-			delivered++
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		res.Expired = start - s.windowStart
-		if cursor := start + delivered; cursor > s.cursor {
-			res.Appended = cursor - s.cursor
-		}
-		s.windowStart, s.cursor = start, start+delivered
-		return nil
+		return s.rebuild(ctx, start, res)
 	}
 
-	var appended [][]pattern.Symbol
+	var batch [][]pattern.Symbol
+	first := s.cursor // the absolute id of batch[0]
 	cursor, err := s.db.ScanSince(ctx, s.cursor, func(abs int, seq []pattern.Symbol) error {
-		s.acc.Observe(seq)
-		kept, replaced := s.offer(abs-s.windowStart, seq)
-		if kept == nil {
-			kept = append([]pattern.Symbol(nil), seq...)
+		if len(batch) == 0 {
+			first = abs
 		}
-		if replaced {
-			res.Replaced++
-		}
-		appended = append(appended, kept)
+		batch = append(batch, slices.Clone(seq))
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	s.cursor = cursor
-	res.Appended = len(appended)
-	if len(appended) == 0 {
+	if len(batch) == 0 {
+		s.cursor = cursor
 		return nil
 	}
-
-	// Extend the exact sums, in arrival order, so they stay bit-identical
-	// to a from-scratch in-order scan.
-	if len(s.probed) > 0 {
-		set, err := match.CompileSoA(s.cfg.C, s.probed)
-		if err != nil {
-			return err
+	// A failure below puts the symbol sums back; SetSums cannot fail on
+	// sums the same accumulator gave.
+	before := s.acc.Sums()
+	for i, seq := range batch {
+		if err := s.acc.Observe(seq); err != nil {
+			_ = s.acc.SetSums(before)
+			return fmt.Errorf("stream: sequence %d: %w", first+i, err)
 		}
-		accumulate(s.exactSums, set, s.probedKeys, appended)
 	}
+	sums, err := s.extend(batch)
+	if err != nil {
+		_ = s.acc.SetSums(before)
+		return err
+	}
+	for i, key := range s.probedKeys {
+		s.exactSums[key] = sums[i]
+	}
+	for i, seq := range batch {
+		if s.offer(first+i-s.windowStart, seq) {
+			res.Replaced++
+		}
+	}
+	s.cursor = cursor
+	res.Appended = len(batch)
 	return nil
 }
 
-// offer presents the sequence with window-relative index rel to the
-// reservoir (Algorithm R with stateless per-index draws) and marks the slot
-// it fills as changed. It returns the copy the reservoir keeps, nil when the
-// draw passes the sequence over, and whether the copy replaced a member.
-// Members are read-only, so the caller may share the copy.
-func (s *Stream) offer(rel int, seq []pattern.Symbol) (kept []pattern.Symbol, replaced bool) {
+// rebuild rebuilds the Phase 1 state from the live window, which starts at
+// absolute id start. Stateless draws keyed by the new window-relative
+// indices make this identical to a fresh stream over a log holding only the
+// live window. The stream adopts the new state only once the rebuild has
+// read the whole window, so a failed rebuild is redone by the next Advance.
+func (s *Stream) rebuild(ctx context.Context, start int, res *Result) error {
+	acc := match.NewSymbolAccumulator(s.cfg.C)
+	var sample [][]pattern.Symbol
+	delivered := 0
+	err := s.db.ScanContext(ctx, func(id int, seq []pattern.Symbol) error {
+		if err := acc.Observe(seq); err != nil {
+			return fmt.Errorf("stream: sequence %d: %w", start+id, err)
+		}
+		if j, ok := s.slot(id); ok {
+			if j == len(sample) {
+				sample = append(sample, nil)
+			}
+			sample[j] = slices.Clone(seq)
+		}
+		delivered++
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	s.acc, s.sample = acc, sample
+	s.marked, s.changed = s.marked[:0], s.changed[:0]
+	s.forgetMine()
+	s.exactSums = make(map[string]float64)
+	s.probed, s.probedKeys = s.probed[:0], s.probedKeys[:0]
+	res.Expired = start - s.windowStart
+	if cursor := start + delivered; cursor > s.cursor {
+		res.Appended = cursor - s.cursor
+	}
+	s.windowStart, s.cursor = start, start+delivered
+	return nil
+}
+
+// slot returns the reservoir slot the sequence with window-relative index
+// rel fills (Algorithm R with stateless per-index draws): rel itself while
+// the reservoir fills, then a draw, and false when the draw passes the
+// sequence over.
+func (s *Stream) slot(rel int) (int, bool) {
 	if rel < s.cfg.SampleSize {
-		kept = append([]pattern.Symbol(nil), seq...)
-		s.mark(len(s.sample))
-		s.sample = append(s.sample, kept)
-		return kept, false
+		return rel, true
 	}
 	j := drawIndex(s.cfg.Seed, rel)
-	if j >= s.cfg.SampleSize {
-		return nil, false
+	return j, j < s.cfg.SampleSize
+}
+
+// offer presents seq, the sequence with window-relative index rel, to the
+// reservoir and marks the slot it fills as changed. It reports whether seq
+// replaced a member. The reservoir keeps seq itself: members are read-only,
+// so the caller may share it but not modify it.
+func (s *Stream) offer(rel int, seq []pattern.Symbol) (replaced bool) {
+	j, ok := s.slot(rel)
+	if !ok {
+		return false
 	}
-	kept = append([]pattern.Symbol(nil), seq...)
 	s.mark(j)
-	s.sample[j] = kept
-	return kept, true
+	if j == len(s.sample) {
+		s.sample = append(s.sample, seq)
+		return false
+	}
+	s.sample[j] = seq
+	return true
 }
 
 // mark records that sample slot i, at most len(s.sample), was appended or
@@ -493,21 +536,36 @@ func (s *Stream) forgetMine() {
 	}
 }
 
-// accumulate extends each pattern's running sum by its matches in seqs, with
-// set the compiled patterns and keys their keys. The running totals are
-// loaded first and each sequence's match is added in arrival order,
-// continuing the exact left-to-right addition a from-scratch in-order scan
-// performs (adding a separately-summed chunk would reassociate the floats and
-// drift from the batch pipeline by ulps).
-func accumulate(sums map[string]float64, set *match.SoASet, keys []string, seqs [][]pattern.Symbol) {
-	buf := make([]float64, len(keys))
-	for i, key := range keys {
-		buf[i] = sums[key]
+// extend returns the probed patterns' exact sums, in s.probed's order,
+// extended by the matches of batch. Each sequence's matches are added in
+// arrival order: the additions SoASet.Accumulate makes, which continue the
+// left-to-right sums of a from-scratch in-order scan (adding a
+// separately-summed chunk would reassociate the floats and drift from the
+// batch pipeline by ulps). The matches are scored on the stream's workers
+// (score), over members few enough that their matches fit scoreBytes.
+func (s *Stream) extend(batch [][]pattern.Symbol) ([]float64, error) {
+	sums := make([]float64, len(s.probedKeys))
+	for i, key := range s.probedKeys {
+		sums[i] = s.exactSums[key]
 	}
-	set.Accumulate(buf, seqs)
-	for i, key := range keys {
-		sums[key] = buf[i]
+	if len(sums) == 0 {
+		return sums, nil
 	}
+	step := max(1, scoreBytes/(8*len(sums)))
+	for lo := 0; lo < len(batch); lo += step {
+		err := s.score(s.probed, batch[lo:min(lo+step, len(batch))], func(plo int, m [][]float64) {
+			part := sums[plo : plo+len(m[0])]
+			for _, row := range m {
+				for k, v := range row {
+					part[k] += v
+				}
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return sums, nil
 }
 
 // remine reruns the sample classification (Phase 2) over the maintained
@@ -522,7 +580,18 @@ func (s *Stream) remine(ctx context.Context) error {
 		Metrics:               s.cfg.Metrics,
 	}
 	rescored := len(s.changed)
-	v := &keptValuer{s: s, rows: int(keepBudget / int64(8*len(s.sample)))}
+	n := len(s.sample)
+	shards := (n + match.ShardSize - 1) / match.ShardSize
+	v := &keptValuer{s: s, rows: int(keepBudget / int64(8*(n+shards))), shards: shards}
+	dirty := make([]bool, shards)
+	for _, slot := range s.changed {
+		dirty[slot/match.ShardSize] = true
+	}
+	for k, d := range dirty {
+		if d {
+			v.dirty = append(v.dirty, k)
+		}
+	}
 	for key := range s.kept { // the sample grew past what the budget holds
 		if len(s.kept) <= v.rows {
 			break
@@ -553,14 +622,25 @@ func (s *Stream) adopt(r *miner.Result) {
 	s.lastMine = r
 }
 
+// keptRow is a kept candidate's match in every sample member and, per
+// match.ShardSize members, the shard sum match.ShardSum forms of them.
+type keptRow struct {
+	matches []float64
+	shards  []float64
+}
+
 // keptValuer is one re-mine's Phase 2 valuer. A candidate of the last mine
-// has its changed slots rescored; a new one is scored over every member and
-// kept while the budget holds rows more. Each value is match.ShardMean of
-// the candidate's per-member matches: the Phase 2 kernel's float.
+// has its changed slots rescored and the sums of the shards holding them
+// formed again; a new one is scored over every member and kept while the
+// budget holds rows more. Each value is match.ShardMean of the candidate's
+// per-member matches, the Phase 2 kernel's float, formed from the shard
+// sums by match.MergeShards.
 type keptValuer struct {
-	s    *Stream
-	rows int       // candidates the keep budget holds at this sample size
-	row  []float64 // an unkept candidate's matches
+	s      *Stream
+	rows   int       // candidates the keep budget holds at this sample size
+	shards int       // shards of the sample
+	dirty  []int     // the shards holding changed slots, ascending
+	row    []float64 // an unkept candidate's matches
 }
 
 func (v *keptValuer) value(ps []pattern.Pattern) ([]float64, error) {
@@ -587,12 +667,15 @@ func (v *keptValuer) value(ps []pattern.Pattern) ([]float64, error) {
 		err := s.score(old, members, func(lo int, m [][]float64) {
 			for k, key := range oldKeys[lo : lo+len(m[0])] {
 				row := s.kept[key]
-				if len(row) < n { // appended slots are among the changed
-					row = append(row, make([]float64, n-len(row))...)
-					s.kept[key] = row
-				}
+				// Appended slots and the shards holding them are among the
+				// changed and the dirty.
+				row.matches = append(row.matches, make([]float64, n-len(row.matches))...)
+				row.shards = append(row.shards, make([]float64, v.shards-len(row.shards))...)
 				for j, slot := range s.changed {
-					row[slot] = m[j][k]
+					row.matches[slot] = m[j][k]
+				}
+				for _, sh := range v.dirty {
+					row.shards[sh] = match.ShardSum(row.matches, sh)
 				}
 			}
 		})
@@ -603,20 +686,24 @@ func (v *keptValuer) value(ps []pattern.Pattern) ([]float64, error) {
 	if len(fresh) > 0 {
 		err := s.score(fresh, s.sample, func(lo int, m [][]float64) {
 			for k, i := range freshIdx[lo : lo+len(m[0])] {
-				row, keep := v.row, len(s.kept) < v.rows
-				if keep {
-					row = make([]float64, n)
-					s.kept[keys[i]] = row
-				} else if row == nil {
-					row = make([]float64, n)
-					v.row = row
+				if len(s.kept) >= v.rows {
+					if v.row == nil {
+						v.row = make([]float64, n)
+					}
+					for j := range v.row {
+						v.row[j] = m[j][k]
+					}
+					out[i] = match.ShardMean(v.row)
+					continue
 				}
-				for j := range row {
-					row[j] = m[j][k]
+				row := &keptRow{matches: make([]float64, n), shards: make([]float64, v.shards)}
+				for j := range row.matches {
+					row.matches[j] = m[j][k]
 				}
-				if !keep {
-					out[i] = match.ShardMean(row)
+				for sh := range row.shards {
+					row.shards[sh] = match.ShardSum(row.matches, sh)
 				}
+				s.kept[keys[i]] = row
 			}
 		})
 		if err != nil {
@@ -625,7 +712,7 @@ func (v *keptValuer) value(ps []pattern.Pattern) ([]float64, error) {
 	}
 	for i, key := range keys {
 		if row, ok := s.kept[key]; ok {
-			out[i] = match.ShardMean(row)
+			out[i] = match.MergeShards(row.shards, n)
 		}
 	}
 	return out, nil

@@ -201,7 +201,9 @@ serve_mode() {
   wait "$server_pid" 2>/dev/null || true
   server_pid=
 
-  interrupted=$(grep -l '"state": "running"' "$dir/data-b/jobs"/*.json 2>/dev/null | wc -l)
+  # grep finds no file when both jobs finished before the kill; under
+  # pipefail its exit status would end the script before that case is told.
+  interrupted=$({ grep -l '"state": "running"' "$dir/data-b/jobs"/*.json 2>/dev/null || true; } | wc -l)
   if [ "${interrupted:-0}" -ge 1 ]; then
     echo "SIGKILL landed with $interrupted job(s) journaled mid-run"
   else
